@@ -19,7 +19,7 @@ from typing import Sequence
 from . import cluster as cl
 from . import diagnose, gof, ingest, recurrence
 from .demo import demo_dataset
-from .estimate import FitResult, fit_mle, profile_ci_xi
+from .estimate import FitError, FitResult, fit_mle, profile_ci_xi
 from .ingest import AnnualMaximaSeries
 from .seeding import derive_seed
 
@@ -128,16 +128,24 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def _fit_all(series: Sequence[AnnualMaximaSeries], ci_level: float) -> dict[str, dict]:
+    """Free fit and profile interval per station. A station whose interval
+    cannot be found gets null endpoints and a ``ci_error`` reason instead
+    of aborting the run."""
     results: dict[str, dict] = {}
     for s in series:
-        fit = fit_mle(s.values, "free")
-        ci = profile_ci_xi(s.values, level=ci_level)
-        payload = _fit_payload(fit)
-        payload["ci_lo"] = ci.lower
-        payload["ci_hi"] = ci.upper
-        payload["ci_level"] = ci.level
+        payload = _fit_payload(fit_mle(s.values, "free"))
+        try:
+            ci = profile_ci_xi(s.values, level=ci_level)
+        except FitError as exc:
+            payload.update(ci_lo=None, ci_hi=None, ci_level=ci_level, ci_error=str(exc))
+        else:
+            payload.update(ci_lo=ci.lower, ci_hi=ci.upper, ci_level=ci.level)
         results[s.station_id] = payload
     return results
+
+
+def _format_optional(value: float | None) -> str:
+    return "" if value is None else format(value, ".10g")
 
 
 def _write_station_params_csv(fits: dict[str, dict], path: Path) -> None:
@@ -148,8 +156,8 @@ def _write_station_params_csv(fits: dict[str, dict], path: Path) -> None:
             format(row["mu"], ".10g"),
             format(row["sigma"], ".10g"),
             format(row["xi"], ".10g"),
-            format(row["ci_lo"], ".10g"),
-            format(row["ci_hi"], ".10g"),
+            _format_optional(row["ci_lo"]),
+            _format_optional(row["ci_hi"]),
         ]
         lines.append(",".join(fields))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -189,7 +197,7 @@ def _gof_all(series: Sequence[AnnualMaximaSeries], cfg: RunConfig) -> dict[str, 
 def _write_families_csv(results: dict[str, dict], path: Path) -> None:
     lines = ["station,family,p_gumbel,p_second"]
     for station, row in results.items():
-        second = "" if row["p_second"] is None else format(row["p_second"], ".10g")
+        second = _format_optional(row["p_second"])
         lines.append(
             ",".join([station, row["family"], format(row["p_gumbel"], ".10g"), second])
         )

@@ -6,6 +6,11 @@ log-scale reparameterization enforcing sigma > 0 and sign-constrained fits
 mapping xi through +/-exp(eta). The Gumbel-constrained fit profiles mu out in
 closed form and solves the remaining scalar score equation directly, which is
 orders of magnitude faster inside bootstrap loops.
+
+Bootstrap refits go through ``_fit_rows``, which fits every row of a sample
+matrix at once (the Gumbel scale equation, or Newton with the closed-form
+score and observed information for the sign-constrained families) and
+computes no standard errors; the scalar fits stay its reference.
 """
 
 from __future__ import annotations
@@ -376,6 +381,199 @@ def fit_mle(data: object, constraint: str = "free") -> FitResult:
         converged=True,
         iterations=nit,
     )
+
+
+_ROW_MAX_ITER = 100
+_ROW_DECREMENT_TOL = 1e-12  # Newton decrement, relative to 1 + |loglik|, that ends a row
+_ROW_HALVINGS = 40
+_XI_BOUNDARY = 1e-6  # a sign-constrained row this close to xi = 0 takes its Gumbel solution
+
+
+def _gumbel_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_fit_gumbel_exact`` on every row at once: the same start, Newton
+    step and stopping rule. Rows that need its bracketing fallback are
+    reported as not converged."""
+    xbar = X.mean(axis=1)
+    xmin = X.min(axis=1)
+    s = X.std(axis=1) * math.sqrt(6.0) / math.pi
+    active = np.ones(X.shape[0], dtype=bool)
+    for _ in range(200):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        x, si = X[idx], s[idx]
+        w = np.exp(-(x - xmin[idx, None]) / si[:, None])
+        sw = w.sum(axis=1)
+        m = (x * w).sum(axis=1) / sw
+        v = ((x - m[:, None]) ** 2 * w).sum(axis=1) / sw
+        s_new = si - (si - xbar[idx] + m) / (1.0 + v / (si * si))
+        s_new = np.where(s_new <= 0, si / 2.0, s_new)
+        done = np.abs(s_new - si) < 1e-12 * np.maximum(1.0, si)
+        s[idx] = s_new
+        active[idx[done]] = False
+    mu = xmin - s * np.log(np.exp(-(X - xmin[:, None]) / s[:, None]).mean(axis=1))
+    return mu, s, ~active
+
+
+def _gumbel_rows_loglik(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    z = (X - mu[:, None]) / sigma[:, None]
+    return -X.shape[1] * np.log(sigma) - z.sum(axis=1) - np.exp(-z).sum(axis=1)
+
+
+def _gev_rows_loglik(X: np.ndarray, mu: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Row log-likelihoods at (mu, log sigma, xi != 0); -inf off the support."""
+    k = xi[:, None]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        z = (X - mu[:, None]) / np.exp(eta)[:, None]
+        y = np.log1p(k * z)
+        ll = -X.shape[1] * eta - ((1.0 + 1.0 / k) * y + np.exp(-y / k)).sum(axis=1)
+    feasible = np.all(k * z > -1.0, axis=1) & np.isfinite(ll)
+    return np.where(feasible, ll, -np.inf)
+
+
+def _gev_rows_derivatives(
+    X: np.ndarray, mu: np.ndarray, eta: np.ndarray, xi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form score and Hessian of the GEV log-likelihood per row.
+
+    Parameters are (mu, eta = log sigma, xi) with xi != 0 and every point
+    inside the support. Per point, with z = (x - mu)/sigma, t = 1 + xi z,
+    y = log t and u = t^(-1/xi), the log density is
+    -eta - (1 + 1/xi) y - u; the derivatives follow Prescott & Walden
+    (1980) after the change to log scale.
+    """
+    sigma = np.exp(eta)
+    z = (X - mu[:, None]) / sigma[:, None]
+    k = xi[:, None]
+    t = 1.0 + k * z
+    y = np.log1p(k * z)
+    u = np.exp(-y / k)
+    a = (1.0 + k - u) / t  # minus the derivative of the log density in z
+    f_zz = k * a / t - u / t**2
+    u_k = u * (y / k**2 - z / (k * t))
+    f_zk = (a * z - (1.0 - u_k)) / t
+    f_k = (1.0 - u) * y / k**2 - z * a / k
+    f_kk = (
+        -u_k * y / k**2
+        + (1.0 - u) * (z / (t * k**2) - 2.0 * y / k**3)
+        - z * ((1.0 - u_k) * k - a * (t + k * z)) / (k**2 * t)
+    )
+    n = X.shape[1]
+    grad = np.stack([a.sum(axis=1) / sigma, (z * a).sum(axis=1) - n, f_k.sum(axis=1)], axis=1)
+    hess = np.empty((X.shape[0], 3, 3))
+    hess[:, 0, 0] = f_zz.sum(axis=1) / sigma**2
+    hess[:, 0, 1] = hess[:, 1, 0] = (f_zz * z - a).sum(axis=1) / sigma
+    hess[:, 1, 1] = (f_zz * z**2 - a * z).sum(axis=1)
+    hess[:, 0, 2] = hess[:, 2, 0] = -f_zk.sum(axis=1) / sigma
+    hess[:, 1, 2] = hess[:, 2, 1] = -(z * f_zk).sum(axis=1)
+    hess[:, 2, 2] = f_kk.sum(axis=1)
+    return grad, hess
+
+
+def _signed_rows(
+    X: np.ndarray, sign: float, gumbel: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sign-constrained GEV MLE on every row by safeguarded Newton.
+
+    Iterates on (mu, log sigma, xi) from the row's Gumbel solution with
+    xi = 0.1 * sign. The step uses the observed information with its
+    eigenvalues made positive, so it always ascends; it is cut to 90 % of
+    the distance to xi = 0 when it would cross, then halved until the
+    iterate lies inside the support, keeps xi > -1 (beyond which the
+    likelihood is unbounded) and does not lower the log-likelihood. A row
+    that reaches the xi = 0 boundary, or ends below its Gumbel
+    log-likelihood, takes the Gumbel solution: the constrained supremum
+    lies there.
+    """
+    mu_g, sigma_g, ok_g = gumbel
+    rows = X.shape[0]
+    mu, eta = mu_g.copy(), np.log(sigma_g)
+    xi = np.full(rows, 0.1 * sign)
+    ll = _gev_rows_loglik(X, mu, eta, xi)
+    for _ in range(80):
+        bad = ~np.isfinite(ll)
+        if not bad.any():
+            break
+        eta[bad] += math.log(1.5)
+        ll[bad] = _gev_rows_loglik(X[bad], mu[bad], eta[bad], xi[bad])
+
+    active = np.isfinite(ll) & ok_g
+    converged = np.zeros(rows, dtype=bool)
+    boundary = np.zeros(rows, dtype=bool)
+    for _ in range(_ROW_MAX_ITER):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        x, m0, e0, k0, l0 = X[idx], mu[idx], eta[idx], xi[idx], ll[idx]
+        grad, hess = _gev_rows_derivatives(x, m0, e0, k0)
+        w, v = np.linalg.eigh(-hess)
+        w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(axis=1, keepdims=True) + 1e-300)
+        step = np.einsum("rij,rj->ri", v, np.einsum("rji,rj->ri", v, grad) / w)
+        # the decrement g'step estimates twice the log-likelihood still to gain
+        settled = (grad * step).sum(axis=1) <= _ROW_DECREMENT_TOL * (1.0 + np.abs(l0))
+        crossing = sign * (k0 + step[:, 2]) <= 0.0
+        alpha = np.where(crossing, 0.9 * np.abs(k0) / np.abs(step[:, 2]), 1.0)
+        pending = np.ones(idx.size, dtype=bool)
+        for _ in range(_ROW_HALVINGS):
+            p = np.flatnonzero(pending)
+            if p.size == 0:
+                break
+            m1 = m0[p] + alpha[p] * step[p, 0]
+            e1 = e0[p] + alpha[p] * step[p, 1]
+            k1 = k0[p] + alpha[p] * step[p, 2]
+            l1 = np.where(k1 > -1.0, _gev_rows_loglik(x[p], m1, e1, k1), -np.inf)
+            accept = l1 >= l0[p]
+            r = idx[p[accept]]
+            mu[r], eta[r], xi[r], ll[r] = m1[accept], e1[accept], k1[accept], l1[accept]
+            pending[p[accept]] = False
+            alpha[p[~accept]] /= 2.0
+        # a settled row stops after this last step, taken if it does not
+        # lower the log-likelihood; an unsettled row whose step cannot be
+        # taken has stalled and stays unconverged
+        converged[idx[settled]] = True
+        boundary[idx] = sign * xi[idx] < _XI_BOUNDARY
+        active[idx[settled | pending]] = False
+        active[boundary] = False
+
+    # only rows with a converged Gumbel solution were ever active
+    take_gumbel = boundary | (converged & (_gumbel_rows_loglik(X, mu_g, sigma_g) > ll))
+    mu = np.where(take_gumbel, mu_g, mu)
+    sigma = np.where(take_gumbel, sigma_g, np.exp(eta))
+    xi = np.where(take_gumbel, 0.0, xi)
+    return mu, sigma, xi, take_gumbel | converged
+
+
+def _fit_rows(
+    X: np.ndarray, constraint: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Constrained MLE of every row of a (B, n) sample matrix at once.
+
+    Returns per-row mu, sigma, xi and a converged mask; no standard errors.
+    ``constraint`` is "gumbel", "frechet" or "weibull". Rows that the
+    scalar ``fit_mle`` would reject (non-finite, fewer than 5 distinct
+    values) and rows the kernel cannot settle come back unconverged with
+    NaN parameters, for the caller to refit on the scalar path.
+    """
+    if constraint not in ("gumbel", "frechet", "weibull"):
+        raise ValueError(f"row kernel constraint must be a family, got {constraint!r}")
+    X = np.asarray(X, dtype=float)
+    rows = X.shape[0]
+    valid = np.all(np.isfinite(X), axis=1)
+    # at least 5 distinct values, as fit_mle requires
+    valid[valid] = (np.diff(np.sort(X[valid], axis=1), axis=1) > 0).sum(axis=1) >= 4
+    mu, sigma, xi = (np.full(rows, np.nan) for _ in range(3))
+    converged = np.zeros(rows, dtype=bool)
+    x = X[valid]
+    gumbel = _gumbel_rows(x)
+    if constraint == "gumbel":
+        fit = (gumbel[0], gumbel[1], np.zeros(x.shape[0]), gumbel[2])
+    else:
+        fit = _signed_rows(x, 1.0 if constraint == "frechet" else -1.0, gumbel)
+    for out, values in zip((mu, sigma, xi, converged), fit):
+        out[valid] = values
+    for out in (mu, sigma, xi):
+        out[~converged] = np.nan
+    return mu, sigma, xi, converged
 
 
 def _profile_loglik(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
-from .estimate import FitError, FitResult, fit_mle
-from .gev import GevParams, gev_cdf, gev_quantile
+from .estimate import FitError, FitResult, _fit_rows, fit_mle
+from .gev import XI_EPS, GevParams, gev_quantile
 from .seeding import derive_seed
 
 FAMILIES = ("gumbel", "frechet", "weibull")
@@ -22,6 +22,7 @@ FAMILIES = ("gumbel", "frechet", "weibull")
 DEFAULT_DELTA = 0.05
 DEFAULT_BOOTSTRAP = 999
 _MIN_BOOTSTRAP = 99
+_BLOCK_ROWS = 128  # replicates refitted per kernel call; bounds the kernel's temporaries
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,8 @@ class TestResult:
     family: str
     replicates: int
     seed: int | None
+    fallbacks: int = 0  # bootstrap rows refitted on the scalar path
+    redraws: int = 0  # extra bootstrap draws after a failed scalar refit
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,28 @@ def fit_family(data: object, family: str) -> FitResult:
     return fit_mle(data, constraint=family)
 
 
+def _tcvm_rows(
+    X: np.ndarray, mu: np.ndarray, sigma: np.ndarray, xi: np.ndarray, delta: float
+) -> np.ndarray:
+    """``tcvm_statistic`` of every row of X against its own GEV parameters."""
+    z = (X - mu[:, None]) / sigma[:, None]
+    k = xi[:, None]
+    gumbel = np.abs(k) < XI_EPS
+    inside = gumbel | (1.0 + k * z > 0)
+    k_safe = np.where(gumbel, 1.0, k)
+    logt = np.log1p(k_safe * np.where(inside & ~gumbel, z, 0.0))
+    with np.errstate(over="ignore"):
+        u = np.where(gumbel, np.exp(-np.exp(-z)), np.exp(-np.exp(-logt / k_safe)))
+    u = np.sort(np.where(inside, u, np.where(k > 0, 0.0, 1.0)), axis=1)
+    n = X.shape[1]
+    knots = np.concatenate([np.zeros((X.shape[0], 1)), u, np.ones((X.shape[0], 1))], axis=1)
+    a = np.clip(knots[:, :-1], delta, 1.0 - delta)
+    b = np.clip(knots[:, 1:], delta, 1.0 - delta)
+    c = np.arange(n + 1) / n
+    # intervals clipped to a point (a == b) add exactly zero
+    return n * ((c - a) ** 3 - (c - b) ** 3).sum(axis=1) / 3.0
+
+
 def tcvm_statistic(data: object, params: GevParams, delta: float = DEFAULT_DELTA) -> float:
     """Truncated Cramer-von Mises distance between sample and fitted law.
 
@@ -60,16 +85,13 @@ def tcvm_statistic(data: object, params: GevParams, delta: float = DEFAULT_DELTA
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("data must be nonempty")
-    n = x.size
-    u = np.sort(np.asarray(gev_cdf(x, params), dtype=float))
-    knots = np.concatenate([[0.0], u, [1.0]])
-    lo, hi = delta, 1.0 - delta
-    a = np.clip(knots[:-1], lo, hi)
-    b = np.clip(knots[1:], lo, hi)
-    c = np.arange(n + 1) / n
-    keep = b > a
-    total = float((((c - a) ** 3 - (c - b) ** 3)[keep]).sum())
-    return n * total / 3.0
+    mu, sigma, xi = (np.array([v]) for v in (params.mu, params.sigma, params.xi))
+    return float(_tcvm_rows(x[None, :], mu, sigma, xi, delta)[0])
+
+
+def _to_sample(u: np.ndarray, params: GevParams) -> np.ndarray:
+    u[u == 0.0] = np.nextafter(0.0, 1.0)  # rng.random can emit exactly 0.0
+    return np.asarray(gev_quantile(u, params))
 
 
 def tcvm_test(
@@ -83,9 +105,12 @@ def tcvm_test(
 
     Fits the family, simulates B samples from the fitted law, refits the
     family on each replicate and recomputes the statistic, so the null
-    distribution accounts for parameter estimation. Replicate draws come
-    from a stream fixed by ``seed``; a failed refit consumes a fresh draw,
-    up to 10 per replicate.
+    distribution accounts for parameter estimation. Replicate b draws
+    from its own stream ``derive_seed(seed, "tcvm", family, b)``.
+    Replicates are refitted by the row kernel, a block of rows per call; a
+    row it cannot settle is refitted by ``fit_family`` (counted in
+    ``fallbacks``), and a failed refit consumes a fresh draw from the
+    row's stream (counted in ``redraws``), up to 10 draws per replicate.
     """
     if B < _MIN_BOOTSTRAP:
         raise ValueError(f"bootstrap count must be at least {_MIN_BOOTSTRAP}, got {B}")
@@ -95,24 +120,53 @@ def tcvm_test(
     observed = tcvm_statistic(x, fitted.params, delta)
 
     boot = np.empty(B)
-    for b in range(B):
-        rng = np.random.default_rng([derive_seed(seed, "tcvm", family, b)])
-        for attempt in range(10):
-            u = rng.random(n)
-            u[u == 0.0] = np.nextafter(0.0, 1.0)
-            sample = np.asarray(gev_quantile(u, fitted.params))
-            try:
-                refit = fit_family(sample, family)
-            except (FitError, ValueError):
-                continue
-            boot[b] = tcvm_statistic(sample, refit.params, delta)
-            break
-        else:
-            raise FitError(
-                f"bootstrap replicate {b} failed to refit {family} after 10 draws"
+    fallbacks = redraws = 0
+    for start in range(0, B, _BLOCK_ROWS):
+        block = range(start, min(start + _BLOCK_ROWS, B))
+        rngs = [np.random.default_rng([derive_seed(seed, "tcvm", family, b)]) for b in block]
+        samples = _to_sample(np.stack([rng.random(n) for rng in rngs]), fitted.params)
+        mu, sigma, xi, ok = _fit_rows(samples, family)
+        boot[block.start : block.stop][ok] = _tcvm_rows(
+            samples[ok], mu[ok], sigma[ok], xi[ok], delta
+        )
+        for i in np.flatnonzero(~ok):
+            fallbacks += 1
+            boot[block[i]], extra = _scalar_refit(
+                samples[i], rngs[i], family, fitted.params, delta, block[i]
             )
+            redraws += extra
     p = (1.0 + float((boot >= observed).sum())) / (B + 1.0)
-    return TestResult(statistic=observed, p_value=p, family=family, replicates=B, seed=seed)
+    return TestResult(
+        statistic=observed,
+        p_value=p,
+        family=family,
+        replicates=B,
+        seed=seed,
+        fallbacks=fallbacks,
+        redraws=redraws,
+    )
+
+
+def _scalar_refit(
+    sample: np.ndarray,
+    rng: np.random.Generator,
+    family: str,
+    params: GevParams,
+    delta: float,
+    replicate: int,
+) -> tuple[float, int]:
+    """Refit one replicate with ``fit_family``; a failed refit draws again
+    from the replicate's stream, up to 10 draws in all. Returns the
+    statistic and the number of extra draws."""
+    for attempt in range(10):
+        if attempt:
+            sample = _to_sample(rng.random(sample.size), params)
+        try:
+            refit = fit_family(sample, family)
+        except (FitError, ValueError):
+            continue
+        return tcvm_statistic(sample, refit.params, delta), attempt
+    raise FitError(f"bootstrap replicate {replicate} failed to refit {family} after 10 draws")
 
 
 def lrt_gumbel_vs_gev(data: object) -> TestResult:

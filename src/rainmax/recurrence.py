@@ -22,7 +22,7 @@ DEFAULT_QUANTILES = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10).tolist())
 DEFAULT_PERMUTATIONS = 999
 _MIN_PERMUTATIONS = 99
 _MIN_SERIES_LENGTH = 10
-_BLOCKED_THRESHOLD = 3000  # above this, pair distances are binned in row blocks
+_MAX_SERIES_LENGTH = 3000  # all n(n-1)/2 pair distances are held in memory
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,16 @@ class PairReportRow:
     error: str | None = None
 
 
+def _aligned_pair(x: object, y: object) -> tuple[np.ndarray, np.ndarray]:
+    ax = _as_series(x, _MIN_SERIES_LENGTH)
+    ay = _as_series(y, _MIN_SERIES_LENGTH)
+    if ax.size != ay.size:
+        raise ValueError(f"series lengths differ: {ax.size} vs {ay.size}")
+    if ax.size > _MAX_SERIES_LENGTH:
+        raise ValueError(f"independence test supports series up to {_MAX_SERIES_LENGTH} points")
+    return ax, ay
+
+
 def _as_series(x: object, min_length: int = 2) -> np.ndarray:
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size < min_length:
@@ -106,27 +116,6 @@ def _radius_grid(diffs_sample: np.ndarray, quantiles: np.ndarray, label: str) ->
     return np.quantile(nonzero, quantiles)
 
 
-def _bin_counts_blocked(
-    x: np.ndarray, y: np.ndarray, gx: np.ndarray, gy: np.ndarray
-) -> np.ndarray:
-    """Joint histogram of digitized pair distances without materializing them."""
-    n = x.size
-    gbins = gx.size + 1
-    counts = np.zeros(gbins * gbins, dtype=np.int64)
-    block = max(1, int(2**22 // n))
-    for a in range(0, n - 1, block):
-        b = min(a + block, n - 1)
-        rows = np.arange(a, b)
-        dx = np.abs(x[rows, None] - x[None, :])
-        dy = np.abs(y[rows, None] - y[None, :])
-        cols = np.arange(n)
-        mask = cols[None, :] > rows[:, None]
-        ix = np.searchsorted(gx, dx[mask], side="left")
-        iy = np.searchsorted(gy, dy[mask], side="left")
-        counts += np.bincount(ix * gbins + iy, minlength=gbins * gbins)
-    return counts.reshape(gbins, gbins)
-
-
 def _deviation_table(
     counts: np.ndarray, n_pairs: int, g: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,52 +137,24 @@ def independence_statistic(
     increasing transforms of either series.
     """
     config = config or RecurrenceConfig()
-    ax = _as_series(x, _MIN_SERIES_LENGTH)
-    ay = _as_series(y, _MIN_SERIES_LENGTH)
-    if ax.size != ay.size:
-        raise ValueError(f"series lengths differ: {ax.size} vs {ay.size}")
+    ax, ay = _aligned_pair(x, y)
     n = ax.size
     q = np.asarray(config.radius_quantiles)
     g = q.size
     n_pairs = n * (n - 1) // 2
 
-    if n <= _BLOCKED_THRESHOLD:
-        iu = np.triu_indices(n, k=1)
-        dx = np.abs(ax[:, None] - ax[None, :])[iu]
-        dy = np.abs(ay[:, None] - ay[None, :])[iu]
-        gx = _radius_grid(dx, q, "x")
-        gy = _radius_grid(dy, q, "y")
-        gbins = g + 1
-        ix = np.searchsorted(gx, dx, side="left")
-        iy = np.searchsorted(gy, dy, side="left")
-        counts = np.bincount(ix * gbins + iy, minlength=gbins * gbins).reshape(gbins, gbins)
-    else:
-        gx = _blocked_quantiles(ax, q, "x")
-        gy = _blocked_quantiles(ay, q, "y")
-        counts = _bin_counts_blocked(ax, ay, gx, gy)
-
+    iu = np.triu_indices(n, k=1)
+    dx = np.abs(ax[:, None] - ax[None, :])[iu]
+    dy = np.abs(ay[:, None] - ay[None, :])[iu]
+    gx = _radius_grid(dx, q, "x")
+    gy = _radius_grid(dy, q, "y")
+    gbins = g + 1
+    ix = np.searchsorted(gx, dx, side="left")
+    iy = np.searchsorted(gy, dy, side="left")
+    counts = np.bincount(ix * gbins + iy, minlength=gbins * gbins).reshape(gbins, gbins)
     _, _, deviations = _deviation_table(counts, n_pairs, g)
     detail = GridDetail(x_radii=gx, y_radii=gy, deviations=deviations)
     return float(deviations.max()), detail
-
-
-def _blocked_quantiles(x: np.ndarray, q: np.ndarray, label: str) -> np.ndarray:
-    n = x.size
-    out = np.empty(0, dtype=np.float32)
-    block = max(1, int(2**22 // n))
-    chunks = []
-    for a in range(0, n - 1, block):
-        b = min(a + block, n - 1)
-        rows = np.arange(a, b)
-        d = np.abs(x[rows, None] - x[None, :]).astype(np.float32)
-        cols = np.arange(n)
-        mask = cols[None, :] > rows[:, None]
-        vals = d[mask]
-        chunks.append(vals[vals > 0])
-    out = np.concatenate(chunks) if chunks else out
-    if out.size == 0:
-        raise ValueError(f"series {label} has fewer than 2 distinct values")
-    return np.quantile(out, q).astype(float)
 
 
 def independence_test(
@@ -206,13 +167,8 @@ def independence_test(
     the second series' bins, so the marginal rates are exactly preserved.
     """
     config = config or RecurrenceConfig()
-    ax = _as_series(x, _MIN_SERIES_LENGTH)
-    ay = _as_series(y, _MIN_SERIES_LENGTH)
-    if ax.size != ay.size:
-        raise ValueError(f"series lengths differ: {ax.size} vs {ay.size}")
+    ax, ay = _aligned_pair(x, y)
     n = ax.size
-    if n > _BLOCKED_THRESHOLD:
-        raise ValueError(f"permutation test supports series up to {_BLOCKED_THRESHOLD} points")
     q = np.asarray(config.radius_quantiles)
     g = q.size
     gbins = g + 1

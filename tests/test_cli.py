@@ -139,6 +139,26 @@ class TestSubcommands:
         row = fits["Mercedes"]
         assert row["converged"] and row["ci_lo"] < row["xi"] < row["ci_hi"]
 
+    def test_fit_survives_station_without_profile_interval(self, tmp_path):
+        # an 8-year station whose profile deviance never reaches the
+        # threshold below the MLE, appended to the bundled demo series
+        assert main(["ingest", "--demo", "--seed", "29", "--out", str(tmp_path / "demo")]) == 0
+        series_csv = tmp_path / "demo" / "series.csv"
+        short = [61.2, 88.0, 73.5, 95.1, 70.3, 102.4, 66.0, 80.8]
+        with series_csv.open("a", encoding="utf-8") as fh:
+            fh.writelines(f"Short,{2000 + i},{v}\n" for i, v in enumerate(short))
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(series_csv), "--out", str(out)]) == 0
+        assert not (out / "error.json").exists()
+        fits = json.loads((out / "fits.json").read_text())
+        assert len(fits) == 21
+        row = fits["Short"]
+        assert row["ci_lo"] is None and row["ci_hi"] is None
+        assert "lower endpoint unbounded" in row["ci_error"]
+        assert all("ci_error" not in r for sid, r in fits.items() if sid != "Short")
+        table = (out / "station_params.csv").read_text().strip().splitlines()
+        assert table[-1].startswith("Short,") and table[-1].endswith(",,")
+
     def test_gof_outputs(self, tmp_path):
         series_csv = tmp_path / "series.csv"
         _write_series(series_csv, n_stations=4)

@@ -11,6 +11,10 @@ from scipy.stats import chi2
 
 from rainmax.estimate import (
     FitError,
+    _fit_gumbel_exact,
+    _fit_rows,
+    _gev_rows_derivatives,
+    _gev_rows_loglik,
     fit_mle,
     fit_pwm,
     profile_ci_xi,
@@ -120,6 +124,82 @@ class TestFitMle:
         assert abs(mle.mu - pwm.mu) < 0.05
         assert abs(mle.sigma - pwm.sigma) < 0.05
         assert abs(mle.xi - pwm.xi) < 0.05
+
+
+def _sample_matrix(xi, rows=60, n=33):
+    return np.stack([gev_sample(GevParams(80, 25, xi), n, seed=s) for s in range(rows)])
+
+
+class TestFitRows:
+    """The batched bootstrap kernel against the scalar fits it replaces."""
+
+    @pytest.mark.parametrize("xi", [-0.2, 0.0, 0.2])
+    def test_gumbel_rows_match_exact_scalar_fit(self, xi):
+        X = _sample_matrix(xi)
+        mu, sigma, shape, converged = _fit_rows(X, "gumbel")
+        assert converged.all()
+        assert np.all(shape == 0.0)
+        for row, x in enumerate(X):
+            ref = _fit_gumbel_exact(x).params
+            assert mu[row] == pytest.approx(ref.mu, rel=1e-12)
+            assert sigma[row] == pytest.approx(ref.sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["frechet", "weibull"])
+    def test_signed_rows_reach_scalar_loglik(self, family):
+        # the three shapes put the free estimate on both sides of 0, so
+        # some rows end on the xi = 0 boundary (their Gumbel solution)
+        X = np.concatenate([_sample_matrix(xi, rows=20) for xi in (-0.2, 0.0, 0.2)])
+        mu, sigma, shape, converged = _fit_rows(X, family)
+        assert converged.all()
+        sign = 1.0 if family == "frechet" else -1.0
+        assert np.all(sign * shape >= 0.0)
+        boundary = shape == 0.0
+        assert 0 < boundary.sum() < len(X)
+        for row, x in enumerate(X):
+            ll = log_likelihood(GevParams(mu[row], sigma[row], shape[row]), x)
+            assert ll >= fit_mle(x, family).loglik - 1e-8
+            if boundary[row]:
+                gum = _fit_gumbel_exact(x).params
+                assert mu[row] == pytest.approx(gum.mu, rel=1e-12)
+                assert sigma[row] == pytest.approx(gum.sigma, rel=1e-12)
+
+    def test_closed_form_derivatives_match_finite_differences(self):
+        X = gev_sample(GevParams(80, 25, 0.2), 33, seed=1)[None, :]
+        theta = np.array([82.0, math.log(24.0), 0.15])
+        for shape in (0.15, -0.1):
+            theta[2] = shape
+            grad, hess = _gev_rows_derivatives(X, theta[:1], theta[1:2], theta[2:])
+
+            def ll(t):
+                return _gev_rows_loglik(X, t[:1], t[1:2], t[2:])[0]
+
+            h = 1e-5
+            eye = np.eye(3) * h
+            num_grad = [(ll(theta + e) - ll(theta - e)) / (2 * h) for e in eye]
+            num_hess = [
+                [
+                    (ll(theta + e + f) - ll(theta + e - f) - ll(theta - e + f) + ll(theta - e - f))
+                    / (4 * h * h)
+                    for f in eye
+                ]
+                for e in eye
+            ]
+            np.testing.assert_allclose(grad[0], num_grad, rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(hess[0], num_hess, rtol=1e-4, atol=1e-3)
+            assert ll(theta) == pytest.approx(
+                log_likelihood(GevParams(theta[0], math.exp(theta[1]), shape), X[0]), abs=1e-10
+            )
+
+    def test_rows_the_scalar_fit_rejects_come_back_unconverged(self):
+        X = _sample_matrix(0.1, rows=3)
+        X[1, 5] = np.inf
+        X[2] = np.repeat([1.0, 2.0, 3.0, 4.0], [9, 8, 8, 8])
+        for constraint in ("gumbel", "frechet", "weibull"):
+            mu, sigma, shape, converged = _fit_rows(X, constraint)
+            assert converged.tolist() == [True, False, False]
+            assert np.isnan(mu[1:]).all() and np.isnan(sigma[1:]).all()
+        with pytest.raises(ValueError):
+            _fit_rows(X, "free")
 
 
 class TestProfileCi:

@@ -6,13 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from rainmax import gof
+from rainmax.estimate import FitError
 from rainmax.gev import GevParams, gev_cdf, gev_quantile, gev_sample
 from rainmax.gof import (
+    fit_family,
     lrt_gumbel_vs_gev,
     select_family,
     tcvm_statistic,
     tcvm_test,
 )
+from rainmax.seeding import derive_seed
 
 GUMBEL = GevParams(80.0, 25.0, 0.0)
 
@@ -95,6 +99,70 @@ class TestTcvmTest:
         x = gev_sample(GUMBEL, 33, seed=2)
         res = tcvm_test(x, "gumbel", delta=0.05, B=199, seed=3)
         assert res.p_value > 0.05
+
+
+def _scalar_tcvm_p_value(x, family, delta, B, seed):
+    """The bootstrap as a per-replicate loop of scalar refits: the reference
+    the batched tcvm_test must reproduce."""
+    fitted = fit_family(x, family)
+    observed = tcvm_statistic(x, fitted.params, delta)
+    exceed = 0
+    for b in range(B):
+        rng = np.random.default_rng([derive_seed(seed, "tcvm", family, b)])
+        for _ in range(10):
+            u = rng.random(x.size)
+            u[u == 0.0] = np.nextafter(0.0, 1.0)
+            sample = np.asarray(gev_quantile(u, fitted.params))
+            try:
+                refit = fit_family(sample, family)
+            except (FitError, ValueError):
+                continue
+            exceed += tcvm_statistic(sample, refit.params, delta) >= observed
+            break
+        else:
+            raise FitError(f"replicate {b} failed")
+    return (1.0 + exceed) / (B + 1.0)
+
+
+class TestBatchedBootstrap:
+    @pytest.mark.parametrize("family", ["gumbel", "frechet", "weibull"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_p_value_equals_scalar_loop(self, family, seed):
+        x = gev_sample(GevParams(80, 25, 0.1), 33, seed=100 + seed)
+        res = tcvm_test(x, family, delta=0.05, B=99, seed=seed)
+        assert res.p_value == _scalar_tcvm_p_value(x, family, 0.05, 99, seed)
+
+    def test_unconverged_row_takes_scalar_path(self, monkeypatch):
+        x = gev_sample(GUMBEL, 33, seed=21)
+        reference = tcvm_test(x, "gumbel", B=99, seed=4)
+        assert (reference.fallbacks, reference.redraws) == (0, 0)
+
+        kernel = gof._fit_rows
+
+        def failing_row(samples, family):
+            mu, sigma, xi, converged = kernel(samples, family)
+            converged[7] = False
+            return mu, sigma, xi, converged
+
+        monkeypatch.setattr(gof, "_fit_rows", failing_row)
+        res = tcvm_test(x, "gumbel", B=99, seed=4)
+        assert (res.fallbacks, res.redraws) == (1, 0)
+        # the scalar refit of the same sample gives the same statistic
+        assert res.p_value == reference.p_value
+
+        scalar = gof.fit_family
+        calls = []
+
+        def raise_once_on_first_refit(data, family):
+            calls.append(len(data))
+            if len(calls) == 2:  # call 1 fits the observed sample
+                raise FitError("forced")
+            return scalar(data, family)
+
+        monkeypatch.setattr(gof, "fit_family", raise_once_on_first_refit)
+        res = tcvm_test(x, "gumbel", B=99, seed=4)
+        assert (res.fallbacks, res.redraws) == (1, 1)
+        assert len(calls) == 3
 
 
 class TestLrt:

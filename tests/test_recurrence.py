@@ -92,7 +92,8 @@ class TestIndependenceStatistic:
 
     def test_independent_series_small_statistic_at_scale(self):
         rng = np.random.default_rng(7)
-        x, y = rng.standard_normal(10_000), rng.standard_normal(10_000)
+        n = 3000  # the longest series the statistic accepts
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
         t, _ = independence_statistic(x, y)
         assert t < 0.02
 
@@ -103,6 +104,12 @@ class TestIndependenceStatistic:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             independence_statistic(np.arange(5.0), np.arange(5.0))
+
+    @pytest.mark.parametrize("entry", [independence_statistic, independence_test])
+    def test_long_series_rejected_by_both_entry_points(self, entry):
+        x = np.arange(3001.0)
+        with pytest.raises(ValueError, match="up to 3000 points"):
+            entry(x, x[::-1].copy())
 
     def test_positive_affine_invariance(self):
         rng = np.random.default_rng(8)
