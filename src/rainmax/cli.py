@@ -128,14 +128,15 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def _fit_all(series: Sequence[AnnualMaximaSeries], ci_level: float) -> dict[str, dict]:
-    """Free fit and profile interval per station. A station whose interval
-    cannot be found gets null endpoints and a ``ci_error`` reason instead
-    of aborting the run."""
+    """Free fit and profile interval per station; the interval reuses the
+    free fit. A station whose interval cannot be found gets null endpoints
+    and a ``ci_error`` reason instead of aborting the run."""
     results: dict[str, dict] = {}
     for s in series:
-        payload = _fit_payload(fit_mle(s.values, "free"))
+        free = fit_mle(s.values, "free")
+        payload = _fit_payload(free)
         try:
-            ci = profile_ci_xi(s.values, level=ci_level)
+            ci = profile_ci_xi(s.values, level=ci_level, free=free)
         except FitError as exc:
             payload.update(ci_lo=None, ci_hi=None, ci_level=ci_level, ci_error=str(exc))
         else:

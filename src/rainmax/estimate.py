@@ -11,6 +11,11 @@ Bootstrap refits go through ``_fit_rows``, which fits every row of a sample
 matrix at once (the Gumbel scale equation, or Newton with the closed-form
 score and observed information for the sign-constrained families) and
 computes no standard errors; the scalar fits stay its reference.
+
+Profile intervals maximize over (mu, log sigma) at each fixed shape by the
+same safeguarded Newton method on the (mu, log sigma) block of those
+closed-form derivatives. At the lower search bound xi = -1 the supremum
+lies on the support edge and is taken in closed form.
 """
 
 from __future__ import annotations
@@ -222,6 +227,8 @@ def _decode(theta: np.ndarray, constraint: str) -> GevParams | None:
     else:
         xi = -math.exp(theta[2])
     if constraint != "free" and xi == 0.0:  # exp underflow would break the sign constraint
+        return None
+    if constraint == "weibull" and xi <= -1.0:  # the likelihood is unbounded above there
         return None
     if not (np.isfinite(sigma) and sigma > 0 and np.isfinite(xi) and np.isfinite(theta[0])):
         return None
@@ -581,46 +588,78 @@ def _profile_loglik(
     xi: float,
     start: tuple[float, float],
 ) -> tuple[float, tuple[float, float]]:
-    """Maximize the likelihood over (mu, sigma) at fixed shape."""
+    """Maximize the likelihood over (mu, sigma) at fixed shape.
+
+    Safeguarded Newton on (mu, log sigma) with the (mu, log sigma) block of
+    the row kernel's closed-form score and observed information, under the
+    step rules of ``_signed_rows``. At xi = -1 the supremum lies on the
+    support edge, mu + sigma = max x, and has the closed form
+    sigma = mean(max x - x), loglik = -n (log sigma + 1). Raises FitError
+    when no feasible start is found or the iteration does not settle.
+    """
     if abs(xi) < XI_EPS:
         fit = _fit_gumbel_exact(x)
         return fit.loglik, (fit.params.mu, fit.params.sigma)
+    if xi == -1.0:
+        top = float(x.max())
+        sigma = float((top - x).mean())
+        return -x.size * (math.log(sigma) + 1.0), (top - sigma, sigma)
 
-    def nll(theta: np.ndarray) -> float:
-        sigma = math.exp(theta[1])
-        if not np.isfinite(sigma) or sigma <= 0:
-            return np.inf
-        return -log_likelihood(GevParams(theta[0], sigma, xi), x)
-
-    mu0, sigma0 = start
-    theta = np.array([mu0, math.log(sigma0)])
+    X, k = x[None, :], np.array([xi])
+    mu, eta = np.array([start[0]]), np.array([math.log(start[1])])
+    ll = _gev_rows_loglik(X, mu, eta, k)[0]
     for _ in range(80):
-        if np.isfinite(nll(theta)):
+        if np.isfinite(ll):
             break
-        theta[1] += math.log(1.5)
+        eta += math.log(1.5)
+        ll = _gev_rows_loglik(X, mu, eta, k)[0]
     else:
-        return -np.inf, start
-    res = minimize(
-        nll,
-        theta,
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": _MAX_ITER},
-    )
-    return -float(res.fun), (float(res.x[0]), float(math.exp(res.x[1])))
+        raise FitError(f"no feasible (mu, sigma) start for the profile at xi={xi}")
+
+    for _ in range(_ROW_MAX_ITER):
+        grad, hess = _gev_rows_derivatives(X, mu, eta, k)
+        g = grad[0, :2]
+        w, v = np.linalg.eigh(-hess[0, :2, :2])
+        w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max() + 1e-300)
+        step = v @ ((v.T @ g) / w)
+        # the decrement g'step estimates twice the log-likelihood still to gain
+        settled = g @ step <= _ROW_DECREMENT_TOL * (1.0 + abs(ll))
+        alpha = 1.0
+        for _ in range(_ROW_HALVINGS):
+            mu1, eta1 = mu + alpha * step[0], eta + alpha * step[1]
+            ll1 = _gev_rows_loglik(X, mu1, eta1, k)[0]
+            if ll1 >= ll:
+                mu, eta, ll = mu1, eta1, ll1
+                break
+            alpha /= 2.0
+        else:
+            if not settled:
+                break  # no step keeps the log-likelihood: the solve has stalled
+        if settled:
+            return float(ll), (float(mu[0]), float(math.exp(eta[0])))
+    raise FitError(f"profile likelihood did not settle at xi={xi}")
 
 
-def profile_ci_xi(data: object, level: float = 0.95) -> ProfileInterval:
+def profile_ci_xi(
+    data: object, level: float = 0.95, free: FitResult | None = None
+) -> ProfileInterval:
     """Profile-likelihood confidence interval for the shape parameter.
 
     Endpoints solve 2*(max loglik - profile loglik(xi)) = chi2(1) quantile;
     they are located by marching outward from the MLE and refined by
-    bisection, and may be asymmetric. Raises FitError when an endpoint
+    bisection, and may be asymmetric. The profile log-likelihood at each
+    shape comes from a safeguarded Newton solve on (mu, log sigma) with
+    the closed-form GEV derivatives, warm-started from the nearest shape
+    already solved; at the search bound xi = -1 it takes its closed form
+    on the support edge. ``free`` is the sample's free ``fit_mle`` result
+    when the caller already has it. Raises FitError when an endpoint
     does not materialize inside the search range.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     x = _validate_sample(data, min_distinct=5)
-    free = fit_mle(x, "free")
+    if free is None:
+        free = fit_mle(x, "free")
     lmax = free.loglik
     xi_hat = float(np.clip(free.params.xi, *_XI_SEARCH_RANGE))
     threshold = float(chi2.ppf(level, df=1))

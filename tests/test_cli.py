@@ -8,8 +8,10 @@ import json
 import numpy as np
 import pytest
 
+from rainmax import cli, estimate
 from rainmax.cli import main, slugify
 from rainmax.demo import URUGUAY_STATION_PARAMS
+from rainmax.estimate import fit_mle
 from rainmax.gev import GevParams
 from rainmax.ingest import synth_dataset, write_series_csv
 
@@ -154,10 +156,27 @@ class TestSubcommands:
         assert len(fits) == 21
         row = fits["Short"]
         assert row["ci_lo"] is None and row["ci_hi"] is None
-        assert "lower endpoint unbounded" in row["ci_error"]
+        assert row["ci_error"] == (
+            "profile deviance stays below the threshold at xi=-1.0; "
+            "lower endpoint unbounded in (-1.0, 2.0)"
+        )
         assert all("ci_error" not in r for sid, r in fits.items() if sid != "Short")
         table = (out / "station_params.csv").read_text().strip().splitlines()
         assert table[-1].startswith("Short,") and table[-1].endswith(",,")
+
+    def test_fit_makes_one_free_fit_per_station(self, tmp_path, monkeypatch):
+        series_csv = tmp_path / "series.csv"
+        _write_series(series_csv, n_stations=3)
+        free_fits = []
+
+        def counting_fit_mle(data, constraint="free"):
+            free_fits.append(constraint == "free")
+            return fit_mle(data, constraint)
+
+        monkeypatch.setattr(cli, "fit_mle", counting_fit_mle)
+        monkeypatch.setattr(estimate, "fit_mle", counting_fit_mle)
+        assert main(["fit", "--input", str(series_csv), "--out", str(tmp_path / "out")]) == 0
+        assert sum(free_fits) == 3
 
     def test_gof_outputs(self, tmp_path):
         series_csv = tmp_path / "series.csv"

@@ -1,5 +1,6 @@
 """Estimator tests: PWM hand-oracle values, simulation recovery with known
-truth, nesting and local-optimality properties, profile-interval geometry."""
+truth, nesting and local-optimality properties, profile-interval geometry
+and the fixed-shape profile kernel against a Nelder-Mead reference."""
 
 import math
 
@@ -7,20 +8,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.stats import chi2
 
+from rainmax import estimate
+from rainmax.demo import demo_dataset
 from rainmax.estimate import (
     FitError,
     _fit_gumbel_exact,
     _fit_rows,
     _gev_rows_derivatives,
     _gev_rows_loglik,
+    _profile_loglik,
     fit_mle,
     fit_pwm,
     profile_ci_xi,
     sample_pwms,
 )
-from rainmax.gev import GevParams, gev_sample, log_likelihood
+from rainmax.gev import XI_EPS, GevParams, gev_sample, log_likelihood
+from rainmax.gof import _to_sample
+from rainmax.seeding import derive_seed
 
 
 class TestSamplePwms:
@@ -117,6 +124,18 @@ class TestFitMle:
             fit = fit_mle(x, constraint)
             assert fit.loglik == pytest.approx(log_likelihood(fit.params, x), abs=1e-10)
 
+    def test_weibull_fit_stays_where_the_likelihood_is_bounded(self):
+        # demo station Trinidad, stage-1 Weibull bootstrap replicate 413: the
+        # simplex on xi = -exp(eta) used to stop at xi = -1.022, where the
+        # likelihood is unbounded above
+        x = next(s.values for s in demo_dataset(seed=29) if s.station_id == "Trinidad")
+        seed = derive_seed(derive_seed(29, "gof", "Trinidad"), "stage1")
+        rng = np.random.default_rng([derive_seed(seed, "tcvm", "weibull", 413)])
+        sample = _to_sample(rng.random(x.size), fit_mle(x, "weibull").params)
+        fit = fit_mle(sample, "weibull")
+        assert -1.0 < fit.params.xi < 0.0
+        assert np.isfinite(fit.loglik)
+
     def test_pwm_and_mle_agree_large_sample(self):
         x = gev_sample(GevParams(0, 1, 0.0), 100_000, seed=10)
         mle = fit_mle(x, "free").params
@@ -202,6 +221,99 @@ class TestFitRows:
             _fit_rows(X, "free")
 
 
+def _nelder_mead_profile_loglik(x, xi, start):
+    """Reference fixed-shape maximization: a Nelder-Mead simplex on
+    (mu, log sigma) from a start widened into the support."""
+    if abs(xi) < XI_EPS:
+        fit = _fit_gumbel_exact(x)
+        return fit.loglik, (fit.params.mu, fit.params.sigma)
+
+    def nll(theta):
+        sigma = math.exp(theta[1])
+        if not np.isfinite(sigma) or sigma <= 0:
+            return np.inf
+        return -log_likelihood(GevParams(theta[0], sigma, xi), x)
+
+    theta = np.array([start[0], math.log(start[1])])
+    for _ in range(80):
+        if np.isfinite(nll(theta)):
+            break
+        theta[1] += math.log(1.5)
+    else:
+        return -np.inf, start
+    res = minimize(
+        nll, theta, method="Nelder-Mead", options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": 2000}
+    )
+    return -float(res.fun), (float(res.x[0]), float(math.exp(res.x[1])))
+
+
+SHORT_STATION = np.array([61.2, 88.0, 73.5, 95.1, 70.3, 102.4, 66.0, 80.8])
+
+
+def _profile_samples():
+    samples = [
+        gev_sample(GevParams(80, 25, xi), n, seed=seed)
+        for xi, n, seed in ((-0.3, 33, 0), (0.0, 50, 1), (0.1, 100, 2), (0.4, 20, 3))
+    ]
+    return samples + [SHORT_STATION]
+
+
+class TestProfileKernel:
+    """The fixed-shape Newton solve against the Nelder-Mead reference."""
+
+    @pytest.mark.parametrize("xi", [-0.99, -0.5, -1e-7, 1e-7, 0.05, 0.5, 1.5, 2.0])
+    def test_reaches_reference_loglik(self, xi):
+        for x in _profile_samples():
+            free = fit_mle(x, "free").params
+            start = (free.mu, free.sigma)
+            ll, (mu, sigma) = _profile_loglik(x, xi, start)
+            assert ll >= _nelder_mead_profile_loglik(x, xi, start)[0] - 1e-9
+            assert ll == pytest.approx(log_likelihood(GevParams(mu, sigma, xi), x), abs=1e-9)
+
+    def test_closed_form_at_lower_search_bound(self):
+        # the supremum lies on the support edge mu + sigma = max x
+        for x in _profile_samples():
+            free = fit_mle(x, "free").params
+            start = (free.mu, free.sigma)
+            ll, (mu, sigma) = _profile_loglik(x, -1.0, start)
+            assert ll >= _nelder_mead_profile_loglik(x, -1.0, start)[0]
+            assert mu + sigma == pytest.approx(x.max(), rel=1e-15)
+        free = fit_mle(SHORT_STATION, "free")
+        ll, _ = _profile_loglik(SHORT_STATION, -1.0, (free.params.mu, free.params.sigma))
+        assert 2.0 * (free.loglik - ll) == pytest.approx(1.979584541510647, abs=1e-9)
+
+    def test_infeasible_start_raises_naming_the_shape(self):
+        x = gev_sample(GevParams(80, 25, 0.1), 33, seed=4)
+        with pytest.raises(FitError, match="xi=0.5"):
+            _profile_loglik(x, 0.5, (1e20, 1.0))
+
+    def test_unsettled_solve_raises(self, monkeypatch):
+        x = gev_sample(GevParams(80, 25, 0.1), 33, seed=4)
+        monkeypatch.setattr(estimate, "_ROW_MAX_ITER", 1)
+        with pytest.raises(FitError, match="did not settle at xi=0.3"):
+            _profile_loglik(x, 0.3, (60.0, 10.0))
+
+    def test_interval_matches_reference_driven_interval(self, monkeypatch):
+        samples = _profile_samples()[:4]
+        newton = [profile_ci_xi(x) for x in samples]
+        monkeypatch.setattr(estimate, "_profile_loglik", _nelder_mead_profile_loglik)
+        for x, ci in zip(samples, newton):
+            ref = profile_ci_xi(x)
+            assert ci.lower == pytest.approx(ref.lower, abs=1e-9)
+            assert ci.upper == pytest.approx(ref.upper, abs=1e-9)
+
+    def test_given_free_fit_is_not_refitted(self, monkeypatch):
+        x = gev_sample(GevParams(80, 25, 0.1), 50, seed=6)
+        free = fit_mle(x, "free")
+        expected = profile_ci_xi(x)
+
+        def refit(*args, **kwargs):
+            raise AssertionError("free fit repeated")
+
+        monkeypatch.setattr(estimate, "fit_mle", refit)
+        assert profile_ci_xi(x, free=free) == expected
+
+
 class TestProfileCi:
     def test_contains_truth_and_narrow_at_large_n(self):
         x = gev_sample(GevParams(0, 1, 0.1), 5000, seed=1)
@@ -216,14 +328,12 @@ class TestProfileCi:
         assert wide.lower <= narrow.lower and narrow.upper <= wide.upper
 
     def test_endpoints_sit_on_deviance_threshold(self):
-        from rainmax.estimate import _profile_loglik
-
         x = gev_sample(GevParams(80, 25, 0.05), 100, seed=5)
         free = fit_mle(x, "free")
         ci = profile_ci_xi(x, level=0.95)
         threshold = chi2.ppf(0.95, df=1)
         for endpoint in (ci.lower, ci.upper):
-            ll, _ = _profile_loglik(x, endpoint, (free.params.mu, free.params.sigma))
+            ll, _ = _nelder_mead_profile_loglik(x, endpoint, (free.params.mu, free.params.sigma))
             assert 2.0 * (free.loglik - ll) == pytest.approx(threshold, abs=1e-3)
 
     def test_small_sample_coverage_sanity(self):
