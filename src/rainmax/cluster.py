@@ -16,12 +16,12 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
-from scipy.stats import rankdata
 
 from .estimate import FitResult
 from .ingest import AnnualMaximaSeries
 
 DEFAULT_MIN_OVERLAP = 10
+_PAM_BLOCK_ELEMENTS = 1 << 20  # bounds each swap pass's cost temporaries
 
 FEATURE_COLUMNS = ("mu", "sigma", "xi")
 
@@ -88,6 +88,16 @@ class SelectKResult:
     partitions: dict[int, "Partition"] = field(repr=False, default_factory=dict)
 
 
+def _standardize(x: np.ndarray) -> np.ndarray:
+    """z-score each column; a zero-variance column is named in the error."""
+    sd = x.std(axis=0)
+    zero = np.flatnonzero(sd == 0)
+    if zero.size:
+        cols = ", ".join(FEATURE_COLUMNS[i] for i in zero)
+        raise ValueError(f"cannot standardize zero-variance column(s): {cols}")
+    return (x - x.mean(axis=0)) / sd
+
+
 def param_features(
     fits: Mapping[str, FitResult],
     standardize: bool = True,
@@ -100,14 +110,7 @@ def param_features(
         if not fit.converged:
             raise ValueError(f"fit for station {station!r} did not converge")
     x = np.array([[fits[s].params.mu, fits[s].params.sigma, fits[s].params.xi] for s in labels])
-    if standardize:
-        sd = x.std(axis=0)
-        zero = np.flatnonzero(sd == 0)
-        if zero.size:
-            cols = ", ".join(FEATURE_COLUMNS[i] for i in zero)
-            raise ValueError(f"cannot standardize zero-variance column(s): {cols}")
-        x = (x - x.mean(axis=0)) / sd
-    return FeatureMatrix(labels, x)
+    return FeatureMatrix(labels, _standardize(x) if standardize else x)
 
 
 def euclidean_dm(features: FeatureMatrix) -> DistanceMatrix:
@@ -123,6 +126,20 @@ def _common_years(a: AnnualMaximaSeries, b: AnnualMaximaSeries) -> tuple[np.ndar
     )
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n with ties sharing the mean of their ranks; all NaN if any
+    value is NaN (scipy's ``rankdata(x, "average")``)."""
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
 def fmadogram_dm(
     series: Sequence[AnnualMaximaSeries],
     min_overlap: int = DEFAULT_MIN_OVERLAP,
@@ -132,22 +149,28 @@ def fmadogram_dm(
     Each series is reduced to average ranks over the shared years, scaled
     by 1/(n+1); the distance is half the mean absolute difference of the
     two rank transforms, hence invariant under strictly increasing maps.
+    Pairs sharing fewer than ``min_overlap`` years have no distance: one
+    ValueError names every such pair with its overlap.
     """
     labels = tuple(s.station_id for s in series)
     n = len(series)
     d = np.zeros((n, n))
+    short: list[str] = []
     for i in range(n):
         for j in range(i + 1, n):
             xi, xj = _common_years(series[i], series[j])
             m = xi.size
             if m < min_overlap:
-                raise ValueError(
-                    f"stations {labels[i]!r} and {labels[j]!r} share only {m} years "
-                    f"(need {min_overlap})"
-                )
-            fi = rankdata(xi, method="average") / (m + 1)
-            fj = rankdata(xj, method="average") / (m + 1)
+                short.append(f"{labels[i]!r} and {labels[j]!r} share only {m}")
+                continue
+            fi = _average_ranks(xi) / (m + 1)
+            fj = _average_ranks(xj) / (m + 1)
             d[i, j] = d[j, i] = 0.5 * float(np.abs(fi - fj).mean())
+    if short:
+        raise ValueError(
+            f"{len(short)} station pair(s) share fewer than {min_overlap} years: "
+            + "; ".join(short)
+        )
     return DistanceMatrix(labels, d)
 
 
@@ -258,30 +281,15 @@ def pam_cluster(dm: DistanceMatrix, k: int) -> Partition:
                 best_gain, best_c = gain, c
         medoids.append(best_c)
 
-    def cost_of(meds: list[int]) -> float:
-        return float(d[:, meds].min(axis=1).sum())
-
-    def steepest(exchanges: int) -> tuple[float, list[int]] | None:
-        # best replacement of `exchanges` medoids by non-medoids, if improving
-        best: tuple[float, list[int]] | None = None
-        outs = itertools.combinations(sorted(medoids), exchanges)
-        ins = list(itertools.combinations([h for h in range(n) if h not in medoids], exchanges))
-        for removed in outs:
-            for added in ins:
-                trial = sorted(set(medoids).difference(removed).union(added))
-                c = cost_of(trial)
-                if c < current - 1e-12 and (best is None or c < best[0] - 1e-12):
-                    best = (c, trial)
-        return best
-
-    current = cost_of(medoids)
+    current = float(d[:, medoids].min(axis=1).sum())
+    columns = np.ascontiguousarray(d.T)
     while True:
         # single-medoid steepest descent, with a double-exchange escape step:
         # single swaps alone strand in local optima whose improvement needs
         # two medoids replaced at once (happens even on 4-point instances)
-        move = steepest(1)
+        move = _best_swap(columns, medoids, current, 1)
         if move is None and k >= 2 and n - k >= 2:
-            move = steepest(2)
+            move = _best_swap(columns, medoids, current, 2)
         if move is None:
             break
         current, medoids = move
@@ -300,6 +308,50 @@ def pam_cluster(dm: DistanceMatrix, k: int) -> Partition:
     if k >= 2:
         partition.mean_silhouette = silhouette(dm, partition).mean
     return partition
+
+
+def _best_swap(
+    columns: np.ndarray, medoids: list[int], current: float, exchanges: int
+) -> tuple[float, list[int]] | None:
+    """One PAM swap pass: the best replacement of ``exchanges`` medoids by
+    non-medoids, or None when no candidate improves on ``current``.
+
+    ``columns[c]`` is column c of the distance matrix as a contiguous row.
+    Candidates run in combinations order (removed sets outer, added sets
+    inner). A candidate's cost is the row sum of min(nearest kept medoid,
+    added columns), summed along a contiguous row so it has the bits of
+    ``d[:, trial].min(axis=1).sum()``. The first candidate below
+    current - 1e-12 is taken, then each later one below best - 1e-12.
+    Blocks of candidates keep the temporaries near _PAM_BLOCK_ELEMENTS.
+    """
+    n = columns.shape[0]
+    outs = list(itertools.combinations(sorted(medoids), exchanges))
+    ins = np.array(
+        list(itertools.combinations([h for h in range(n) if h not in medoids], exchanges)),
+        dtype=np.intp,
+    ).reshape(-1, exchanges)
+    near = np.full((len(outs), n), np.inf)
+    for r, removed in enumerate(outs):
+        kept = sorted(set(medoids).difference(removed))
+        if kept:
+            near[r] = columns[kept].min(axis=0)
+    best: tuple[float, int] | None = None
+    threshold = current - 1e-12
+    total = len(outs) * ins.shape[0]
+    block = max(1, _PAM_BLOCK_ELEMENTS // (n * exchanges))
+    for start in range(0, total, block):
+        r, a = np.divmod(np.arange(start, min(start + block, total)), ins.shape[0])
+        costs = np.minimum(near[r], columns[ins[a]].min(axis=1)).sum(axis=1)
+        pos = 0
+        while (hits := np.flatnonzero(costs[pos:] < threshold)).size:
+            pos += int(hits[0])
+            best = (float(costs[pos]), start + pos)
+            threshold = best[0] - 1e-12
+            pos += 1
+    if best is None:
+        return None
+    r, a = divmod(best[1], ins.shape[0])
+    return best[0], sorted(set(medoids).difference(outs[r]).union(ins[a].tolist()))
 
 
 def pam_cost(dm: DistanceMatrix, partition: Partition) -> float:
@@ -443,9 +495,4 @@ def features_from_iterable(
         labels.append(label)
         rows.append(tuple(float(v) for v in row))
     x = np.array(rows)
-    if standardize:
-        sd = x.std(axis=0)
-        if np.any(sd == 0):
-            raise ValueError("cannot standardize zero-variance column")
-        x = (x - x.mean(axis=0)) / sd
-    return FeatureMatrix(tuple(labels), x)
+    return FeatureMatrix(tuple(labels), _standardize(x) if standardize else x)

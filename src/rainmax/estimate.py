@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.special import gamma as gamma_fn
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .gev import XI_EPS, GevParams, log_likelihood
 
@@ -662,7 +662,7 @@ def profile_ci_xi(
         free = fit_mle(x, "free")
     lmax = free.loglik
     xi_hat = float(np.clip(free.params.xi, *_XI_SEARCH_RANGE))
-    threshold = float(chi2.ppf(level, df=1))
+    threshold = 2.0 * float(gammaincinv(0.5, level))  # chi-square(1) quantile
 
     warm: list[tuple[float, tuple[float, float]]] = [
         (xi_hat, (free.params.mu, free.params.sigma))

@@ -23,6 +23,7 @@ DEFAULT_PERMUTATIONS = 999
 _MIN_PERMUTATIONS = 99
 _MIN_SERIES_LENGTH = 10
 _MAX_SERIES_LENGTH = 3000  # all n(n-1)/2 pair distances are held in memory
+_PERM_BLOCK_PAIRS = 1 << 18  # permuted pair bins gathered per independence-test block
 
 
 @dataclass(frozen=True)
@@ -116,15 +117,17 @@ def _radius_grid(diffs_sample: np.ndarray, quantiles: np.ndarray, label: str) ->
     return np.quantile(nonzero, quantiles)
 
 
-def _deviation_table(
-    counts: np.ndarray, n_pairs: int, g: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cum = counts.cumsum(axis=0).cumsum(axis=1).astype(float) / n_pairs
-    rr_x = cum[:g, -1]
-    rr_y = cum[-1, :g]
-    joint = cum[:g, :g]
-    deviations = np.abs(joint - np.outer(rr_x, rr_y))
-    return rr_x, rr_y, deviations
+def _deviation_table(counts: np.ndarray, n_pairs: int, g: int) -> np.ndarray:
+    """|joint rate - product of marginals| from (..., g+1, g+1) bin counts.
+
+    Leading axes are independent tables; each is computed with the same
+    float operations as a lone (g+1, g+1) table.
+    """
+    cum = counts.cumsum(axis=-2).cumsum(axis=-1).astype(float) / n_pairs
+    rr_x = cum[..., :g, -1]
+    rr_y = cum[..., -1, :g]
+    joint = cum[..., :g, :g]
+    return np.abs(joint - rr_x[..., :, None] * rr_y[..., None, :])
 
 
 def independence_statistic(
@@ -152,7 +155,7 @@ def independence_statistic(
     ix = np.searchsorted(gx, dx, side="left")
     iy = np.searchsorted(gy, dy, side="left")
     counts = np.bincount(ix * gbins + iy, minlength=gbins * gbins).reshape(gbins, gbins)
-    _, _, deviations = _deviation_table(counts, n_pairs, g)
+    deviations = _deviation_table(counts, n_pairs, g)
     detail = GridDetail(x_radii=gx, y_radii=gy, deviations=deviations)
     return float(deviations.max()), detail
 
@@ -179,38 +182,36 @@ def independence_test(
     iu_r, iu_c = np.triu_indices(n, k=1)
     gx = _radius_grid(dx_full[iu_r, iu_c], q, "x")
     gy = _radius_grid(dy_full[iu_r, iu_c], q, "y")
-    ix_full = np.searchsorted(gx, dx_full, side="left")
-    iy_full = np.searchsorted(gy, dy_full, side="left")
-    ix = ix_full[iu_r, iu_c]
+    ix_bins = (np.searchsorted(gx, dx_full[iu_r, iu_c], side="left") * gbins).astype(np.int32)
+    iy_flat = np.searchsorted(gy, dy_full, side="left").astype(np.int32).ravel()
+    del dx_full, dy_full
+    iu_r, iu_c = iu_r.astype(np.int32), iu_c.astype(np.int32)
+    table = gbins * gbins
 
-    def statistic_for(iy_pairs: np.ndarray) -> float:
-        counts = np.bincount(ix * gbins + iy_pairs, minlength=gbins * gbins)
-        _, _, dev = _deviation_table(counts.reshape(gbins, gbins), n_pairs, g)
-        return float(dev.max())
+    def deviation_tables(pi: np.ndarray) -> np.ndarray:
+        # one table per row of pi: the permuted bins are gathered through one
+        # flat pair index and all tables are counted by one offset bincount
+        keys = iy_flat.take(pi[:, iu_r] * n + pi[:, iu_c])
+        keys += ix_bins
+        keys += (np.arange(pi.shape[0], dtype=np.int32) * table)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=pi.shape[0] * table)
+        return _deviation_table(counts.reshape(-1, gbins, gbins), n_pairs, g)
 
-    observed = statistic_for(iy_full[iu_r, iu_c])
+    deviations = deviation_tables(np.arange(n, dtype=np.int32)[None, :])[0]
+    observed = float(deviations.max())
 
     rng = np.random.default_rng([derive_seed(config.seed, "recurrence-perm")])
-    perms = rng.permuted(np.tile(np.arange(n), (config.permutations, 1)), axis=1)
+    perms = rng.permuted(np.tile(np.arange(n), (config.permutations, 1)), axis=1).astype(np.int32)
+    # blocks are sized by pairs, so their temporaries stay near
+    # _PERM_BLOCK_PAIRS elements whatever the series length
+    rows = max(1, _PERM_BLOCK_PAIRS // n_pairs)
     exceed = 0
-    for b in range(config.permutations):
-        pi = perms[b]
-        t_b = statistic_for(iy_full[pi[iu_r], pi[iu_c]])
-        if t_b >= observed:
-            exceed += 1
+    for start in range(0, config.permutations, rows):
+        dev = deviation_tables(perms[start : start + rows])
+        exceed += int(np.count_nonzero(dev.max(axis=(1, 2)) >= observed))
     p = (1.0 + exceed) / (config.permutations + 1.0)
 
-    detail = GridDetail(
-        x_radii=gx,
-        y_radii=gy,
-        deviations=_deviation_table(
-            np.bincount(ix * gbins + iy_full[iu_r, iu_c], minlength=gbins * gbins).reshape(
-                gbins, gbins
-            ),
-            n_pairs,
-            g,
-        )[2],
-    )
+    detail = GridDetail(x_radii=gx, y_radii=gy, deviations=deviations)
     return IndependenceResult(
         statistic=observed,
         p_value=p,

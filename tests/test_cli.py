@@ -4,6 +4,9 @@ suite; these runs use small replicate counts."""
 
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +40,19 @@ def _write_daily(path):
     # a sparse year that must be skipped
     rows.extend(f"A,1992-01-{d:02d},5.0" for d in range(1, 11))
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second per CLI launch; the package uses
+    # scipy.special and numpy for what it needed from it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, rainmax.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestSlugify:

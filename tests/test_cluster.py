@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
 
+import rainmax.cluster as cluster_module
 from rainmax.cluster import (
     DistanceMatrix,
+    Partition,
     euclidean_dm,
     extremal_coefficient,
     features_from_iterable,
@@ -76,8 +78,12 @@ class TestParamFeatures:
 
     def test_zero_variance_column_rejected(self):
         fits = {"a": _fit(GevParams(80, 20, 0.0)), "b": _fit(GevParams(90, 20, 0.0))}
-        with pytest.raises(ValueError, match="sigma"):
+        with pytest.raises(ValueError, match="column\\(s\\): sigma, xi$"):
             param_features(fits, standardize=True)
+
+    def test_raw_rows_name_zero_variance_column(self):
+        with pytest.raises(ValueError, match="column\\(s\\): sigma$"):
+            _features([(80.0, 20.0, 0.1), (90.0, 20.0, 0.0)], standardize=True)
 
     def test_unconverged_fit_rejected(self):
         bad = FitResult(GevParams(1, 1, 0), "mle", "free", 0.0, None, False, 10)
@@ -139,6 +145,39 @@ class TestFmadogram:
         b = _series("beta", [10.0, 20.0, 30.0], years=[1990, 1991, 1992])
         with pytest.raises(ValueError, match="alpha.*beta"):
             fmadogram_dm([a, b], min_overlap=3)
+
+    def test_every_short_pair_named_in_one_error(self):
+        full = [_series(f"full{i}", np.arange(1.0, 31.0) * (i + 1)) for i in range(2)]
+        short_a = _series("shortA", np.arange(1.0, 9.0), years=np.arange(1981, 1989))
+        short_b = _series("shortB", np.arange(1.0, 6.0), years=np.arange(2006, 2011))
+        with pytest.raises(ValueError) as err:
+            fmadogram_dm([full[0], short_a, full[1], short_b], min_overlap=10)
+        message = str(err.value)
+        assert message.startswith("5 station pair(s) share fewer than 10 years: ")
+        for pair in (
+            "'full0' and 'shortA' share only 8",
+            "'full0' and 'shortB' share only 5",
+            "'shortA' and 'full1' share only 8",
+            "'shortA' and 'shortB' share only 0",
+            "'full1' and 'shortB' share only 5",
+        ):
+            assert pair in message
+        assert "'full0' and 'full1'" not in message
+
+    def test_average_ranks_match_scipy_on_ties(self):
+        from scipy.stats import rankdata
+
+        from rainmax.cluster import _average_ranks
+
+        rng = np.random.default_rng(24)
+        for trial in range(200):
+            m = int(rng.integers(1, 60))
+            if trial % 2:
+                x = rng.integers(0, int(rng.integers(1, 8)), size=m).astype(float)
+            else:
+                x = rng.random(m)
+            assert _average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+        assert np.isnan(_average_ranks(np.array([2.0, np.nan, 1.0]))).all()
 
     def test_invariant_under_random_monotone_maps(self):
         rng = np.random.default_rng(9)
@@ -302,6 +341,129 @@ class TestPam:
         a = pam_cluster(dm, 3)
         b = pam_cluster(dm, 3)
         assert a.assignment == b.assignment and a.medoids == b.medoids
+
+
+def _reference_swap(d, medoids, current, exchanges):
+    """One PAM swap pass, one scalar cost per candidate."""
+    best = None
+    others = [h for h in range(d.shape[0]) if h not in medoids]
+    for removed in itertools.combinations(sorted(medoids), exchanges):
+        for added in itertools.combinations(others, exchanges):
+            trial = sorted(set(medoids).difference(removed).union(added))
+            c = float(d[:, trial].min(axis=1).sum())
+            if c < current - 1e-12 and (best is None or c < best[0] - 1e-12):
+                best = (c, trial)
+    return best
+
+
+def _reference_pam(dm, k):
+    """The scalar PAM swap loop, one cost per candidate: the oracle for
+    pam_cluster's cost arrays. Returns the partition and the number of
+    accepted double exchanges."""
+    n = dm.n
+    d = dm.values
+    medoids = [int(np.lexsort((np.arange(n), d.sum(axis=1)))[0])]
+    while len(medoids) < k:
+        nearest = d[:, medoids].min(axis=1)
+        best_gain, best_c = -np.inf, -1
+        for c in range(n):
+            if c in medoids:
+                continue
+            gain = float(np.maximum(nearest - d[:, c], 0.0).sum())
+            if gain > best_gain:
+                best_gain, best_c = gain, c
+        medoids.append(best_c)
+
+    def cost_of(meds):
+        return float(d[:, meds].min(axis=1).sum())
+
+    current = cost_of(medoids)
+    doubles = 0
+    while True:
+        move = _reference_swap(d, medoids, current, 1)
+        if move is None and k >= 2 and n - k >= 2:
+            move = _reference_swap(d, medoids, current, 2)
+            doubles += move is not None
+        if move is None:
+            break
+        current, medoids = move
+
+    medoids = sorted(medoids)
+    nearest_idx = d[:, medoids].argmin(axis=1)
+    partition = Partition(
+        k=k,
+        assignment={dm.labels[i]: int(nearest_idx[i]) + 1 for i in range(n)},
+        medoids=tuple(dm.labels[m] for m in medoids),
+    )
+    if k >= 2:
+        partition.mean_silhouette = silhouette(dm, partition).mean
+    return partition, doubles
+
+
+def _oracle_instance(seed, n, integer_valued):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, 4, size=(n, n)).astype(float) if integer_valued else rng.random((n, n)) * 10
+    d = m + m.T
+    np.fill_diagonal(d, 0.0)
+    return DistanceMatrix(tuple(f"s{i:02d}" for i in range(n)), d)
+
+
+def _assert_same_partition(got, want):
+    assert got.medoids == want.medoids
+    assert got.assignment == want.assignment
+    assert got.mean_silhouette == want.mean_silhouette
+
+
+class TestPamAgainstScalarLoop:
+    @pytest.mark.parametrize("integer_valued", [False, True], ids=["float", "ties"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference(self, seed, integer_valued):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(8, 31))
+        k = int(rng.integers(2, 8))
+        dm = _oracle_instance(400 + seed, n, integer_valued)
+        _assert_same_partition(pam_cluster(dm, k), _reference_pam(dm, k)[0])
+
+    def test_matches_reference_through_double_exchange(self):
+        dm = _oracle_instance(1, 12, integer_valued=False)
+        want, doubles = _reference_pam(dm, 3)
+        assert doubles >= 1  # single swaps strand here; a double exchange moves on
+        _assert_same_partition(pam_cluster(dm, 3), want)
+
+    @pytest.mark.parametrize("budget", [1, 50, 1 << 20])
+    def test_each_swap_pass_matches_reference(self, monkeypatch, budget):
+        # one pass from many medoid sets, so a different accepted candidate
+        # shows even where descent would reach the same end; small budgets
+        # split the candidates into blocks of one to a few
+        monkeypatch.setattr(cluster_module, "_PAM_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(600)
+        for trial in range(40):
+            n = int(rng.integers(6, 16))
+            dm = _oracle_instance(700 + trial, n, integer_valued=trial % 2 == 1)
+            d = dm.values
+            k = int(rng.integers(1, n - 1))
+            medoids = sorted(rng.choice(n, size=k, replace=False).tolist())
+            current = float(d[:, medoids].min(axis=1).sum()) + float(rng.choice([0.0, 1.0, 3.0]))
+            columns = np.ascontiguousarray(d.T)
+            for exchanges in (1, 2):
+                if exchanges > min(k, n - k):
+                    continue
+                got = cluster_module._best_swap(columns, list(medoids), current, exchanges)
+                assert got == _reference_swap(d, medoids, current, exchanges)
+
+    def test_large_instance_spans_several_blocks(self):
+        n, k = 130, 3
+        dm = _oracle_instance(6, n, integer_valued=False)
+        d = dm.values
+        double_candidates = math.comb(k, 2) * math.comb(n - k, 2)
+        assert double_candidates * 2 * n > 4 * cluster_module._PAM_BLOCK_ELEMENTS
+        # a double-exchange pass from a poor start, whose best candidate
+        # lies past the first block, then a whole run
+        medoids = [0, 1, 2]
+        current = float(d[:, medoids].min(axis=1).sum())
+        got = cluster_module._best_swap(np.ascontiguousarray(d.T), medoids, current, 2)
+        assert got == _reference_swap(d, medoids, current, 2)
+        _assert_same_partition(pam_cluster(dm, k), _reference_pam(dm, k)[0])
 
 
 def _silhouette_bruteforce(dm, assignment_by_index):

@@ -1,15 +1,22 @@
 """Recurrence-rate tests: brute-force oracles for the rates, factorization
 and inequality properties, permutation determinism, report plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainmax.gev import GevParams
+from rainmax.seeding import derive_seed
 from rainmax.ingest import AnnualMaximaSeries, synth_dataset
 from rainmax.recurrence import (
+    GridDetail,
+    IndependenceResult,
     RecurrenceConfig,
+    _aligned_pair,
+    _radius_grid,
     independence_statistic,
     independence_test,
     joint_rr,
@@ -159,6 +166,89 @@ class TestIndependenceTest:
         y = x + 0.05 * x.std() * rng.standard_normal(33)
         res = independence_test(x, y, RecurrenceConfig(permutations=499, seed=2))
         assert res.p_value <= 0.01
+
+
+def _reference_deviations(counts, n_pairs, g):
+    cum = counts.cumsum(axis=0).cumsum(axis=1).astype(float) / n_pairs
+    rr_x = cum[:g, -1]
+    rr_y = cum[-1, :g]
+    return np.abs(cum[:g, :g] - np.outer(rr_x, rr_y))
+
+
+def _reference_independence_test(x, y, config):
+    """The permutation test one permutation at a time: the oracle for the
+    blocked bincount in independence_test."""
+    ax, ay = _aligned_pair(x, y)
+    n = ax.size
+    q = np.asarray(config.radius_quantiles)
+    g = q.size
+    gbins = g + 1
+    n_pairs = n * (n - 1) // 2
+    dx_full = np.abs(ax[:, None] - ax[None, :])
+    dy_full = np.abs(ay[:, None] - ay[None, :])
+    iu_r, iu_c = np.triu_indices(n, k=1)
+    gx = _radius_grid(dx_full[iu_r, iu_c], q, "x")
+    gy = _radius_grid(dy_full[iu_r, iu_c], q, "y")
+    ix = np.searchsorted(gx, dx_full, side="left")[iu_r, iu_c]
+    iy_full = np.searchsorted(gy, dy_full, side="left")
+
+    def deviations_for(iy_pairs):
+        counts = np.bincount(ix * gbins + iy_pairs, minlength=gbins * gbins)
+        return _reference_deviations(counts.reshape(gbins, gbins), n_pairs, g)
+
+    deviations = deviations_for(iy_full[iu_r, iu_c])
+    observed = float(deviations.max())
+    rng = np.random.default_rng([derive_seed(config.seed, "recurrence-perm")])
+    perms = rng.permuted(np.tile(np.arange(n), (config.permutations, 1)), axis=1)
+    exceed = 0
+    for pi in perms:
+        if float(deviations_for(iy_full[pi[iu_r], pi[iu_c]]).max()) >= observed:
+            exceed += 1
+    return IndependenceResult(
+        statistic=observed,
+        p_value=(1.0 + exceed) / (config.permutations + 1.0),
+        grid=GridDetail(x_radii=gx, y_radii=gy, deviations=deviations),
+        permutations=config.permutations,
+        seed=config.seed,
+        n=n,
+    )
+
+
+class TestIndependenceAgainstPermutationLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("permutations", [99, 129, 999])
+    @pytest.mark.parametrize("n", [10, 33, 60])
+    def test_matches_reference(self, n, permutations, seed):
+        # 999 permutations span several blocks at n = 33 and n = 60 (496 and
+        # 148 rows per block), 99 and 129 fit in one
+        rng = np.random.default_rng(100 * seed + n)
+        x = rng.random(n)
+        if seed == 0:
+            y = rng.integers(0, 5, size=n).astype(float)  # heavy ties in y
+        else:
+            y = x + rng.normal(0.0, 0.5, size=n)
+        config = RecurrenceConfig(permutations=permutations, seed=seed)
+        got = independence_test(x, y, config)
+        want = _reference_independence_test(x, y, config)
+        assert got.statistic == want.statistic
+        assert got.p_value == want.p_value
+        assert got.grid.deviations.tobytes() == want.grid.deviations.tobytes()
+        np.testing.assert_array_equal(got.grid.x_radii, want.grid.x_radii)
+        np.testing.assert_array_equal(got.grid.y_radii, want.grid.y_radii)
+
+    def test_block_memory_follows_pair_count(self):
+        # at n = 1000 one permutation already has 499 500 pairs; blocks sized
+        # by rows (128 permutations) would hold several hundred MB
+        rng = np.random.default_rng(14)
+        x, y = rng.random(1000), rng.random(1000)
+        tracemalloc.start()
+        try:
+            result = independence_test(x, y, RecurrenceConfig(permutations=99, seed=6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert 0.0 < result.p_value <= 1.0
 
 
 class TestPairwiseReport:
