@@ -56,7 +56,7 @@ from .gof import (
 )
 from .ingest import (
     AnnualMaximaSeries,
-    DailyRecord,
+    DailyTable,
     ParseError,
     ValidationError,
     block_maxima,
@@ -78,7 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnualMaximaSeries",
-    "DailyRecord",
+    "DailyTable",
     "DistanceMatrix",
     "FamilyDecision",
     "FeatureMatrix",

@@ -88,15 +88,19 @@ def _fit_payload(fit: FitResult) -> dict:
     }
 
 
-def _load_series(cfg: RunConfig) -> list[AnnualMaximaSeries]:
-    if cfg.demo:
-        return demo_dataset(seed=cfg.seed)
+def _input_path(cfg: RunConfig) -> Path:
     if cfg.input is None:
         raise ValueError("no input given: pass --input or --demo")
     path = Path(cfg.input)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    return path
+
+
+def _load_series(cfg: RunConfig) -> list[AnnualMaximaSeries]:
+    if cfg.demo:
+        return demo_dataset(seed=cfg.seed)
+    with _input_path(cfg).open("r", encoding="utf-8", newline="") as fh:
         return ingest.read_series_csv(fh)
 
 
@@ -112,14 +116,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
         series: list[AnnualMaximaSeries] = demo_dataset(seed=cfg.seed)
         skips: list[ingest.SkipEntry] = []
     else:
-        if cfg.input is None:
-            raise ValueError("no input given: pass --input or --demo")
-        path = Path(cfg.input)
-        if not path.exists():
-            raise FileNotFoundError(f"input file not found: {path}")
-        with path.open("rb") as fh:
-            records = ingest.parse_daily_csv(fh)
-        series, skips = ingest.block_maxima(records, min_coverage=cfg.min_coverage)
+        with _input_path(cfg).open("rb") as fh:
+            table = ingest.parse_daily_csv(fh)
+        series, skips = ingest.block_maxima(table, min_coverage=cfg.min_coverage)
     with (out / "series.csv").open("w", encoding="utf-8", newline="") as fh:
         ingest.write_series_csv(series, fh)
     with (out / "skip_log.jsonl").open("w", encoding="utf-8") as fh:

@@ -11,9 +11,12 @@ import calendar
 import csv
 import datetime as dt
 import io
+import itertools
 import json
+import math
+import re
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -24,6 +27,12 @@ FIRST_SYNTH_YEAR = 1981
 DEFAULT_MIN_COVERAGE = 0.8
 
 _HEADER = ["station", "date", "precip_mm"]
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_BLOCK_ROWS = 8192  # csv rows per columnar block; bounds the per-block Python lists
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+# Duplicate keys pack the station index above the day ordinal:
+# date.max.toordinal() is 3 652 059 < 2**22.
+_ORDINAL_BITS = 22
 
 
 class ParseError(ValueError):
@@ -38,19 +47,22 @@ class ValidationError(ValueError):
     """Structurally parseable input that violates a data invariant."""
 
 
-@dataclass(frozen=True)
-class DailyRecord:
-    """One station-day observation; ``precip_mm`` is None when missing."""
+@dataclass(frozen=True, eq=False)
+class DailyTable:
+    """Daily observations as columns, one entry per data row in file order.
 
-    station_id: str
-    date: dt.date
-    precip_mm: float | None
+    ``stations`` holds the ids in first-seen order and ``station`` (int32)
+    indexes it per row; ``ordinal`` (int32) is ``date.toordinal()`` and
+    ``precip`` (float64) is in millimetres with NaN for a missing day.
+    """
 
-    def __post_init__(self) -> None:
-        if self.precip_mm is not None and self.precip_mm < 0:
-            raise ValidationError(
-                f"negative precipitation {self.precip_mm!r} at {self.station_id} {self.date}"
-            )
+    stations: tuple[str, ...]
+    station: np.ndarray
+    ordinal: np.ndarray
+    precip: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.precip)
 
 
 @dataclass
@@ -101,15 +113,98 @@ class SummaryStats:
     mean: float
 
 
-def parse_daily_csv(source: BinaryIO) -> list[DailyRecord]:
-    """Parse a ``station,date,precip_mm`` CSV into daily records.
+def _parse_date(text: str) -> dt.date:
+    """The one date form every parsing path accepts: ``YYYY-MM-DD``.
 
-    An empty precipitation field means missing. Dates are ISO-8601.
-    Raises ParseError for malformed rows and ValidationError for negative
-    precipitation or duplicated (station, date) keys.
+    ``date.fromisoformat`` also takes ``19900101`` and ``1990-W01-1`` from
+    Python 3.11 on, so the shape is checked before it is called.
     """
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    reader = csv.reader(text)
+    if _ISO_DATE.fullmatch(text) is None:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
+def _csv_rows(data: bytes) -> Iterator[list[str]]:
+    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+
+
+def parse_daily_csv(source: BinaryIO) -> DailyTable:
+    """Parse a ``station,date,precip_mm`` CSV into a :class:`DailyTable`.
+
+    An empty precipitation field means missing. Dates are ``YYYY-MM-DD``.
+    Raises ParseError for malformed rows, including non-finite values, and
+    ValidationError for negative precipitation or duplicated (station, date)
+    keys, always for the first offending line.
+    """
+    data = source.read()
+    try:
+        table = _read_columns(data)
+    except (UnicodeDecodeError, csv.Error):  # raised by the reader, possibly blocks past the first bad line
+        table = None
+    if table is None:
+        _validate_rows(data)
+        raise RuntimeError("columnar parse rejected a file the row validator accepts")
+    return table
+
+
+def _read_columns(data: bytes) -> DailyTable | None:
+    """Columnar parse of a well-formed file, ``_BLOCK_ROWS`` csv rows at a time.
+
+    Returns None on the first sign of any error and leaves finding and
+    reporting it to :func:`_validate_rows`.
+    """
+    reader = _csv_rows(data)
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != _HEADER:
+        return None
+    index: dict[str, int] = {}
+    ordinals: dict[str, int] = {}
+    stations = [np.empty(0, np.int32)]
+    days = [np.empty(0, np.int32)]
+    values = [np.empty(0)]
+    n_missing = 0
+    while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+        widths = set(map(len, block))
+        if not widths <= {0, 3}:
+            return None
+        if 0 in widths:
+            block = [row for row in block if row]
+            if not block:
+                continue
+        station_col, date_col, value_col = zip(*block)
+        n = len(block)
+        station_texts = list(map(str.strip, station_col))
+        for text in dict.fromkeys(station_texts):
+            index.setdefault(text, len(index))
+        stations.append(np.fromiter(map(index.__getitem__, station_texts), np.int32, n))
+        date_texts = list(map(str.strip, date_col))
+        for text in set(date_texts).difference(ordinals):
+            try:
+                ordinals[text] = _parse_date(text).toordinal()
+            except ValueError:
+                return None
+        days.append(np.fromiter(map(ordinals.__getitem__, date_texts), np.int32, n))
+        value_texts = list(map(str.strip, value_col))
+        n_missing += value_texts.count("")
+        try:
+            values.append(np.fromiter([float(t) if t else math.nan for t in value_texts], np.float64, n))
+        except ValueError:
+            return None
+    if "" in index:
+        return None
+    station, ordinal, precip = np.concatenate(stations), np.concatenate(days), np.concatenate(values)
+    # NaN must come only from empty fields, so it can mark a missing day.
+    if np.count_nonzero(~np.isfinite(precip)) != n_missing or np.any(precip < 0):
+        return None
+    keys = np.sort((station.astype(np.int64) << _ORDINAL_BITS) | ordinal)
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    return DailyTable(tuple(index), station, ordinal, precip)
+
+
+def _validate_rows(data: bytes) -> None:
+    """Check a daily CSV row by row; raises the error of its first bad line."""
+    reader = _csv_rows(data)
     try:
         header = next(reader)
     except StopIteration:
@@ -117,7 +212,6 @@ def parse_daily_csv(source: BinaryIO) -> list[DailyRecord]:
     if [h.strip() for h in header] != _HEADER:
         raise ParseError(1, f"expected header {','.join(_HEADER)!r}, got {','.join(header)!r}")
 
-    records: list[DailyRecord] = []
     seen: set[tuple[str, dt.date]] = set()
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -128,15 +222,15 @@ def parse_daily_csv(source: BinaryIO) -> list[DailyRecord]:
         if not station:
             raise ParseError(lineno, "empty station id")
         try:
-            date = dt.date.fromisoformat(date_text)
+            date = _parse_date(date_text)
         except ValueError:
             raise ParseError(lineno, f"invalid ISO date {date_text!r}")
-        if precip_text == "":
-            precip: float | None = None
-        else:
+        if precip_text != "":
             try:
                 precip = float(precip_text)
             except ValueError:
+                precip = math.nan
+            if not math.isfinite(precip):
                 raise ParseError(lineno, f"invalid precipitation value {precip_text!r}")
             if precip < 0:
                 raise ValidationError(
@@ -146,15 +240,13 @@ def parse_daily_csv(source: BinaryIO) -> list[DailyRecord]:
         if key in seen:
             raise ValidationError(f"line {lineno}: duplicate record for {station} {date}")
         seen.add(key)
-        records.append(DailyRecord(station, date, precip))
-    return records
 
 
 def block_maxima(
-    records: Iterable[DailyRecord],
+    table: DailyTable,
     min_coverage: float = DEFAULT_MIN_COVERAGE,
 ) -> tuple[list[AnnualMaximaSeries], list[SkipEntry]]:
-    """Reduce daily records to per-station annual maxima.
+    """Reduce daily observations to per-station annual maxima.
 
     A station-year is retained when the fraction of non-missing days is at
     least ``min_coverage`` and the year's maximum is positive; dropped
@@ -163,31 +255,48 @@ def block_maxima(
     """
     if not 0.0 < min_coverage <= 1.0:
         raise ValueError("min_coverage must lie in (0, 1]")
+    if len(table) == 0:
+        return [], []
 
-    per_year: dict[str, dict[int, list[float]]] = {}
-    for rec in records:
-        if rec.precip_mm is None:
-            per_year.setdefault(rec.station_id, {}).setdefault(rec.date.year, [])
-            continue
-        per_year.setdefault(rec.station_id, {}).setdefault(rec.date.year, []).append(
-            rec.precip_mm
-        )
+    # One group per (station rank, year offset): rank-major, so a station's
+    # years are one contiguous row of ``span`` groups.
+    order = sorted(range(len(table.stations)), key=table.stations.__getitem__)
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order))
+    days = (table.ordinal.astype(np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    row_year = days.astype("datetime64[Y]").astype(np.int64) + 1970
+    first = int(row_year.min())
+    span = int(row_year.max()) - first + 1
+    group = rank[table.station] * span + (row_year - first)
+    n_groups = len(order) * span
+
+    present = ~np.isnan(table.precip)
+    seen = np.bincount(group, minlength=n_groups).reshape(-1, span)
+    count = np.bincount(group[present], minlength=n_groups).reshape(-1, span).tolist()
+    by_group = np.argsort(group, kind="stable")
+    sorted_group = group[by_group]
+    starts = np.flatnonzero(np.diff(sorted_group, prepend=-1))
+    peak = np.full(n_groups, -np.inf)
+    peak[sorted_group[starts]] = np.maximum.reduceat(
+        np.where(present, table.precip, -np.inf)[by_group], starts
+    )
+    peak = peak.reshape(-1, span).tolist()
 
     series: list[AnnualMaximaSeries] = []
     skipped: list[SkipEntry] = []
-    for station in sorted(per_year):
+    for r, i in enumerate(order):
+        station = table.stations[i]
         years: list[int] = []
         maxima: list[float] = []
         coverages: list[float] = []
-        for year in sorted(per_year[station]):
-            present = per_year[station][year]
-            days = 366 if calendar.isleap(year) else 365
-            coverage = len(present) / days
-            if coverage < min_coverage or max(present, default=0.0) <= 0.0:
+        for offset in np.flatnonzero(seen[r]).tolist():
+            year = first + offset
+            coverage = count[r][offset] / (366 if calendar.isleap(year) else 365)
+            if coverage < min_coverage or peak[r][offset] <= 0.0:
                 skipped.append(SkipEntry(station, year, coverage))
                 continue
             years.append(year)
-            maxima.append(max(present))
+            maxima.append(peak[r][offset])
             coverages.append(coverage)
         if not years:
             raise ValidationError(f"station {station!r} has no year meeting the coverage threshold")
@@ -266,6 +375,8 @@ def read_series_csv(stream: TextIO) -> list[AnnualMaximaSeries]:
             year, value = int(year_text), float(value_text)
         except ValueError:
             raise ParseError(lineno, f"invalid year/value {year_text!r},{value_text!r}")
+        if not math.isfinite(value):
+            raise ParseError(lineno, f"invalid max_mm value {value_text!r}")
         if station not in grouped:
             grouped[station] = []
             order.append(station)

@@ -89,6 +89,17 @@ class TestErrors:
         assert err["error"] == "FileNotFoundError"
         assert "nope.csv" in err["message"]
 
+    @pytest.mark.parametrize("command", ["ingest", "fit"])
+    def test_input_errors_name_the_fix(self, tmp_path, capsys, command):
+        out = str(tmp_path / "o")
+        assert main([command, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ValueError", "no input given: pass --input or --demo")
+        missing = tmp_path / "nope.csv"
+        assert main([command, "--input", str(missing), "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("FileNotFoundError", f"input file not found: {missing}")
+
     def test_error_json_written_to_out_dir(self, tmp_path, capsys):
         out = tmp_path / "o"
         out.mkdir()

@@ -1,16 +1,22 @@
 """Ingestion tests: CSV parsing, block maxima with coverage filtering,
 synthetic datasets, summaries and serialization."""
 
+import calendar
+import csv
+import datetime as dt
 import io
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from rainmax import ingest
 from rainmax.gev import GevParams, gev_cdf
 from rainmax.ingest import (
     AnnualMaximaSeries,
     ParseError,
+    SkipEntry,
     ValidationError,
     block_maxima,
     parse_daily_csv,
@@ -26,16 +32,105 @@ def _csv(text: str) -> io.BytesIO:
     return io.BytesIO(text.encode("utf-8"))
 
 
+# --------------------------------------------------------------------------
+# Reference: the record-per-row parser and dict-regrouping block maxima that
+# the columnar path replaced, kept as the oracle for its outputs and errors.
+
+
+@dataclass(frozen=True)
+class _Record:
+    station_id: str
+    date: dt.date
+    precip_mm: float | None
+
+
+def _reference_parse(source) -> list[_Record]:
+    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    reader = csv.reader(text)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(1, "empty input, expected header 'station,date,precip_mm'")
+    if [h.strip() for h in header] != ["station", "date", "precip_mm"]:
+        raise ParseError(1, f"expected header 'station,date,precip_mm', got {','.join(header)!r}")
+
+    records: list[_Record] = []
+    seen: set[tuple[str, dt.date]] = set()
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ParseError(lineno, f"expected 3 fields, got {len(row)}")
+        station, date_text, precip_text = (field.strip() for field in row)
+        if not station:
+            raise ParseError(lineno, "empty station id")
+        try:
+            date = dt.date.fromisoformat(date_text)
+        except ValueError:
+            raise ParseError(lineno, f"invalid ISO date {date_text!r}")
+        if precip_text == "":
+            precip: float | None = None
+        else:
+            try:
+                precip = float(precip_text)
+            except ValueError:
+                raise ParseError(lineno, f"invalid precipitation value {precip_text!r}")
+            if precip < 0:
+                raise ValidationError(
+                    f"line {lineno}: negative precipitation {precip} for {station}"
+                )
+        key = (station, date)
+        if key in seen:
+            raise ValidationError(f"line {lineno}: duplicate record for {station} {date}")
+        seen.add(key)
+        records.append(_Record(station, date, precip))
+    return records
+
+
+def _reference_block_maxima(records, min_coverage=0.8):
+    per_year: dict[str, dict[int, list[float]]] = {}
+    for rec in records:
+        if rec.precip_mm is None:
+            per_year.setdefault(rec.station_id, {}).setdefault(rec.date.year, [])
+            continue
+        per_year.setdefault(rec.station_id, {}).setdefault(rec.date.year, []).append(
+            rec.precip_mm
+        )
+
+    series: list[AnnualMaximaSeries] = []
+    skipped: list[SkipEntry] = []
+    for station in sorted(per_year):
+        years: list[int] = []
+        maxima: list[float] = []
+        coverages: list[float] = []
+        for year in sorted(per_year[station]):
+            present = per_year[station][year]
+            days = 366 if calendar.isleap(year) else 365
+            coverage = len(present) / days
+            if coverage < min_coverage or max(present, default=0.0) <= 0.0:
+                skipped.append(SkipEntry(station, year, coverage))
+                continue
+            years.append(year)
+            maxima.append(max(present))
+            coverages.append(coverage)
+        if not years:
+            raise ValidationError(f"station {station!r} has no year meeting the coverage threshold")
+        series.append(AnnualMaximaSeries(station, np.array(years), np.array(maxima), np.array(coverages)))
+    return series, skipped
+
+
 class TestParseDailyCsv:
     def test_single_row(self):
-        records = parse_daily_csv(_csv("station,date,precip_mm\nA,1981-01-01,12.5\n"))
-        assert len(records) == 1
-        rec = records[0]
-        assert (rec.station_id, str(rec.date), rec.precip_mm) == ("A", "1981-01-01", 12.5)
+        table = parse_daily_csv(_csv("station,date,precip_mm\nA,1981-01-01,12.5\n"))
+        assert len(table) == 1
+        assert table.stations == ("A",)
+        assert (table.station.tolist(), table.precip.tolist()) == ([0], [12.5])
+        assert table.ordinal.tolist() == [dt.date(1981, 1, 1).toordinal()]
 
     def test_missing_value_kept_distinct(self):
-        records = parse_daily_csv(_csv("station,date,precip_mm\nA,1981-01-01,\n"))
-        assert records[0].precip_mm is None
+        table = parse_daily_csv(_csv("station,date,precip_mm\nA,1981-01-01,\nA,1981-01-02,0\n"))
+        assert np.isnan(table.precip[0])
+        assert table.precip[1] == 0.0
 
     def test_negative_precip_rejected(self):
         with pytest.raises(ValidationError):
@@ -62,8 +157,25 @@ class TestParseDailyCsv:
 
     def test_row_order_preserved(self):
         text = "station,date,precip_mm\nB,1981-01-02,1\nA,1981-01-01,2\n"
-        records = parse_daily_csv(_csv(text))
-        assert [r.station_id for r in records] == ["B", "A"]
+        table = parse_daily_csv(_csv(text))
+        assert [table.stations[i] for i in table.station] == ["B", "A"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
+    def test_non_finite_value_rejected(self, value):
+        text = f"station,date,precip_mm\nA,1981-01-01,1\nA,1981-01-02,{value}\n"
+        with pytest.raises(ParseError) as err:
+            parse_daily_csv(_csv(text))
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: invalid precipitation value {value!r}"
+
+    @pytest.mark.parametrize("date_text", ["19810101", "1981-W01-1", "1981W011", "1981-01-1"])
+    def test_only_extended_calendar_dates_accepted(self, date_text):
+        # date.fromisoformat takes the basic and week forms from Python 3.11 on;
+        # the accepted grammar must not depend on the interpreter.
+        text = f"station,date,precip_mm\nA,{date_text},1\n"
+        with pytest.raises(ParseError) as err:
+            parse_daily_csv(_csv(text))
+        assert str(err.value) == f"line 2: invalid ISO date {date_text!r}"
 
 
 def _daily_rows(station: str, year: int, values) -> str:
@@ -218,3 +330,169 @@ class TestSerialization:
         buf = io.StringIO()
         write_skip_log([SkipEntry("A", 1990, 0.5)], buf)
         assert buf.getvalue() == '{"coverage": 0.5, "station": "A", "year": 1990}\n'
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_series_non_finite_max_rejected(self, value):
+        text = f"station,year,max_mm\nA,1990,10.5\nA,1991,{value}\n"
+        with pytest.raises(ParseError) as err:
+            read_series_csv(io.StringIO(text))
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: invalid max_mm value {value!r}"
+
+
+def _oracle_file(seed: int) -> bytes:
+    """A seeded multi-station daily file: missing-day runs (some long enough to
+    drop a year), dry years, leap years, shuffled rows, blank lines, padded
+    fields and quoted fields."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for s, station in enumerate(["St B", "A1", "Zed", "c"]):
+        first = 1967 + 8 * s  # from before the 1970 epoch, through four leap years
+        day, end = dt.date(first, 1, 1), dt.date(first + 4 + s % 2, 12, 31)
+        start_year = day.year
+        while day <= end:
+            year_index = day.year - start_year
+            if year_index == 1 and s == 2:
+                value = "0"  # a dry year: dropped although fully covered
+            elif rng.random() < 0.6:
+                value = "0.0"
+            else:
+                value = f"{rng.gamma(0.8, 9.0):.1f}"
+            missing = (year_index == 2 and 60 <= day.timetuple().tm_yday < 60 + 40 * (s + 1)) or rng.random() < 0.01
+            rows.append([station, day.isoformat(), "" if missing else value])
+            day += dt.timedelta(days=1)
+    order = rng.permutation(len(rows))
+    lines = ["station,date,precip_mm"]
+    for k, i in enumerate(order.tolist()):
+        station, date_text, value = rows[i]
+        if k % 97 == 0:
+            lines.append("")
+        if k % 13 == 0:
+            station, value = f"  {station} ", f" {value}  "
+        if k % 31 == 0:
+            station, date_text = f'"{station}"', f'"{date_text}"'
+        lines.append(f"{station},{date_text},{value}")
+    return ("\r\n".join(lines) + "\r\n").encode("utf-8")
+
+
+def _series_key(series):
+    return [(s.station_id, s.years.tolist(), s.values.tolist(), s.coverage.tolist()) for s in series]
+
+
+class TestColumnarOracle:
+    """The columnar parse and grouped block maxima against the reference."""
+
+    @pytest.mark.parametrize("block_rows", [7, ingest._BLOCK_ROWS])
+    @pytest.mark.parametrize("min_coverage", [0.8, 0.95])
+    def test_series_and_skip_log_equal_reference(self, monkeypatch, block_rows, min_coverage):
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        data = _oracle_file(11)
+        table = parse_daily_csv(io.BytesIO(data))
+        records = _reference_parse(io.BytesIO(data))
+        assert len(table) == len(records)
+        series, skipped = block_maxima(table, min_coverage)
+        ref_series, ref_skipped = _reference_block_maxima(records, min_coverage)
+        assert _series_key(series) == _series_key(ref_series)
+        assert skipped == ref_skipped
+        # both skip rules fire: sparse years, and a dry year that is well covered
+        assert any(e.coverage < min_coverage for e in skipped)
+        assert any(e.coverage >= min_coverage for e in skipped)
+
+    def test_columns_equal_reference_records(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 7)
+        data = _oracle_file(12)
+        table = parse_daily_csv(io.BytesIO(data))
+        records = _reference_parse(io.BytesIO(data))
+        assert [table.stations[i] for i in table.station] == [r.station_id for r in records]
+        assert table.ordinal.tolist() == [r.date.toordinal() for r in records]
+        precip = [None if np.isnan(v) else v for v in table.precip.tolist()]
+        assert precip == [r.precip_mm for r in records]
+        assert table.station.dtype == np.int32 and table.ordinal.dtype == np.int32
+
+    def test_no_year_meeting_threshold_names_first_station(self):
+        text = "station,date,precip_mm\n" + _daily_rows("B", 1990, [2.0] * 10) + "\n"
+        text += _daily_rows("A", 1990, [2.0] * 10) + "\n" + _daily_rows("C", 1990, [2.0] * 365) + "\n"
+        with pytest.raises(ValidationError) as err:
+            block_maxima(parse_daily_csv(_csv(text)))
+        with pytest.raises(ValidationError) as ref:
+            _reference_block_maxima(_reference_parse(_csv(text)))
+        assert str(err.value) == str(ref.value) == "station 'A' has no year meeting the coverage threshold"
+
+    def test_empty_table(self):
+        series, skipped = block_maxima(parse_daily_csv(_csv("station,date,precip_mm\n")))
+        assert (series, skipped) == ([], [])
+
+
+def _broken(rows: dict[int, str], n: int = 24) -> bytes:
+    """A valid 24-row file for station A with the given data rows replaced
+    (row k sits on line k + 2; with 7-row blocks, rows 6|7, 13|14 and 20|21
+    straddle block seams)."""
+    lines = ["station,date,precip_mm"]
+    for k in range(n):
+        lines.append(rows.get(k, f"A,{dt.date(1990, 1, 1) + dt.timedelta(days=k)},{k % 5}.5"))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_ERROR_KINDS = {
+    "two_fields": "A,1990-06-01",
+    "four_fields": "A,1990-06-01,1,2",
+    "empty_station": " ,1990-06-01,1",
+    "bad_date": "A,1990-13-01,1",
+    "word_date": "A,oops,1",
+    "bad_value": "A,1990-06-01,abc",
+    "negative": "A,1990-06-01,-0.5",
+    "duplicate": "A,1990-01-02,7",  # the first copy is row 1, in the first block
+}
+_SEAM_ROWS = [5, 6, 7, 13, 14, 20]
+
+_CORPUS = {f"{kind}@{row}": _broken({row: text}) for kind, text in _ERROR_KINDS.items() for row in _SEAM_ROWS}
+_CORPUS.update(
+    {
+        "empty_input": b"",
+        "wrong_header": b"a,b,c\nA,1990-01-01,1\n",
+        "blank_first_line": b"\nstation,date,precip_mm\n",
+        "duplicate_then_bad_date": _broken({5: "A,1990-01-01,3", 12: "A,1990-02-30,1"}),
+        "bad_date_then_duplicate": _broken({5: "A,1990-02-30,1", 12: "A,1990-01-01,3"}),
+        "duplicate_across_blocks_then_bad_value": _broken({15: "A,1990-01-03,3", 22: "A,1990-06-01,x"}),
+        "negative_after_blank_lines": _broken({4: "", 5: "", 9: "A,1990-06-01,-1"}),
+        "quoted_newline_before_error": _broken({3: 'A,1990-06-01,"1\n"', 8: "A,1990-06-02,1,1"}),
+        "bad_utf8_late": _broken({20: "A,1990-06-01,1"}) + b"A,1990-07-01,\xff\n",
+        "bad_utf8_after_error": _broken({2: "A,oops,1"}, n=3000) + b"A,1990-07-01,\xff\n",
+        "field_limit": _broken({}) + b"A,1990-07-01," + b"9" * 200_000 + b"\n",
+        "field_limit_after_error": _broken({2: "A,oops,1"}) + b"A,1990-07-01," + b"9" * 200_000 + b"\n",
+        "ragged_blank_block": _broken({k: "" for k in range(7, 14)} | {16: "A"}),
+    }
+)
+
+
+class TestBrokenFileCorpus:
+    @staticmethod
+    def _error(parse, data: bytes):
+        with pytest.raises(Exception) as info:
+            parse(io.BytesIO(data))
+        err = info.value
+        return type(err), str(err), getattr(err, "line", None)
+
+    @pytest.mark.parametrize("block_rows", [7, ingest._BLOCK_ROWS])
+    @pytest.mark.parametrize("name", sorted(_CORPUS))
+    def test_error_equals_reference(self, monkeypatch, block_rows, name):
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        data = _CORPUS[name]
+        assert self._error(parse_daily_csv, data) == self._error(_reference_parse, data)
+
+    # The two deliberate departures from the reference: non-finite values and
+    # dates outside YYYY-MM-DD, which the reference accepts (the latter on 3.11+).
+    @pytest.mark.parametrize("row", _SEAM_ROWS)
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A,1990-06-01,nan", "invalid precipitation value 'nan'"),
+            ("A,1990-06-01, inf", "invalid precipitation value 'inf'"),
+            ("A,19900601,1", "invalid ISO date '19900601'"),
+            ("A,1990-W22-5,1", "invalid ISO date '1990-W22-5'"),
+        ],
+    )
+    def test_changed_cases_name_their_line(self, monkeypatch, row, text, message):
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 7)
+        data = _broken({row: text})
+        assert self._error(parse_daily_csv, data) == (ParseError, f"line {row + 2}: {message}", row + 2)
