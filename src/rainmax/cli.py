@@ -100,7 +100,7 @@ def _input_path(cfg: RunConfig) -> Path:
 def _load_series(cfg: RunConfig) -> list[AnnualMaximaSeries]:
     if cfg.demo:
         return demo_dataset(seed=cfg.seed)
-    with _input_path(cfg).open("r", encoding="utf-8", newline="") as fh:
+    with _input_path(cfg).open("r", encoding="utf-8-sig", newline="") as fh:
         return ingest.read_series_csv(fh)
 
 

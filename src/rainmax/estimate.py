@@ -1,16 +1,18 @@
 """GEV parameter estimation: maximum likelihood, probability-weighted moments,
 and profile-likelihood confidence intervals for the shape.
 
-The MLE search runs a derivative-free simplex on (mu, log sigma, xi), with the
-log-scale reparameterization enforcing sigma > 0 and sign-constrained fits
-mapping xi through +/-exp(eta). The Gumbel-constrained fit profiles mu out in
-closed form and solves the remaining scalar score equation directly, which is
-orders of magnitude faster inside bootstrap loops.
-
-Bootstrap refits go through ``_fit_rows``, which fits every row of a sample
-matrix at once (the Gumbel scale equation, or Newton with the closed-form
-score and observed information for the sign-constrained families) and
-computes no standard errors; the scalar fits stay its reference.
+Every maximum-likelihood fit is a case of one row kernel, ``_fit_rows``,
+which fits every row of a sample matrix at once. The Gumbel fit profiles mu
+out in closed form and solves the remaining scalar score equation by
+Newton. The sign-constrained fits run safeguarded Newton on
+(mu, log sigma, xi) with the closed-form score and observed information
+(Prescott & Walden 1980), starting from the Gumbel solution. A row whose
+constrained supremum lies on the boundary xi = 0 takes its Gumbel solution;
+a Weibull row whose supremum lies on the support edge xi = -1 takes that
+edge's closed form. The free fit is the better of the Frechet and Weibull
+solves, since the free maximum lies on one side of xi = 0 or on it.
+``fit_mle`` is the one-row case, with standard errors from the same
+closed-form observed information.
 
 Profile intervals maximize over (mu, log sigma) at each fixed shape by the
 same safeguarded Newton method on the (mu, log sigma) block of those
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincinv
 
@@ -32,18 +34,11 @@ from .gev import XI_EPS, GevParams, log_likelihood
 
 CONSTRAINTS = ("free", "gumbel", "frechet", "weibull")
 
-_FTOL = 1e-8
-_MAX_ITER = 2000
 _XI_SEARCH_RANGE = (-1.0, 2.0)  # profile CI endpoints must fall inside
-_MULTISTART_XI = (-0.3, 0.0, 0.3)
 
 
 class FitError(RuntimeError):
-    """Estimation failure; ``trace`` records the attempts that were made."""
-
-    def __init__(self, message: str, trace: list[str] | None = None):
-        super().__init__(message)
-        self.trace = trace or []
+    """Estimation failure."""
 
 
 @dataclass(frozen=True)
@@ -137,50 +132,24 @@ def fit_pwm(data: object) -> FitResult:
     )
 
 
-def _moment_start(x: np.ndarray) -> tuple[float, float]:
-    sigma0 = x.std() * math.sqrt(6.0) / math.pi
-    mu0 = x.mean() - np.euler_gamma * sigma0
-    return mu0, sigma0
-
-
 def _fit_gumbel_exact(x: np.ndarray) -> FitResult:
     """Gumbel MLE via the profiled scalar score equation in sigma.
 
     With mu profiled out in closed form, the remaining equation
     g(s) = s - mean(x) + sum(x w)/sum(w) = 0 (w = exp(-x/s)) has a unique
-    root; safeguarded Newton converges in a handful of iterations and a
-    bracketing fallback covers the rest.
+    root; the safeguarded Newton iteration of ``_gumbel_rows`` converges
+    in a handful of iterations and a bracketing fallback covers the rest.
     """
-    xbar = float(x.mean())
-    xmin = float(x.min())
-
-    def parts(s: float) -> tuple[float, float]:
-        w = np.exp(-(x - xmin) / s)
-        m = float((x * w).sum() / w.sum())
-        v = float(((x - m) ** 2 * w).sum() / w.sum())
-        return m, v
-
-    def g(s: float) -> float:
-        m, _ = parts(s)
-        return s - xbar + m
-
-    s = float(x.std()) * math.sqrt(6.0) / math.pi
-    iterations = 0
-    for _ in range(200):
-        iterations += 1
-        m, v = parts(s)
-        gval = s - xbar + m
-        gprime = 1.0 + v / (s * s)
-        step = gval / gprime
-        s_new = s - step
-        if s_new <= 0:
-            s_new = s / 2.0
-        if abs(s_new - s) < 1e-12 * max(1.0, s):
-            s = s_new
-            break
-        s = s_new
-    else:
+    mu, s, ok, iterations = (v[0] for v in _gumbel_rows(x[None, :]))
+    if not ok:
         # Newton stalled; bracket the root and bisect
+        xbar = float(x.mean())
+        xmin = float(x.min())
+
+        def g(s: float) -> float:
+            w = np.exp(-(x - xmin) / s)
+            return s - xbar + float((x * w).sum() / w.sum())
+
         lo = hi = float(x.std()) * math.sqrt(6.0) / math.pi
         for _ in range(200):
             if g(lo) < 0:
@@ -194,199 +163,80 @@ def _fit_gumbel_exact(x: np.ndarray) -> FitResult:
             raise FitError("could not bracket the Gumbel scale equation")
         s, info = brentq(g, lo, hi, xtol=1e-12, full_output=True)[0:2]
         iterations += info.iterations
+        mu = xmin - s * math.log(float(np.exp(-(x - xmin) / s).mean()))
 
-    mu = xmin - s * math.log(float(np.exp(-(x - xmin) / s).mean()))
     params = GevParams(float(mu), float(s), 0.0)
     return FitResult(
         params=params,
         method="mle",
         constraint="gumbel",
         loglik=log_likelihood(params, x),
-        std_errors=_observed_info_se(params, x, free=(True, True, False)),
+        std_errors=_std_errors(params, x),
         converged=True,
-        iterations=iterations,
+        iterations=int(iterations),
     )
 
 
-def _encode(params: GevParams, constraint: str) -> np.ndarray:
-    if constraint == "free":
-        return np.array([params.mu, math.log(params.sigma), params.xi])
-    if constraint == "frechet":
-        return np.array([params.mu, math.log(params.sigma), math.log(max(params.xi, 0.02))])
-    if constraint == "weibull":
-        return np.array([params.mu, math.log(params.sigma), math.log(max(-params.xi, 0.02))])
-    raise ValueError(f"unknown constraint {constraint!r}")
+def _std_errors(params: GevParams, x: np.ndarray) -> tuple[float, float, float] | None:
+    """Standard errors from the closed-form observed information at an MLE.
 
-
-def _decode(theta: np.ndarray, constraint: str) -> GevParams | None:
-    sigma = math.exp(theta[1])
-    if constraint == "free":
-        xi = theta[2]
-    elif constraint == "frechet":
-        xi = math.exp(theta[2])
-    else:
-        xi = -math.exp(theta[2])
-    if constraint != "free" and xi == 0.0:  # exp underflow would break the sign constraint
-        return None
-    if constraint == "weibull" and xi <= -1.0:  # the likelihood is unbounded above there
-        return None
-    if not (np.isfinite(sigma) and sigma > 0 and np.isfinite(xi) and np.isfinite(theta[0])):
-        return None
-    return GevParams(float(theta[0]), sigma, float(xi))
-
-
-def _feasible_start(x: np.ndarray, theta: np.ndarray, constraint: str) -> np.ndarray:
-    # widen the scale until every data point lies inside the support
-    theta = theta.copy()
-    for _ in range(80):
-        params = _decode(theta, constraint)
-        if params is not None and np.isfinite(log_likelihood(params, x)):
-            return theta
-        theta[1] += math.log(1.5)
-    raise FitError("could not find a feasible starting point")
-
-
-def _observed_info_se(
-    params: GevParams,
-    x: np.ndarray,
-    free: tuple[bool, bool, bool],
-) -> tuple[float, float, float] | None:
-    """Standard errors from the numerically inverted observed information.
-
-    Returns None when any stencil point is infeasible or the Hessian is not
-    positive definite. Entries for constrained-away parameters are 0.
+    An interior fit inverts the row kernel's 3x3 information in
+    (mu, log sigma, xi), and the chain rule gives se(sigma) = sigma *
+    se(log sigma). A fit on the xi = 0 boundary inverts the Gumbel 2x2
+    information and reports 0 for the shape. Returns None on the support
+    edge xi = -1, where the likelihood is not differentiable, and when the
+    information is not positive definite.
     """
-    theta = np.array([params.mu, params.sigma, params.xi])
-    idx = [i for i, f in enumerate(free) if f]
-    h = 1e-4 * np.maximum(np.abs(theta), 1.0)
-
-    def nll(v: np.ndarray) -> float:
-        if v[1] <= 0:
-            return np.inf
-        return -log_likelihood(GevParams(v[0], v[1], v[2]), x)
-
-    f0 = nll(theta)
-    m = len(idx)
-    hess = np.empty((m, m))
-    for a, i in enumerate(idx):
-        ei = np.zeros(3)
-        ei[i] = h[i]
-        fp, fm = nll(theta + ei), nll(theta - ei)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            return None
-        hess[a, a] = (fp - 2.0 * f0 + fm) / h[i] ** 2
-        for b, j in enumerate(idx[:a]):
-            ej = np.zeros(3)
-            ej[j] = h[j]
-            fpp, fpm = nll(theta + ei + ej), nll(theta + ei - ej)
-            fmp, fmm = nll(theta - ei + ej), nll(theta - ei - ej)
-            if not all(np.isfinite(v) for v in (fpp, fpm, fmp, fmm)):
-                return None
-            hess[a, b] = hess[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
+    if params.xi == -1.0:
+        return None
+    sigma = params.sigma
+    if params.xi == 0.0:
+        # the (mu, log sigma) block of _gev_rows_derivatives at xi = 0
+        z = (x - params.mu) / sigma
+        u = np.exp(-z)
+        a = 1.0 - u
+        cross = (u * z + a).sum() / sigma
+        info = np.array([[u.sum() / sigma**2, cross], [cross, (u * z**2 + a * z).sum()]])
+    else:
+        theta = (np.array([v]) for v in (params.mu, math.log(sigma), params.xi))
+        info = -_gev_rows_derivatives(x[None, :], *theta)[1][0]
     try:
-        cov = np.linalg.inv(hess)
+        var = np.diag(np.linalg.inv(info))
     except np.linalg.LinAlgError:
         return None
-    diag = np.diag(cov)
-    if np.any(diag <= 0):
+    if not np.all(np.isfinite(var) & (var > 0)):
         return None
-    se = [0.0, 0.0, 0.0]
-    for a, i in enumerate(idx):
-        se[i] = float(math.sqrt(diag[a]))
-    return (se[0], se[1], se[2])
-
-
-def _run_simplex(
-    x: np.ndarray, start: np.ndarray, constraint: str
-) -> tuple[GevParams | None, float, bool, int]:
-    def nll(theta: np.ndarray) -> float:
-        params = _decode(theta, constraint)
-        if params is None:
-            return np.inf
-        return -log_likelihood(params, x)
-
-    options = {"xatol": 1e-6, "fatol": _FTOL, "maxiter": _MAX_ITER, "maxfev": 2 * _MAX_ITER}
-    res = minimize(nll, start, method="Nelder-Mead", options=options)
-    nit = int(res.nit)
-    if not res.success:
-        # restart from the stalled point: a fresh simplex recovers cheaply
-        res2 = minimize(nll, res.x, method="Nelder-Mead", options=options)
-        nit += int(res2.nit)
-        if res2.fun <= res.fun:
-            res = res2
-    params = _decode(res.x, constraint)
-    ok = bool(res.success and params is not None and np.isfinite(res.fun))
-    return params, -float(res.fun), ok, nit
+    se = np.sqrt(var) * [1.0, sigma, 1.0][: var.size]
+    return (float(se[0]), float(se[1]), float(se[2]) if se.size == 3 else 0.0)
 
 
 def fit_mle(data: object, constraint: str = "free") -> FitResult:
     """Maximum-likelihood GEV fit under a family constraint.
 
-    Starts from the PWM estimate (moment fallback), restarts on a small
-    shape grid if the first search fails, and reports standard errors from
-    the observed information when it is positive definite.
+    The Gumbel fit solves its profiled scale equation
+    (``_fit_gumbel_exact``); every other fit is the one-row case of the
+    row kernel ``_fit_rows``, and ``iterations`` counts its Newton
+    iterations (both sides summed for a free fit). Standard errors come
+    from the closed-form observed information (``_std_errors``). Raises
+    FitError when the kernel cannot settle the sample.
     """
     if constraint not in CONSTRAINTS:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}, got {constraint!r}")
     x = _validate_sample(data, min_distinct=5)
     if constraint == "gumbel":
         return _fit_gumbel_exact(x)
-
-    try:
-        pwm = fit_pwm(x).params
-    except (FitError, ValueError):
-        mu0, sigma0 = _moment_start(x)
-        pwm = GevParams(mu0, sigma0, 0.0)
-
-    if constraint == "free":
-        start_shapes = (float(np.clip(pwm.xi, -0.45, 0.45)),)
-        grid = _MULTISTART_XI
-    elif constraint == "frechet":
-        start_shapes = (max(pwm.xi, 0.05),)
-        grid = (0.05, 0.15, 0.3)
-    else:
-        start_shapes = (min(pwm.xi, -0.05),)
-        grid = (-0.05, -0.15, -0.3)
-
-    trace: list[str] = []
-    attempts: list[tuple[GevParams, float, int]] = []
-    for xi0 in start_shapes + grid:
-        seed_params = GevParams(pwm.mu, pwm.sigma, xi0 if constraint == "free" else xi0)
-        try:
-            start = _feasible_start(x, _encode(seed_params, constraint), constraint)
-            params, ll, ok, nit = _run_simplex(x, start, constraint)
-        except FitError as exc:
-            trace.append(f"start xi={xi0:+.3f}: {exc}")
-            continue
-        if ok and params is not None and np.isfinite(ll):
-            attempts.append((params, ll, nit))
-            break
-        trace.append(f"start xi={xi0:+.3f}: no convergence (loglik={ll!r})")
-
-    if constraint == "free":
-        # the free optimum can never score below the nested Gumbel one; when
-        # the simplex lands under it, reseed from the exact Gumbel solution
-        gum = _fit_gumbel_exact(x)
-        if not attempts or max(ll for _, ll, _ in attempts) < gum.loglik:
-            start = np.array([gum.params.mu, math.log(gum.params.sigma), 0.0])
-            params, ll, ok, nit = _run_simplex(x, start, constraint)
-            if params is not None and np.isfinite(ll) and ll >= gum.loglik:
-                attempts.append((params, ll, nit))
-            else:
-                attempts.append((gum.params, gum.loglik, gum.iterations))
-
-    if not attempts:
-        raise FitError(f"MLE did not converge under constraint {constraint!r}", trace)
-    params, ll, nit = max(attempts, key=lambda t: t[1])
-    free_mask = (True, True, True)
+    mu, sigma, xi, converged, iterations = _fit_rows(x[None, :], constraint)
+    if not converged[0]:
+        raise FitError(f"MLE did not converge under constraint {constraint!r}")
+    params = GevParams(float(mu[0]), float(sigma[0]), float(xi[0]))
     return FitResult(
         params=params,
         method="mle",
         constraint=constraint,
         loglik=log_likelihood(params, x),
-        std_errors=_observed_info_se(params, x, free_mask),
+        std_errors=_std_errors(params, x),
         converged=True,
-        iterations=nit,
+        iterations=int(iterations[0]),
     )
 
 
@@ -394,20 +244,25 @@ _ROW_MAX_ITER = 100
 _ROW_DECREMENT_TOL = 1e-12  # Newton decrement, relative to 1 + |loglik|, that ends a row
 _ROW_HALVINGS = 40
 _XI_BOUNDARY = 1e-6  # a sign-constrained row this close to xi = 0 takes its Gumbel solution
+_XI_STEP_CAP = 0.25  # largest change of xi in one Newton step
 
 
-def _gumbel_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_fit_gumbel_exact`` on every row at once: the same start, Newton
-    step and stopping rule. Rows that need its bracketing fallback are
-    reported as not converged."""
+def _gumbel_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Gumbel MLE of every row by safeguarded Newton on the profiled
+    scale equation of ``_fit_gumbel_exact``, from the moment estimate of
+    sigma. Returns mu, sigma, a converged mask and the Newton iterations;
+    rows that need the scalar fit's bracketing fallback are reported as
+    not converged."""
     xbar = X.mean(axis=1)
     xmin = X.min(axis=1)
     s = X.std(axis=1) * math.sqrt(6.0) / math.pi
     active = np.ones(X.shape[0], dtype=bool)
+    iterations = np.zeros(X.shape[0], dtype=int)
     for _ in range(200):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
+        iterations[idx] += 1
         x, si = X[idx], s[idx]
         w = np.exp(-(x - xmin[idx, None]) / si[:, None])
         sw = w.sum(axis=1)
@@ -419,7 +274,7 @@ def _gumbel_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s[idx] = s_new
         active[idx[done]] = False
     mu = xmin - s * np.log(np.exp(-(X - xmin[:, None]) / s[:, None]).mean(axis=1))
-    return mu, s, ~active
+    return mu, s, ~active, iterations
 
 
 def _gumbel_rows_loglik(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -477,25 +332,27 @@ def _gev_rows_derivatives(
     return grad, hess
 
 
-def _signed_rows(
-    X: np.ndarray, sign: float, gumbel: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sign-constrained GEV MLE on every row by safeguarded Newton.
+def _edge_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Supremum of each row's likelihood at xi = -1.
 
-    Iterates on (mu, log sigma, xi) from the row's Gumbel solution with
-    xi = 0.1 * sign. The step uses the observed information with its
-    eigenvalues made positive, so it always ascends; it is cut to 90 % of
-    the distance to xi = 0 when it would cross, then halved until the
-    iterate lies inside the support, keeps xi > -1 (beyond which the
-    likelihood is unbounded) and does not lower the log-likelihood. A row
-    that reaches the xi = 0 boundary, or ends below its Gumbel
-    log-likelihood, takes the Gumbel solution: the constrained supremum
-    lies there.
+    It lies on the support edge mu + sigma = max x, at
+    sigma = mean(max x - x), with loglik = -n (log sigma + 1). sigma is
+    rounded up where needed so that the top point stays inside the support
+    in floating point. Returns mu, sigma and the log-likelihood.
     """
-    mu_g, sigma_g, ok_g = gumbel
-    rows = X.shape[0]
-    mu, eta = mu_g.copy(), np.log(sigma_g)
-    xi = np.full(rows, 0.1 * sign)
+    top = X.max(axis=1)
+    sigma = (top[:, None] - X).mean(axis=1)
+    mu = top - sigma
+    sigma = np.maximum(sigma, top - mu)
+    return mu, sigma, -X.shape[1] * (np.log(sigma) + 1.0)
+
+
+def _widen_into_support(
+    X: np.ndarray, mu: np.ndarray, eta: np.ndarray, xi: np.ndarray
+) -> np.ndarray:
+    """Raise each row's log scale ``eta`` in place by log 1.5, up to 80 times,
+    until every point lies inside the support. Returns the row
+    log-likelihoods, -inf for rows that never get there."""
     ll = _gev_rows_loglik(X, mu, eta, xi)
     for _ in range(80):
         bad = ~np.isfinite(ll)
@@ -503,23 +360,54 @@ def _signed_rows(
             break
         eta[bad] += math.log(1.5)
         ll[bad] = _gev_rows_loglik(X[bad], mu[bad], eta[bad], xi[bad])
+    return ll
 
-    active = np.isfinite(ll) & ok_g
+
+def _signed_rows(
+    X: np.ndarray, sign: np.ndarray, mu_g: np.ndarray, sigma_g: np.ndarray, ok_g: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Sign-constrained GEV MLE on every row by safeguarded Newton.
+
+    ``sign`` is +1 (Frechet) or -1 (Weibull) per row. Iterates on
+    (mu, log sigma, xi) from the row's Gumbel solution (mu_g, sigma_g) with
+    xi = 0.1 * sign. The step uses the observed information with its
+    eigenvalues made positive, so it always ascends. It is scaled so that
+    xi moves by at most ``_XI_STEP_CAP``, and by at most 90 % of the
+    distance to xi = 0 when it would cross, then halved until the iterate
+    lies inside the support, keeps xi > -1 (beyond which the likelihood is
+    unbounded) and does not lower the log-likelihood. A row that reaches
+    the xi = 0 boundary, or settles below its Gumbel log-likelihood, takes
+    the Gumbel solution. A Weibull row that ends, settled or stalled, at or
+    below the supremum on the support edge xi = -1 takes that edge
+    (``_edge_rows``). In both cases the constrained supremum lies there.
+    Returns per-row mu, sigma, xi, log-likelihood, a converged mask and the
+    Newton iterations.
+    """
+    rows = X.shape[0]
+    mu, eta = mu_g.copy(), np.log(sigma_g)
+    xi = 0.1 * sign
+    ll = _widen_into_support(X, mu, eta, xi)
+    started = np.isfinite(ll) & ok_g
+    active = started.copy()
     converged = np.zeros(rows, dtype=bool)
     boundary = np.zeros(rows, dtype=bool)
+    iterations = np.zeros(rows, dtype=int)
     for _ in range(_ROW_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        x, m0, e0, k0, l0 = X[idx], mu[idx], eta[idx], xi[idx], ll[idx]
+        iterations[idx] += 1
+        x, m0, e0, k0, l0, s0 = X[idx], mu[idx], eta[idx], xi[idx], ll[idx], sign[idx]
         grad, hess = _gev_rows_derivatives(x, m0, e0, k0)
         w, v = np.linalg.eigh(-hess)
         w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(axis=1, keepdims=True) + 1e-300)
         step = np.einsum("rij,rj->ri", v, np.einsum("rji,rj->ri", v, grad) / w)
         # the decrement g'step estimates twice the log-likelihood still to gain
         settled = (grad * step).sum(axis=1) <= _ROW_DECREMENT_TOL * (1.0 + np.abs(l0))
-        crossing = sign * (k0 + step[:, 2]) <= 0.0
-        alpha = np.where(crossing, 0.9 * np.abs(k0) / np.abs(step[:, 2]), 1.0)
+        crossing = s0 * (k0 + step[:, 2]) <= 0.0
+        reach = np.where(crossing, np.minimum(0.9 * np.abs(k0), _XI_STEP_CAP), _XI_STEP_CAP)
+        with np.errstate(divide="ignore"):
+            alpha = np.minimum(1.0, reach / np.abs(step[:, 2]))
         pending = np.ones(idx.size, dtype=bool)
         for _ in range(_ROW_HALVINGS):
             p = np.flatnonzero(pending)
@@ -538,31 +426,40 @@ def _signed_rows(
         # lower the log-likelihood; an unsettled row whose step cannot be
         # taken has stalled and stays unconverged
         converged[idx[settled]] = True
-        boundary[idx] = sign * xi[idx] < _XI_BOUNDARY
+        boundary[idx] = s0 * xi[idx] < _XI_BOUNDARY
         active[idx[settled | pending]] = False
         active[boundary] = False
 
-    # only rows with a converged Gumbel solution were ever active
-    take_gumbel = boundary | (converged & (_gumbel_rows_loglik(X, mu_g, sigma_g) > ll))
-    mu = np.where(take_gumbel, mu_g, mu)
-    sigma = np.where(take_gumbel, sigma_g, np.exp(eta))
-    xi = np.where(take_gumbel, 0.0, xi)
-    return mu, sigma, xi, take_gumbel | converged
+    # only started rows were ever active
+    ll_g = _gumbel_rows_loglik(X, mu_g, sigma_g)
+    take_gumbel = boundary | (converged & (ll_g > ll))
+    ll = np.where(take_gumbel, ll_g, ll)
+    mu_e, sigma_e, ll_e = _edge_rows(X)
+    take_edge = started & (sign < 0) & (ll <= ll_e)
+    pick = [take_edge, take_gumbel]
+    return (
+        np.select(pick, [mu_e, mu_g], mu),
+        np.select(pick, [sigma_e, sigma_g], np.exp(eta)),
+        np.select(pick, [-1.0, 0.0], xi),
+        np.where(take_edge, ll_e, ll),
+        converged | take_gumbel | take_edge,
+        iterations,
+    )
 
 
-def _fit_rows(
-    X: np.ndarray, constraint: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _fit_rows(X: np.ndarray, constraint: str) -> tuple[np.ndarray, ...]:
     """Constrained MLE of every row of a (B, n) sample matrix at once.
 
-    Returns per-row mu, sigma, xi and a converged mask; no standard errors.
-    ``constraint`` is "gumbel", "frechet" or "weibull". Rows that the
-    scalar ``fit_mle`` would reject (non-finite, fewer than 5 distinct
-    values) and rows the kernel cannot settle come back unconverged with
-    NaN parameters, for the caller to refit on the scalar path.
+    Returns per-row mu, sigma, xi, a converged mask and the Newton
+    iterations (the Gumbel start's plus the shape solve's; both sides for a
+    free row); no standard errors. ``constraint`` is one of CONSTRAINTS. A
+    free row is the better of its Frechet and Weibull solves, and counts as
+    converged when both are. Rows that ``fit_mle`` would reject
+    (non-finite, fewer than 5 distinct values) and rows the kernel cannot
+    settle come back unconverged with NaN parameters.
     """
-    if constraint not in ("gumbel", "frechet", "weibull"):
-        raise ValueError(f"row kernel constraint must be a family, got {constraint!r}")
+    if constraint not in CONSTRAINTS:
+        raise ValueError(f"constraint must be one of {CONSTRAINTS}, got {constraint!r}")
     X = np.asarray(X, dtype=float)
     rows = X.shape[0]
     valid = np.all(np.isfinite(X), axis=1)
@@ -570,17 +467,28 @@ def _fit_rows(
     valid[valid] = (np.diff(np.sort(X[valid], axis=1), axis=1) > 0).sum(axis=1) >= 4
     mu, sigma, xi = (np.full(rows, np.nan) for _ in range(3))
     converged = np.zeros(rows, dtype=bool)
+    iterations = np.zeros(rows, dtype=int)
     x = X[valid]
+    m = x.shape[0]
     gumbel = _gumbel_rows(x)
     if constraint == "gumbel":
-        fit = (gumbel[0], gumbel[1], np.zeros(x.shape[0]), gumbel[2])
+        fit = (gumbel[0], gumbel[1], np.zeros(m), gumbel[2], gumbel[3])
     else:
-        fit = _signed_rows(x, 1.0 if constraint == "frechet" else -1.0, gumbel)
-    for out, values in zip((mu, sigma, xi, converged), fit):
+        # one stacked solve per side; a free row takes the better side,
+        # the Frechet one on a tie
+        signs = {"free": [1.0, -1.0], "frechet": [1.0], "weibull": [-1.0]}[constraint]
+        k = len(signs)
+        sides = _signed_rows(
+            np.tile(x, (k, 1)), np.repeat(signs, m), *(np.tile(g, k) for g in gumbel[:3])
+        )
+        f_mu, f_sigma, f_xi, f_ll, f_ok, f_it = (v.reshape(k, m) for v in sides)
+        best = np.argmax(f_ll, axis=0), np.arange(m)
+        fit = (f_mu[best], f_sigma[best], f_xi[best], f_ok.all(axis=0), gumbel[3] + f_it.sum(axis=0))
+    for out, values in zip((mu, sigma, xi, converged, iterations), fit):
         out[valid] = values
     for out in (mu, sigma, xi):
         out[~converged] = np.nan
-    return mu, sigma, xi, converged
+    return mu, sigma, xi, converged, iterations
 
 
 def _profile_loglik(
@@ -593,27 +501,20 @@ def _profile_loglik(
     Safeguarded Newton on (mu, log sigma) with the (mu, log sigma) block of
     the row kernel's closed-form score and observed information, under the
     step rules of ``_signed_rows``. At xi = -1 the supremum lies on the
-    support edge, mu + sigma = max x, and has the closed form
-    sigma = mean(max x - x), loglik = -n (log sigma + 1). Raises FitError
+    support edge and has the closed form of ``_edge_rows``. Raises FitError
     when no feasible start is found or the iteration does not settle.
     """
     if abs(xi) < XI_EPS:
         fit = _fit_gumbel_exact(x)
         return fit.loglik, (fit.params.mu, fit.params.sigma)
     if xi == -1.0:
-        top = float(x.max())
-        sigma = float((top - x).mean())
-        return -x.size * (math.log(sigma) + 1.0), (top - sigma, sigma)
+        mu, sigma, ll = _edge_rows(x[None, :])
+        return float(ll[0]), (float(mu[0]), float(sigma[0]))
 
     X, k = x[None, :], np.array([xi])
     mu, eta = np.array([start[0]]), np.array([math.log(start[1])])
-    ll = _gev_rows_loglik(X, mu, eta, k)[0]
-    for _ in range(80):
-        if np.isfinite(ll):
-            break
-        eta += math.log(1.5)
-        ll = _gev_rows_loglik(X, mu, eta, k)[0]
-    else:
+    ll = _widen_into_support(X, mu, eta, k)[0]
+    if not np.isfinite(ll):
         raise FitError(f"no feasible (mu, sigma) start for the profile at xi={xi}")
 
     for _ in range(_ROW_MAX_ITER):

@@ -143,7 +143,9 @@ def log_likelihood(params: GevParams, data: object) -> float:
     """Total log density; -inf when any point falls outside the support.
 
     The -inf sentinel (rather than an exception) lets optimizers traverse
-    infeasible parameter regions.
+    infeasible parameter regions. At xi = -1 exactly the density
+    exp(-t)/sigma (t = 1 + xi z) stays positive on the support edge t = 0,
+    so a point there keeps the log-likelihood finite.
     """
     x = np.asarray(data, dtype=float)
     if x.size == 0:
@@ -153,6 +155,11 @@ def log_likelihood(params: GevParams, data: object) -> float:
     n = x.size
     if abs(xi) < XI_EPS:
         ll = -n * np.log(params.sigma) - z.sum() - np.exp(-z).sum()
+    elif xi == -1.0:
+        t = 1.0 - z
+        if np.any(t < 0.0):
+            return -np.inf
+        ll = -n * np.log(params.sigma) - t.sum()
     else:
         t = 1.0 + xi * z
         if np.any(t <= 0.0):

@@ -32,8 +32,7 @@ class TestResult:
     family: str
     replicates: int
     seed: int | None
-    fallbacks: int = 0  # bootstrap rows refitted on the scalar path
-    redraws: int = 0  # extra bootstrap draws after a failed scalar refit
+    redraws: int = 0  # extra bootstrap draws for rows the row kernel could not settle
 
 
 @dataclass(frozen=True)
@@ -108,9 +107,8 @@ def tcvm_test(
     distribution accounts for parameter estimation. Replicate b draws
     from its own stream ``derive_seed(seed, "tcvm", family, b)``.
     Replicates are refitted by the row kernel, a block of rows per call; a
-    row it cannot settle is refitted by ``fit_family`` (counted in
-    ``fallbacks``), and a failed refit consumes a fresh draw from the
-    row's stream (counted in ``redraws``), up to 10 draws per replicate.
+    row it cannot settle draws again from its stream (counted in
+    ``redraws``), up to 10 draws per replicate.
     """
     if B < _MIN_BOOTSTRAP:
         raise ValueError(f"bootstrap count must be at least {_MIN_BOOTSTRAP}, got {B}")
@@ -120,20 +118,17 @@ def tcvm_test(
     observed = tcvm_statistic(x, fitted.params, delta)
 
     boot = np.empty(B)
-    fallbacks = redraws = 0
+    redraws = 0
     for start in range(0, B, _BLOCK_ROWS):
         block = range(start, min(start + _BLOCK_ROWS, B))
         rngs = [np.random.default_rng([derive_seed(seed, "tcvm", family, b)]) for b in block]
         samples = _to_sample(np.stack([rng.random(n) for rng in rngs]), fitted.params)
-        mu, sigma, xi, ok = _fit_rows(samples, family)
+        mu, sigma, xi, ok, _ = _fit_rows(samples, family)
         boot[block.start : block.stop][ok] = _tcvm_rows(
             samples[ok], mu[ok], sigma[ok], xi[ok], delta
         )
         for i in np.flatnonzero(~ok):
-            fallbacks += 1
-            boot[block[i]], extra = _scalar_refit(
-                samples[i], rngs[i], family, fitted.params, delta, block[i]
-            )
+            boot[block[i]], extra = _redraw(rngs[i], n, family, fitted.params, delta, block[i])
             redraws += extra
     p = (1.0 + float((boot >= observed).sum())) / (B + 1.0)
     return TestResult(
@@ -142,30 +137,26 @@ def tcvm_test(
         family=family,
         replicates=B,
         seed=seed,
-        fallbacks=fallbacks,
         redraws=redraws,
     )
 
 
-def _scalar_refit(
-    sample: np.ndarray,
+def _redraw(
     rng: np.random.Generator,
+    n: int,
     family: str,
     params: GevParams,
     delta: float,
     replicate: int,
 ) -> tuple[float, int]:
-    """Refit one replicate with ``fit_family``; a failed refit draws again
-    from the replicate's stream, up to 10 draws in all. Returns the
-    statistic and the number of extra draws."""
-    for attempt in range(10):
-        if attempt:
-            sample = _to_sample(rng.random(sample.size), params)
-        try:
-            refit = fit_family(sample, family)
-        except (FitError, ValueError):
-            continue
-        return tcvm_statistic(sample, refit.params, delta), attempt
+    """Draw again from a replicate's stream until the row kernel settles the
+    sample, up to 10 draws in all. Returns the statistic and the number of
+    extra draws."""
+    for extra in range(1, 10):
+        sample = _to_sample(rng.random((1, n)), params)
+        mu, sigma, xi, ok, _ = _fit_rows(sample, family)
+        if ok[0]:
+            return float(_tcvm_rows(sample, mu, sigma, xi, delta)[0]), extra
     raise FitError(f"bootstrap replicate {replicate} failed to refit {family} after 10 draws")
 
 

@@ -125,7 +125,8 @@ def _parse_date(text: str) -> dt.date:
 
 
 def _csv_rows(data: bytes) -> Iterator[list[str]]:
-    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write
+    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
 
 
 def parse_daily_csv(source: BinaryIO) -> DailyTable:
@@ -363,8 +364,7 @@ def read_series_csv(stream: TextIO) -> list[AnnualMaximaSeries]:
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["station", "year", "max_mm"]:
         raise ParseError(1, "expected header 'station,year,max_mm'")
-    grouped: dict[str, list[tuple[int, float]]] = {}
-    order: list[str] = []
+    grouped: dict[str, dict[int, float]] = {}  # stations in first-seen order
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -377,13 +377,13 @@ def read_series_csv(stream: TextIO) -> list[AnnualMaximaSeries]:
             raise ParseError(lineno, f"invalid year/value {year_text!r},{value_text!r}")
         if not math.isfinite(value):
             raise ParseError(lineno, f"invalid max_mm value {value_text!r}")
-        if station not in grouped:
-            grouped[station] = []
-            order.append(station)
-        grouped[station].append((year, value))
+        by_year = grouped.setdefault(station, {})
+        if year in by_year:
+            raise ParseError(lineno, f"repeated year {year} for station {station!r}")
+        by_year[year] = value
     out = []
-    for station in order:
-        rows = sorted(grouped[station])
+    for station, by_year in grouped.items():
+        rows = sorted(by_year.items())
         years = np.array([y for y, _ in rows])
         values = np.array([v for _, v in rows])
         out.append(AnnualMaximaSeries(station, years, values, np.ones(len(rows))))

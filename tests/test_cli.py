@@ -168,6 +168,17 @@ class TestSubcommands:
         row = fits["Mercedes"]
         assert row["converged"] and row["ci_lo"] < row["xi"] < row["ci_hi"]
 
+    def test_series_with_byte_order_mark(self, tmp_path):
+        plain = tmp_path / "series.csv"
+        _write_series(plain, n_stations=3)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for name, path in (("plain", plain), ("marked", marked)):
+            assert main(["fit", "--input", str(path), "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "marked" / "fits.json").read_bytes() == (
+            tmp_path / "plain" / "fits.json"
+        ).read_bytes()
+
     def test_fit_survives_station_without_profile_interval(self, tmp_path):
         # an 8-year station whose profile deviance never reaches the
         # threshold below the MLE, appended to the bundled demo series

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
 from scipy.stats import chi2
 
 from rainmax import estimate
@@ -28,6 +27,8 @@ from rainmax.estimate import (
 from rainmax.gev import XI_EPS, GevParams, gev_sample, log_likelihood
 from rainmax.gof import _to_sample
 from rainmax.seeding import derive_seed
+
+from _reference_fits import finite_difference_se, nelder_mead_fit, nelder_mead_profile_loglik
 
 
 class TestSamplePwms:
@@ -127,14 +128,31 @@ class TestFitMle:
     def test_weibull_fit_stays_where_the_likelihood_is_bounded(self):
         # demo station Trinidad, stage-1 Weibull bootstrap replicate 413: the
         # simplex on xi = -exp(eta) used to stop at xi = -1.022, where the
-        # likelihood is unbounded above
+        # likelihood is unbounded above. The supremum over xi > -1 lies on
+        # the support edge xi = -1, which the kernel takes in closed form.
         x = next(s.values for s in demo_dataset(seed=29) if s.station_id == "Trinidad")
         seed = derive_seed(derive_seed(29, "gof", "Trinidad"), "stage1")
         rng = np.random.default_rng([derive_seed(seed, "tcvm", "weibull", 413)])
         sample = _to_sample(rng.random(x.size), fit_mle(x, "weibull").params)
         fit = fit_mle(sample, "weibull")
-        assert -1.0 < fit.params.xi < 0.0
+        assert -1.0 <= fit.params.xi < 0.0
         assert np.isfinite(fit.loglik)
+        assert fit.loglik >= nelder_mead_fit(sample, "weibull").loglik
+
+    def test_gumbel_bracketing_fallback_finds_the_same_root(self, monkeypatch):
+        x = gev_sample(GevParams(80, 25, 0.1), 40, seed=12)
+        newton = fit_mle(x, "gumbel")
+        rows = estimate._gumbel_rows
+
+        def stalled(X):
+            mu, sigma, ok, iterations = rows(X)
+            return mu, sigma, np.zeros_like(ok), iterations
+
+        monkeypatch.setattr(estimate, "_gumbel_rows", stalled)
+        bracketed = fit_mle(x, "gumbel")
+        assert bracketed.params.mu == pytest.approx(newton.params.mu, rel=1e-10)
+        assert bracketed.params.sigma == pytest.approx(newton.params.sigma, rel=1e-10)
+        assert bracketed.iterations > newton.iterations
 
     def test_pwm_and_mle_agree_large_sample(self):
         x = gev_sample(GevParams(0, 1, 0.0), 100_000, seed=10)
@@ -143,6 +161,110 @@ class TestFitMle:
         assert abs(mle.mu - pwm.mu) < 0.05
         assert abs(mle.sigma - pwm.sigma) < 0.05
         assert abs(mle.xi - pwm.xi) < 0.05
+
+
+def _seeded_samples(count=24):
+    rng = np.random.default_rng(20)
+    out = []
+    for i in range(count):
+        n, xi = int(rng.integers(20, 101)), float(rng.uniform(-0.4, 0.5))
+        out.append(gev_sample(GevParams(80, 25, xi), n, seed=500 + i))
+    return out
+
+
+# an n = 22 sample with an interior maximum at xi = -0.881 (loglik -96.896)
+# and a second basin that climbs to the support edge xi = -1 (-96.979)
+BASIN_SAMPLE = gev_sample(GevParams(80, 25, -0.4), 22, seed=1106)
+
+
+def _assert_reaches_oracle(x, constraint, check_se=True):
+    fit = fit_mle(x, constraint)
+    ref = nelder_mead_fit(x, constraint)
+    assert fit.params.xi >= -1.0
+    if ref.params.xi > -1.0:  # below -1 the simplex has left the bounded likelihood
+        assert fit.loglik >= ref.loglik - 1e-9
+    assert fit.loglik == log_likelihood(fit.params, x)
+    if not check_se:
+        return
+    if fit.params.xi == -1.0:
+        assert fit.std_errors is None
+        return
+    # the finite-difference information at the same point, with the shape
+    # held at 0 on the Gumbel boundary
+    ref_se = finite_difference_se(fit.params, x, free=(True, True, fit.params.xi != 0.0))
+    np.testing.assert_allclose(fit.std_errors, ref_se, rtol=1e-3)
+
+
+class TestKernelAgainstOracle:
+    """Every fit_mle fit is the row kernel's; the Nelder-Mead simplex and
+    finite-difference standard errors it replaced are the reference."""
+
+    @pytest.mark.parametrize("constraint", ["free", "frechet", "weibull"])
+    def test_demo_stations(self, constraint):
+        for s in demo_dataset(seed=29):
+            _assert_reaches_oracle(s.values, constraint)
+
+    @pytest.mark.parametrize("constraint", ["free", "frechet", "weibull"])
+    def test_seeded_samples(self, constraint):
+        for x in _seeded_samples():
+            _assert_reaches_oracle(x, constraint)
+
+    def test_gumbel_standard_errors_are_closed_form(self):
+        for x in _seeded_samples()[:6]:
+            fit = fit_mle(x, "gumbel")
+            ref_se = finite_difference_se(fit.params, x, free=(True, True, False))
+            np.testing.assert_allclose(fit.std_errors, ref_se, rtol=1e-3)
+            assert fit.std_errors[2] == 0.0
+
+    @pytest.mark.parametrize("constraint", ["free", "weibull"])
+    def test_capped_shape_step_keeps_the_interior_maximum(self, constraint, monkeypatch):
+        fit = fit_mle(BASIN_SAMPLE, constraint)
+        assert fit.params.xi == pytest.approx(-0.8807, abs=1e-4)
+        # the top point lies 0.008 inside the support edge, too close for the
+        # reference's finite-difference stencil
+        _assert_reaches_oracle(BASIN_SAMPLE, constraint, check_se=False)
+        # an uncapped Newton step jumps past it into the edge basin
+        monkeypatch.setattr(estimate, "_XI_STEP_CAP", np.inf)
+        uncapped = fit_mle(BASIN_SAMPLE, constraint)
+        assert uncapped.params.xi == -1.0
+        assert uncapped.loglik < fit.loglik - 0.05
+
+    def test_short_free_fit_stays_where_the_likelihood_is_bounded(self):
+        # the simplex returned xi = -1.021 here, where the likelihood is
+        # unbounded above; the kernel takes the support edge
+        x = gev_sample(GevParams(80, 25, -0.3), 20, seed=104)
+        fit = fit_mle(x, "free")
+        assert fit.params.xi >= -1.0
+        assert nelder_mead_fit(x, "free").params.xi < -1.0
+
+    def test_edge_fit_is_the_closed_form_supremum(self):
+        # demo station Prado, stage-1 Weibull bootstrap replicate 169: the
+        # simplex stopped at xi = -0.836 with loglik -155.778, below the
+        # supremum -155.7217 that the support edge xi = -1 reaches
+        x = next(s.values for s in demo_dataset(seed=29) if s.station_id == "Prado")
+        seed = derive_seed(derive_seed(29, "gof", "Prado"), "stage1")
+        rng = np.random.default_rng([derive_seed(seed, "tcvm", "weibull", 169)])
+        sample = _to_sample(rng.random(x.size), fit_mle(x, "weibull").params)
+        fit = fit_mle(sample, "weibull")
+        assert fit.loglik >= -155.7217
+        assert fit.params.xi == -1.0 and fit.std_errors is None
+        assert fit.params.mu + fit.params.sigma == pytest.approx(sample.max(), rel=1e-15)
+        sigma = (sample.max() - sample).mean()
+        assert fit.loglik == pytest.approx(-sample.size * (math.log(sigma) + 1.0), abs=1e-9)
+        assert fit.loglik == log_likelihood(fit.params, sample)
+        assert fit.loglik >= nelder_mead_fit(sample, "weibull").loglik
+
+    def test_unsettled_fit_raises(self, monkeypatch):
+        monkeypatch.setattr(estimate, "_ROW_MAX_ITER", 1)
+        x = gev_sample(GevParams(80, 25, 0.2), 40, seed=3)
+        with pytest.raises(FitError, match="'frechet'"):
+            fit_mle(x, "frechet")
+
+    def test_free_iterations_sum_both_sides(self):
+        x = gev_sample(GevParams(80, 25, 0.2), 40, seed=3)
+        gumbel = _fit_rows(x[None, :], "gumbel")[4][0]
+        sides = [_fit_rows(x[None, :], c)[4][0] - gumbel for c in ("frechet", "weibull")]
+        assert fit_mle(x, "free").iterations == gumbel + sum(sides)
 
 
 def _sample_matrix(xi, rows=60, n=33):
@@ -155,7 +277,7 @@ class TestFitRows:
     @pytest.mark.parametrize("xi", [-0.2, 0.0, 0.2])
     def test_gumbel_rows_match_exact_scalar_fit(self, xi):
         X = _sample_matrix(xi)
-        mu, sigma, shape, converged = _fit_rows(X, "gumbel")
+        mu, sigma, shape, converged, _ = _fit_rows(X, "gumbel")
         assert converged.all()
         assert np.all(shape == 0.0)
         for row, x in enumerate(X):
@@ -168,7 +290,7 @@ class TestFitRows:
         # the three shapes put the free estimate on both sides of 0, so
         # some rows end on the xi = 0 boundary (their Gumbel solution)
         X = np.concatenate([_sample_matrix(xi, rows=20) for xi in (-0.2, 0.0, 0.2)])
-        mu, sigma, shape, converged = _fit_rows(X, family)
+        mu, sigma, shape, converged, _ = _fit_rows(X, family)
         assert converged.all()
         sign = 1.0 if family == "frechet" else -1.0
         assert np.all(sign * shape >= 0.0)
@@ -176,7 +298,7 @@ class TestFitRows:
         assert 0 < boundary.sum() < len(X)
         for row, x in enumerate(X):
             ll = log_likelihood(GevParams(mu[row], sigma[row], shape[row]), x)
-            assert ll >= fit_mle(x, family).loglik - 1e-8
+            assert ll >= nelder_mead_fit(x, family).loglik - 1e-8
             if boundary[row]:
                 gum = _fit_gumbel_exact(x).params
                 assert mu[row] == pytest.approx(gum.mu, rel=1e-12)
@@ -213,38 +335,12 @@ class TestFitRows:
         X = _sample_matrix(0.1, rows=3)
         X[1, 5] = np.inf
         X[2] = np.repeat([1.0, 2.0, 3.0, 4.0], [9, 8, 8, 8])
-        for constraint in ("gumbel", "frechet", "weibull"):
-            mu, sigma, shape, converged = _fit_rows(X, constraint)
+        for constraint in ("free", "gumbel", "frechet", "weibull"):
+            mu, sigma, shape, converged, _ = _fit_rows(X, constraint)
             assert converged.tolist() == [True, False, False]
             assert np.isnan(mu[1:]).all() and np.isnan(sigma[1:]).all()
         with pytest.raises(ValueError):
-            _fit_rows(X, "free")
-
-
-def _nelder_mead_profile_loglik(x, xi, start):
-    """Reference fixed-shape maximization: a Nelder-Mead simplex on
-    (mu, log sigma) from a start widened into the support."""
-    if abs(xi) < XI_EPS:
-        fit = _fit_gumbel_exact(x)
-        return fit.loglik, (fit.params.mu, fit.params.sigma)
-
-    def nll(theta):
-        sigma = math.exp(theta[1])
-        if not np.isfinite(sigma) or sigma <= 0:
-            return np.inf
-        return -log_likelihood(GevParams(theta[0], sigma, xi), x)
-
-    theta = np.array([start[0], math.log(start[1])])
-    for _ in range(80):
-        if np.isfinite(nll(theta)):
-            break
-        theta[1] += math.log(1.5)
-    else:
-        return -np.inf, start
-    res = minimize(
-        nll, theta, method="Nelder-Mead", options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": 2000}
-    )
-    return -float(res.fun), (float(res.x[0]), float(math.exp(res.x[1])))
+            _fit_rows(X, "cauchy")
 
 
 SHORT_STATION = np.array([61.2, 88.0, 73.5, 95.1, 70.3, 102.4, 66.0, 80.8])
@@ -267,7 +363,7 @@ class TestProfileKernel:
             free = fit_mle(x, "free").params
             start = (free.mu, free.sigma)
             ll, (mu, sigma) = _profile_loglik(x, xi, start)
-            assert ll >= _nelder_mead_profile_loglik(x, xi, start)[0] - 1e-9
+            assert ll >= nelder_mead_profile_loglik(x, xi, start)[0] - 1e-9
             assert ll == pytest.approx(log_likelihood(GevParams(mu, sigma, xi), x), abs=1e-9)
 
     def test_closed_form_at_lower_search_bound(self):
@@ -276,7 +372,7 @@ class TestProfileKernel:
             free = fit_mle(x, "free").params
             start = (free.mu, free.sigma)
             ll, (mu, sigma) = _profile_loglik(x, -1.0, start)
-            assert ll >= _nelder_mead_profile_loglik(x, -1.0, start)[0]
+            assert ll >= nelder_mead_profile_loglik(x, -1.0, start)[0]
             assert mu + sigma == pytest.approx(x.max(), rel=1e-15)
         free = fit_mle(SHORT_STATION, "free")
         ll, _ = _profile_loglik(SHORT_STATION, -1.0, (free.params.mu, free.params.sigma))
@@ -296,7 +392,7 @@ class TestProfileKernel:
     def test_interval_matches_reference_driven_interval(self, monkeypatch):
         samples = _profile_samples()[:4]
         newton = [profile_ci_xi(x) for x in samples]
-        monkeypatch.setattr(estimate, "_profile_loglik", _nelder_mead_profile_loglik)
+        monkeypatch.setattr(estimate, "_profile_loglik", nelder_mead_profile_loglik)
         for x, ci in zip(samples, newton):
             ref = profile_ci_xi(x)
             assert ci.lower == pytest.approx(ref.lower, abs=1e-9)
@@ -333,7 +429,7 @@ class TestProfileCi:
         ci = profile_ci_xi(x, level=0.95)
         threshold = chi2.ppf(0.95, df=1)
         for endpoint in (ci.lower, ci.upper):
-            ll, _ = _nelder_mead_profile_loglik(x, endpoint, (free.params.mu, free.params.sigma))
+            ll, _ = nelder_mead_profile_loglik(x, endpoint, (free.params.mu, free.params.sigma))
             assert 2.0 * (free.loglik - ll) == pytest.approx(threshold, abs=1e-3)
 
     def test_small_sample_coverage_sanity(self):

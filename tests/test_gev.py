@@ -228,3 +228,21 @@ class TestLogLikelihood:
         near = log_likelihood(GevParams(5, 2, 1e-8), data)
         exact = log_likelihood(GevParams(5, 2, 0.0), data)
         assert near == pytest.approx(exact, abs=1e-6)
+
+    def test_support_edge_at_shape_minus_one(self):
+        # at xi = -1 the density exp(-t)/sigma, t = 1 - z, stays positive on
+        # the support edge t = 0, so a point there keeps the total finite
+        x = np.array([3.0, 5.5, 7.25, 10.0])
+        params = GevParams(6.0, 4.0, -1.0)  # support edge mu + sigma = 10
+        t = 1.0 - (x - params.mu) / params.sigma
+        assert log_likelihood(params, x) == -x.size * math.log(params.sigma) - t.sum()
+        # the closed-form supremum at xi = -1: sigma = mean(max x - x)
+        sigma = float((x.max() - x).mean())
+        edge = GevParams(x.max() - sigma, sigma, -1.0)
+        assert log_likelihood(edge, x) == pytest.approx(-x.size * (math.log(sigma) + 1.0), abs=1e-12)
+        assert log_likelihood(GevParams(6.0, 3.9, -1.0), x) == -math.inf
+        # the general branch agrees inside the support
+        inner = x[:3]
+        assert log_likelihood(params, inner) == pytest.approx(
+            log_likelihood(GevParams(6.0, 4.0, -1.0 + 1e-9), inner), abs=1e-6
+        )

@@ -18,6 +18,8 @@ from rainmax.gof import (
 )
 from rainmax.seeding import derive_seed
 
+from _reference_fits import nelder_mead_fit
+
 GUMBEL = GevParams(80.0, 25.0, 0.0)
 
 
@@ -102,9 +104,9 @@ class TestTcvmTest:
 
 
 def _scalar_tcvm_p_value(x, family, delta, B, seed):
-    """The bootstrap as a per-replicate loop of scalar refits: the reference
-    the batched tcvm_test must reproduce."""
-    fitted = fit_family(x, family)
+    """The bootstrap as a per-replicate loop of Nelder-Mead refits: the
+    reference the batched tcvm_test must reproduce."""
+    fitted = nelder_mead_fit(x, family)
     observed = tcvm_statistic(x, fitted.params, delta)
     exceed = 0
     for b in range(B):
@@ -114,7 +116,7 @@ def _scalar_tcvm_p_value(x, family, delta, B, seed):
             u[u == 0.0] = np.nextafter(0.0, 1.0)
             sample = np.asarray(gev_quantile(u, fitted.params))
             try:
-                refit = fit_family(sample, family)
+                refit = nelder_mead_fit(sample, family)
             except (FitError, ValueError):
                 continue
             exceed += tcvm_statistic(sample, refit.params, delta) >= observed
@@ -122,6 +124,15 @@ def _scalar_tcvm_p_value(x, family, delta, B, seed):
         else:
             raise FitError(f"replicate {b} failed")
     return (1.0 + exceed) / (B + 1.0)
+
+
+def _gumbel_bootstrap_statistics(x, seed, B=99):
+    """Bootstrap statistics of the Gumbel test, one scalar refit per replicate."""
+    fitted = fit_family(x, "gumbel")
+    for b in range(B):
+        rng = np.random.default_rng([derive_seed(seed, "tcvm", "gumbel", b)])
+        sample = gof._to_sample(rng.random(x.size), fitted.params)
+        yield tcvm_statistic(sample, fit_family(sample, "gumbel").params)
 
 
 class TestBatchedBootstrap:
@@ -132,37 +143,42 @@ class TestBatchedBootstrap:
         res = tcvm_test(x, family, delta=0.05, B=99, seed=seed)
         assert res.p_value == _scalar_tcvm_p_value(x, family, 0.05, 99, seed)
 
-    def test_unconverged_row_takes_scalar_path(self, monkeypatch):
+    def test_unconverged_row_draws_again(self, monkeypatch):
         x = gev_sample(GUMBEL, 33, seed=21)
         reference = tcvm_test(x, "gumbel", B=99, seed=4)
-        assert (reference.fallbacks, reference.redraws) == (0, 0)
+        assert reference.redraws == 0
 
         kernel = gof._fit_rows
-
-        def failing_row(samples, family):
-            mu, sigma, xi, converged = kernel(samples, family)
-            converged[7] = False
-            return mu, sigma, xi, converged
-
-        monkeypatch.setattr(gof, "_fit_rows", failing_row)
-        res = tcvm_test(x, "gumbel", B=99, seed=4)
-        assert (res.fallbacks, res.redraws) == (1, 0)
-        # the scalar refit of the same sample gives the same statistic
-        assert res.p_value == reference.p_value
-
-        scalar = gof.fit_family
         calls = []
 
-        def raise_once_on_first_refit(data, family):
-            calls.append(len(data))
-            if len(calls) == 2:  # call 1 fits the observed sample
-                raise FitError("forced")
-            return scalar(data, family)
+        def fail_replicate_7(samples, family, failures):
+            mu, sigma, xi, converged, iterations = kernel(samples, family)
+            calls.append(samples)
+            if len(calls) <= failures:  # the block call, then each redraw of row 7
+                converged[7 if len(calls) == 1 else 0] = False
+            return mu, sigma, xi, converged, iterations
 
-        monkeypatch.setattr(gof, "fit_family", raise_once_on_first_refit)
+        monkeypatch.setattr(gof, "_fit_rows", lambda s, f: fail_replicate_7(s, f, 2))
         res = tcvm_test(x, "gumbel", B=99, seed=4)
-        assert (res.fallbacks, res.redraws) == (1, 1)
+        assert res.redraws == 2
+        # each redraw is the replicate's next draw from its own stream
+        rng = np.random.default_rng([derive_seed(4, "tcvm", "gumbel", 7)])
+        draws = [gof._to_sample(rng.random(33), fit_family(x, "gumbel").params) for _ in range(3)]
         assert len(calls) == 3
+        np.testing.assert_array_equal(calls[0][7], draws[0])
+        np.testing.assert_array_equal(calls[1][0], draws[1])
+        np.testing.assert_array_equal(calls[2][0], draws[2])
+        # replicate 7's statistic now comes from its third draw
+        refit = fit_family(draws[2], "gumbel")
+        expected = list(_gumbel_bootstrap_statistics(x, 4))
+        expected[7] = tcvm_statistic(draws[2], refit.params)
+        observed = tcvm_statistic(x, fit_family(x, "gumbel").params)
+        assert res.p_value == (1.0 + sum(b >= observed for b in expected)) / 100.0
+
+        calls.clear()
+        monkeypatch.setattr(gof, "_fit_rows", lambda s, f: fail_replicate_7(s, f, 10))
+        with pytest.raises(FitError, match="replicate 7 failed to refit gumbel after 10 draws"):
+            tcvm_test(x, "gumbel", B=99, seed=4)
 
 
 class TestLrt:

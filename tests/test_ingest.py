@@ -168,6 +168,19 @@ class TestParseDailyCsv:
         assert err.value.line == 3
         assert str(err.value) == f"line 3: invalid precipitation value {value!r}"
 
+    def test_byte_order_mark_accepted(self):
+        # spreadsheet exports often start the file with a UTF-8 byte-order mark
+        text = "\ufeffstation,date,precip_mm\nA,1981-01-01,12.5\n"
+        table = parse_daily_csv(_csv(text))
+        assert table.stations == ("A",) and table.precip.tolist() == [12.5]
+
+    def test_byte_order_mark_does_not_hide_the_row_error(self):
+        # a malformed file goes through the row validator, which must skip
+        # the mark too and report the bad row, not the header
+        with pytest.raises(ParseError) as err:
+            parse_daily_csv(_csv("\ufeffstation,date,precip_mm\nA,81/01/01,1\n"))
+        assert str(err.value) == "line 2: invalid ISO date '81/01/01'"
+
     @pytest.mark.parametrize("date_text", ["19810101", "1981-W01-1", "1981W011", "1981-01-1"])
     def test_only_extended_calendar_dates_accepted(self, date_text):
         # date.fromisoformat takes the basic and week forms from Python 3.11 on;
@@ -330,6 +343,13 @@ class TestSerialization:
         buf = io.StringIO()
         write_skip_log([SkipEntry("A", 1990, 0.5)], buf)
         assert buf.getvalue() == '{"coverage": 0.5, "station": "A", "year": 1990}\n'
+
+    def test_series_repeated_station_year_names_line(self):
+        text = "station,year,max_mm\nA,1990,1\nB,1990,3\nA,1990,2\n"
+        with pytest.raises(ParseError) as err:
+            read_series_csv(io.StringIO(text))
+        assert err.value.line == 4
+        assert str(err.value) == "line 4: repeated year 1990 for station 'A'"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_series_non_finite_max_rejected(self, value):
