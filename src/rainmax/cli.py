@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import cluster as cl
 from . import diagnose, gof, ingest, recurrence
 from .demo import demo_dataset
@@ -88,6 +90,15 @@ def _fit_payload(fit: FitResult) -> dict:
     }
 
 
+def _write_if_any(payload: dict, path: Path) -> None:
+    """Writes a nonempty payload; an empty one removes the file, so no
+    record is left from an earlier run."""
+    if payload:
+        _dump_json(payload, path)
+    else:
+        path.unlink(missing_ok=True)
+
+
 def _input_path(cfg: RunConfig) -> Path:
     if cfg.input is None:
         raise ValueError("no input given: pass --input or --demo")
@@ -112,9 +123,9 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_ingest(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
+    skips: list[ingest.SkipEntry] = []
     if cfg.demo:
-        series: list[AnnualMaximaSeries] = demo_dataset(seed=cfg.seed)
-        skips: list[ingest.SkipEntry] = []
+        series = _load_series(cfg)
     else:
         with _input_path(cfg).open("rb") as fh:
             table = ingest.parse_daily_csv(fh)
@@ -126,13 +137,36 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
-def _fit_all(series: Sequence[AnnualMaximaSeries], ci_level: float) -> dict[str, dict]:
-    """Free fit and profile interval per station; the interval reuses the
-    free fit. A station whose interval cannot be found gets null endpoints
+def _free_fits(
+    series: Sequence[AnnualMaximaSeries], out: Path
+) -> tuple[list[AnnualMaximaSeries], dict[str, FitResult]]:
+    """The one free fit per station that every fitting stage reads.
+
+    A station whose fit raises ``FitError`` is left out of the returned
+    series and so out of every later output; ``fit_errors.json`` names it
+    with its reason. The file exists only when a station failed, so one
+    left by an earlier run is removed.
+    """
+    fits: dict[str, FitResult] = {}
+    errors: dict[str, str] = {}
+    for s in series:
+        try:
+            fits[s.station_id] = fit_mle(s.values, "free")
+        except FitError as exc:
+            errors[s.station_id] = str(exc)
+    _write_if_any(errors, out / "fit_errors.json")
+    return [s for s in series if s.station_id in fits], fits
+
+
+def _fit_all(
+    series: Sequence[AnnualMaximaSeries], fits: dict[str, FitResult], ci_level: float
+) -> dict[str, dict]:
+    """Each station's free fit with its profile interval, which reuses the
+    fit. A station whose interval cannot be found gets null endpoints
     and a ``ci_error`` reason instead of aborting the run."""
     results: dict[str, dict] = {}
     for s in series:
-        free = fit_mle(s.values, "free")
+        free = fits[s.station_id]
         payload = _fit_payload(free)
         try:
             ci = profile_ci_xi(s.values, level=ci_level, free=free)
@@ -165,24 +199,32 @@ def _write_station_params_csv(fits: dict[str, dict], path: Path) -> None:
 
 def cmd_fit(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    series = _load_series(cfg)
-    fits = _fit_all(series, cfg.ci_level)
-    _dump_json(fits, out / "fits.json")
-    _write_station_params_csv(fits, out / "station_params.csv")
+    series, fits = _free_fits(_load_series(cfg), out)
+    fit_rows = _fit_all(series, fits, cfg.ci_level)
+    _dump_json(fit_rows, out / "fits.json")
+    _write_station_params_csv(fit_rows, out / "station_params.csv")
     return 0
 
 
-def _gof_all(series: Sequence[AnnualMaximaSeries], cfg: RunConfig) -> dict[str, dict]:
+def _gof_all(
+    series: Sequence[AnnualMaximaSeries], fits: dict[str, FitResult], cfg: RunConfig
+) -> tuple[dict[str, dict], dict[str, FitResult]]:
+    """Family choice and LRT per station from its free fit; returns the
+    rows and each station's fit of its chosen family."""
     results: dict[str, dict] = {}
+    family_fits: dict[str, FitResult] = {}
     for s in series:
+        free = fits[s.station_id]
         decision = gof.select_family(
             s.values,
+            free,
             alpha=cfg.alpha,
             delta=cfg.delta,
             B=cfg.bootstrap,
             seed=derive_seed(cfg.seed, "gof", s.station_id),
         )
-        lrt = gof.lrt_gumbel_vs_gev(s.values)
+        lrt = gof.lrt_gumbel_vs_gev(free, decision.gumbel_fit)
+        family_fits[s.station_id] = decision.fit
         results[s.station_id] = {
             "family": decision.chosen,
             "p_gumbel": decision.gumbel_p,
@@ -191,7 +233,7 @@ def _gof_all(series: Sequence[AnnualMaximaSeries], cfg: RunConfig) -> dict[str, 
             "lrt_statistic": lrt.statistic,
             "lrt_p": lrt.p_value,
         }
-    return results
+    return results, family_fits
 
 
 def _write_families_csv(results: dict[str, dict], path: Path) -> None:
@@ -206,8 +248,8 @@ def _write_families_csv(results: dict[str, dict], path: Path) -> None:
 
 def cmd_gof(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    series = _load_series(cfg)
-    results = _gof_all(series, cfg)
+    series, fits = _free_fits(_load_series(cfg), out)
+    results, _ = _gof_all(series, fits, cfg)
     _dump_json(results, out / "gof.json")
     _write_families_csv(results, out / "families.csv")
     return 0
@@ -233,28 +275,27 @@ def _write_diagnostics(
 
 def cmd_diagnose(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    series = _load_series(cfg)
-    fits = {s.station_id: fit_mle(s.values, "free") for s in series}
+    series, fits = _free_fits(_load_series(cfg), out)
     _write_diagnostics(series, fits, out)
     return 0
 
 
-def _cluster_params(
-    series: Sequence[AnnualMaximaSeries], cfg: RunConfig, out: Path
-) -> cl.Partition:
+def _cluster_params(fits: dict[str, FitResult], cfg: RunConfig, out: Path) -> cl.Partition:
     """Parameter-space clustering outputs; returns the Ward 2-group cut."""
     cluster_dir = out / "cluster"
     cluster_dir.mkdir(parents=True, exist_ok=True)
-    fits = {s.station_id: fit_mle(s.values, "free") for s in series}
     features = cl.param_features(fits, standardize=cfg.standardize)
     dm = cl.euclidean_dm(features)
     with (cluster_dir / "params_distance.tsv").open("w", encoding="utf-8", newline="") as fh:
         cl.write_distance_tsv(dm, fh)
 
     dendrogram = cl.ward_cluster(features)
-    cuts = {k: cl.partition_payload(dendrogram.cut(k)) for k in range(2, cfg.kmax + 1)}
+    cuts = {k: dendrogram.cut(k) for k in range(2, cfg.kmax + 1)}
     _dump_json(
-        {"merges": [[a, b, h] for a, b, h in dendrogram.merges], "cuts": cuts},
+        {
+            "merges": [[a, b, h] for a, b, h in dendrogram.merges],
+            "cuts": {k: cl.partition_payload(p) for k, p in cuts.items()},
+        },
         cluster_dir / "params_dendrogram.json",
     )
 
@@ -266,17 +307,55 @@ def _cluster_params(
         cluster_dir / "params_pam.json",
     )
 
-    pf = cl.select_k(features=features, method="pseudo_f", kmax=cfg.kmax)
+    # the pseudo-F table scores the cuts written above (select_k has checked kmax)
+    scores = {k: cl.pseudo_f(features, p) for k, p in cuts.items()}
     with (cluster_dir / "params_pseudo_f.csv").open("w", encoding="utf-8", newline="") as fh:
-        cl.write_score_table(pf.scores, fh)
-    return dendrogram.cut(2)
+        cl.write_score_table(scores, fh)
+    return cuts[2]
+
+
+def _short_overlap_exclusions(
+    series: Sequence[AnnualMaximaSeries], min_overlap: int
+) -> dict[str, dict[str, int]]:
+    """Stations to leave out so that every remaining pair shares at least
+    ``min_overlap`` years, each with its short pairs and their overlaps.
+
+    Each round excludes the kept station in the most short pairs among the
+    kept stations; ties go to the station with fewer years, then to the
+    later one in input order.
+    """
+    _, values = ingest.year_matrix(series)
+    present = (~np.isnan(values)).astype(np.int64)
+    overlap = present @ present.T
+    n_years = np.diag(overlap)
+    short = overlap < min_overlap
+    np.fill_diagonal(short, False)
+    kept = np.ones(len(series), dtype=bool)
+    excluded: dict[str, dict[str, int]] = {}
+    while True:
+        counts = (short & kept).sum(axis=1) * kept
+        if not counts.any():
+            return excluded
+        worst = max(range(len(series)), key=lambda i: (counts[i], -n_years[i], i))
+        pairs = np.flatnonzero(short[worst] & kept)
+        excluded[series[worst].station_id] = {
+            series[j].station_id: int(overlap[worst, j]) for j in pairs
+        }
+        kept[worst] = False
 
 
 def _cluster_fmadogram(
     series: Sequence[AnnualMaximaSeries], cfg: RunConfig, out: Path
 ) -> None:
+    """F-madogram clustering outputs. Stations that share fewer than
+    ``min_overlap`` years with others are left out and listed, with their
+    short pairs, in ``fmadogram_excluded.json``."""
     cluster_dir = out / "cluster"
     cluster_dir.mkdir(parents=True, exist_ok=True)
+    excluded = _short_overlap_exclusions(series, cfg.min_overlap)
+    payload = {"min_overlap": cfg.min_overlap, "excluded": excluded} if excluded else {}
+    _write_if_any(payload, cluster_dir / "fmadogram_excluded.json")
+    series = [s for s in series if s.station_id not in excluded]
     dm = cl.fmadogram_dm(series, min_overlap=cfg.min_overlap)
     with (cluster_dir / "fmadogram_distance.tsv").open("w", encoding="utf-8", newline="") as fh:
         cl.write_distance_tsv(dm, fh)
@@ -309,7 +388,8 @@ def cmd_cluster(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     series = _load_series(cfg)
     if cfg.method == "params":
-        _cluster_params(series, cfg, out)
+        _, fits = _free_fits(series, out)
+        _cluster_params(fits, cfg, out)
     else:
         _cluster_fmadogram(series, cfg, out)
     return 0
@@ -342,26 +422,22 @@ def cmd_report(cfg: RunConfig) -> int:
     and an independence report for each singleton in the 2-group parameter
     clustering."""
     out = _out_dir(cfg)
-    series = _load_series(cfg)
+    series, fits = _free_fits(_load_series(cfg), out)
 
     with (out / "series.csv").open("w", encoding="utf-8", newline="") as fh:
         ingest.write_series_csv(series, fh)
 
-    fit_rows = _fit_all(series, cfg.ci_level)
+    fit_rows = _fit_all(series, fits, cfg.ci_level)
     _dump_json(fit_rows, out / "fits.json")
     _write_station_params_csv(fit_rows, out / "station_params.csv")
 
-    gof_rows = _gof_all(series, cfg)
+    gof_rows, family_fits = _gof_all(series, fits, cfg)
     _dump_json(gof_rows, out / "gof.json")
     _write_families_csv(gof_rows, out / "families.csv")
 
-    family_fits = {
-        s.station_id: gof.fit_family(s.values, gof_rows[s.station_id]["family"])
-        for s in series
-    }
     _write_diagnostics(series, family_fits, out)
 
-    two_group = _cluster_params(series, cfg, out)
+    two_group = _cluster_params(fits, cfg, out)
     _cluster_fmadogram(series, cfg, out)
 
     for station in cl.singleton_stations(two_group):

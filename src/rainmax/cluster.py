@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .estimate import FitResult
-from .ingest import AnnualMaximaSeries
+from .ingest import AnnualMaximaSeries, year_matrix
 
 DEFAULT_MIN_OVERLAP = 10
 _PAM_BLOCK_ELEMENTS = 1 << 20  # bounds each swap pass's cost temporaries
@@ -117,15 +117,6 @@ def euclidean_dm(features: FeatureMatrix) -> DistanceMatrix:
     return DistanceMatrix(features.labels, squareform(pdist(features.values)))
 
 
-def _common_years(a: AnnualMaximaSeries, b: AnnualMaximaSeries) -> tuple[np.ndarray, np.ndarray]:
-    years = np.intersect1d(a.years, b.years)
-    lookup_a, lookup_b = a.by_year(), b.by_year()
-    return (
-        np.array([lookup_a[int(y)] for y in years]),
-        np.array([lookup_b[int(y)] for y in years]),
-    )
-
-
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing the mean of their ranks; all NaN if any
     value is NaN (scipy's ``rankdata(x, "average")``)."""
@@ -146,19 +137,24 @@ def fmadogram_dm(
 ) -> DistanceMatrix:
     """Pairwise F-madogram distances on common years.
 
-    Each series is reduced to average ranks over the shared years, scaled
-    by 1/(n+1); the distance is half the mean absolute difference of the
-    two rank transforms, hence invariant under strictly increasing maps.
+    The series are aligned once by :func:`~rainmax.ingest.year_matrix`; a
+    pair's common years are the columns both rows fill. Each series is
+    reduced to average ranks over the shared years, scaled by 1/(n+1); the
+    distance is half the mean absolute difference of the two rank
+    transforms, hence invariant under strictly increasing maps.
     Pairs sharing fewer than ``min_overlap`` years have no distance: one
     ValueError names every such pair with its overlap.
     """
     labels = tuple(s.station_id for s in series)
     n = len(series)
+    _, values = year_matrix(series)
+    present = ~np.isnan(values)
     d = np.zeros((n, n))
     short: list[str] = []
     for i in range(n):
         for j in range(i + 1, n):
-            xi, xj = _common_years(series[i], series[j])
+            both = present[i] & present[j]
+            xi, xj = values[i, both], values[j, both]
             m = xi.size
             if m < min_overlap:
                 short.append(f"{labels[i]!r} and {labels[j]!r} share only {m}")

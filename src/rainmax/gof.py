@@ -33,6 +33,7 @@ class TestResult:
     replicates: int
     seed: int | None
     redraws: int = 0  # extra bootstrap draws for rows the row kernel could not settle
+    fit: FitResult | None = None  # the tested family's fit of the observed sample
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,8 @@ class FamilyDecision:
     gumbel_p: float
     second_p: float | None
     alpha: float
+    gumbel_fit: FitResult
+    fit: FitResult  # the chosen family's fit
 
 
 def fit_family(data: object, family: str) -> FitResult:
@@ -138,6 +141,7 @@ def tcvm_test(
         replicates=B,
         seed=seed,
         redraws=redraws,
+        fit=fitted,
     )
 
 
@@ -160,16 +164,19 @@ def _redraw(
     raise FitError(f"bootstrap replicate {replicate} failed to refit {family} after 10 draws")
 
 
-def lrt_gumbel_vs_gev(data: object) -> TestResult:
+def lrt_gumbel_vs_gev(free: FitResult, gumbel: FitResult) -> TestResult:
     """Likelihood ratio test of the Gumbel restriction inside the GEV family.
 
-    The deviance 2*(free - Gumbel) log likelihood is referred to its
-    asymptotic chi-square(1) distribution, so the level is approximate in
-    small samples; acceptance criterion 4 measures the size at n = 33 on
+    Takes the free and the Gumbel fit of one sample. The deviance
+    2*(free - Gumbel) log likelihood is referred to its asymptotic
+    chi-square(1) distribution, so the level is approximate in small
+    samples; acceptance criterion 4 measures the size at n = 33 on
     simulated Gumbel samples.
     """
-    free = fit_mle(data, "free")
-    gumbel = fit_mle(data, "gumbel")
+    if (free.constraint, gumbel.constraint) != ("free", "gumbel"):
+        raise ValueError(
+            f"need a free and a gumbel fit, got {free.constraint!r} and {gumbel.constraint!r}"
+        )
     deviance = max(0.0, 2.0 * (free.loglik - gumbel.loglik))
     p = float(chdtrc(1, deviance))  # chi-square(1) survival function
     return TestResult(statistic=deviance, p_value=p, family="gumbel", replicates=0, seed=None)
@@ -177,6 +184,7 @@ def lrt_gumbel_vs_gev(data: object) -> TestResult:
 
 def select_family(
     data: object,
+    free: FitResult,
     alpha: float = 0.05,
     delta: float = DEFAULT_DELTA,
     B: int = DEFAULT_BOOTSTRAP,
@@ -184,21 +192,33 @@ def select_family(
 ) -> FamilyDecision:
     """Sequential family choice: Gumbel first, then the side the free shape picks.
 
-    Keeps Gumbel when its p-value reaches ``alpha``; otherwise tests
-    Frechet for a nonnegative free-fit shape and Weibull for a negative
-    one, recording both p-values.
+    ``free`` is the free fit of ``data``. Keeps Gumbel when its p-value
+    reaches ``alpha``; otherwise tests Frechet for a nonnegative free-fit
+    shape and Weibull for a negative one, recording both p-values. The
+    decision carries the fits the tests made: the Gumbel fit and the
+    chosen family's fit.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
+    if free.constraint != "free":
+        raise ValueError(f"need the free fit, got a {free.constraint!r} fit")
     first = tcvm_test(data, "gumbel", delta=delta, B=B, seed=derive_seed(seed, "stage1"))
     if first.p_value >= alpha:
-        return FamilyDecision(chosen="gumbel", gumbel_p=first.p_value, second_p=None, alpha=alpha)
-    xi_hat = fit_mle(data, "free").params.xi
-    second_family = "frechet" if xi_hat >= 0 else "weibull"
+        return FamilyDecision(
+            chosen="gumbel",
+            gumbel_p=first.p_value,
+            second_p=None,
+            alpha=alpha,
+            gumbel_fit=first.fit,
+            fit=first.fit,
+        )
+    second_family = "frechet" if free.params.xi >= 0 else "weibull"
     second = tcvm_test(data, second_family, delta=delta, B=B, seed=derive_seed(seed, "stage2"))
     return FamilyDecision(
         chosen=second_family,
         gumbel_p=first.p_value,
         second_p=second.p_value,
         alpha=alpha,
+        gumbel_fit=first.fit,
+        fit=second.fit,
     )

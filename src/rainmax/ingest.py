@@ -90,9 +90,6 @@ class AnnualMaximaSeries:
     def __len__(self) -> int:
         return len(self.years)
 
-    def by_year(self) -> dict[int, float]:
-        return dict(zip(self.years.tolist(), self.values.tolist()))
-
 
 @dataclass(frozen=True)
 class SkipEntry:
@@ -350,6 +347,21 @@ def summary_stats(series: AnnualMaximaSeries) -> SummaryStats:
     )
 
 
+def year_matrix(series: Sequence[AnnualMaximaSeries]) -> tuple[np.ndarray, np.ndarray]:
+    """Stations x years maxima over the union of the stations' years.
+
+    Returns ``(years, values)``: ``years`` ascending, ``values[i, t]`` the
+    maximum of ``series[i]`` in ``years[t]`` and NaN where that station has
+    none. Maxima are positive, so ``~np.isnan(values)`` marks the years
+    present.
+    """
+    years = np.unique(np.concatenate([np.empty(0, dtype=int), *(s.years for s in series)]))
+    values = np.full((len(series), years.size), np.nan)
+    for row, s in zip(values, series):
+        row[np.searchsorted(years, s.years)] = s.values
+    return years, values
+
+
 def write_series_csv(series: Iterable[AnnualMaximaSeries], stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["station", "year", "max_mm"])
@@ -377,13 +389,13 @@ def read_series_csv(stream: TextIO) -> list[AnnualMaximaSeries]:
             raise ParseError(lineno, f"invalid year/value {year_text!r},{value_text!r}")
         if not math.isfinite(value):
             raise ParseError(lineno, f"invalid max_mm value {value_text!r}")
-        by_year = grouped.setdefault(station, {})
-        if year in by_year:
+        year_values = grouped.setdefault(station, {})
+        if year in year_values:
             raise ParseError(lineno, f"repeated year {year} for station {station!r}")
-        by_year[year] = value
+        year_values[year] = value
     out = []
-    for station, by_year in grouped.items():
-        rows = sorted(by_year.items())
+    for station, year_values in grouped.items():
+        rows = sorted(year_values.items())
         years = np.array([y for y, _ in rows])
         values = np.array([v for _, v in rows])
         out.append(AnnualMaximaSeries(station, years, values, np.ones(len(rows))))

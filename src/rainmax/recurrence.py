@@ -15,7 +15,7 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .ingest import AnnualMaximaSeries
+from .ingest import AnnualMaximaSeries, year_matrix
 from .seeding import derive_seed
 
 DEFAULT_QUANTILES = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10).tolist())
@@ -229,6 +229,10 @@ def pairwise_independence_report(
 ) -> list[PairReportRow]:
     """Test the target station against every other station on common years.
 
+    The stations are aligned once by :func:`~rainmax.ingest.year_matrix`;
+    each pair tests the years that both the target's row and the other
+    station's row fill.
+
     A failing pair is recorded with its error message rather than aborting
     the report.
     """
@@ -239,17 +243,17 @@ def pairwise_independence_report(
         by_station = {s.station_id: s for s in series}
     if target not in by_station:
         raise ValueError(f"target station {target!r} not present")
-    target_series = by_station[target]
-    target_map = target_series.by_year()
+    stations = list(by_station)
+    _, values = year_matrix(list(by_station.values()))
+    present = ~np.isnan(values)
+    t = stations.index(target)
 
     rows: list[PairReportRow] = []
-    for station, other in by_station.items():
-        if station == target:
+    for j, station in enumerate(stations):
+        if j == t:
             continue
-        other_map = other.by_year()
-        years = sorted(set(target_map) & set(other_map))
-        xv = np.array([target_map[y] for y in years])
-        yv = np.array([other_map[y] for y in years])
+        both = present[t] & present[j]
+        xv, yv = values[t, both], values[j, both]
         pair_seed = derive_seed(config.seed, "indep", target, station)
         pair_config = RecurrenceConfig(
             radius_quantiles=config.radius_quantiles,
@@ -258,9 +262,9 @@ def pairwise_independence_report(
         )
         try:
             result = independence_test(xv, yv, pair_config)
-            rows.append(PairReportRow(target, station, len(years), result))
+            rows.append(PairReportRow(target, station, xv.size, result))
         except ValueError as exc:
-            rows.append(PairReportRow(target, station, len(years), None, error=str(exc)))
+            rows.append(PairReportRow(target, station, xv.size, None, error=str(exc)))
     return rows
 
 

@@ -133,12 +133,10 @@ def test_criterion_4_power_comparison_vs_lrt():
     start = time.perf_counter()
     alpha = 0.05
     runs = 1000
-    null = [
-        lrt_gumbel_vs_gev(
-            gev_sample(GevParams(80.0, 25.0, 0.0), 33, seed=derive_seed(3, "null", r))
-        )
-        for r in range(runs)
-    ]
+    null = []
+    for r in range(runs):
+        x = gev_sample(GevParams(80.0, 25.0, 0.0), 33, seed=derive_seed(3, "null", r))
+        null.append(lrt_gumbel_vs_gev(fit_mle(x, "free"), fit_mle(x, "gumbel")))
     null_dev = np.array([res.statistic for res in null])
     lrt_size = float(np.mean([res.p_value <= alpha for res in null]))
     critical = float(np.quantile(null_dev, 1.0 - alpha))
@@ -150,7 +148,7 @@ def test_criterion_4_power_comparison_vs_lrt():
         p_cvm = tcvm_test(
             x, "gumbel", delta=0.05, B=499, seed=derive_seed(4, "boot", r)
         ).p_value
-        lrt = lrt_gumbel_vs_gev(x)
+        lrt = lrt_gumbel_vs_gev(fit_mle(x, "free"), fit_mle(x, "gumbel"))
         cvm_rej += p_cvm <= alpha
         lrt_rej += lrt.p_value <= alpha
         adj_rej += lrt.statistic > critical

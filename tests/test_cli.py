@@ -7,16 +7,17 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from rainmax import cli, estimate
+from rainmax import cli, estimate, gof
 from rainmax.cli import main, slugify
 from rainmax.demo import URUGUAY_STATION_PARAMS
 from rainmax.estimate import fit_mle
 from rainmax.gev import GevParams
-from rainmax.ingest import synth_dataset, write_series_csv
+from rainmax.ingest import AnnualMaximaSeries, synth_dataset, write_series_csv
 
 FAST = ["--bootstrap", "99", "--permutations", "99"]
 
@@ -155,6 +156,20 @@ class TestConfigPrecedence:
         assert "bogus" in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.fixture
+def fit_counts(monkeypatch):
+    """``fit_mle`` calls by constraint, counted in every module that calls it."""
+    counts = Counter()
+
+    def counting_fit_mle(data, constraint="free"):
+        counts[constraint] += 1
+        return fit_mle(data, constraint)
+
+    for module in (cli, estimate, gof):
+        monkeypatch.setattr(module, "fit_mle", counting_fit_mle)
+    return counts
+
+
 class TestSubcommands:
     def test_fit_outputs(self, tmp_path):
         series_csv = tmp_path / "series.csv"
@@ -202,19 +217,15 @@ class TestSubcommands:
         table = (out / "station_params.csv").read_text().strip().splitlines()
         assert table[-1].startswith("Short,") and table[-1].endswith(",,")
 
-    def test_fit_makes_one_free_fit_per_station(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "command",
+        [["fit"], ["gof", *FAST], ["diagnose"], ["cluster", "--method", "params", "--kmax", "3"]],
+    )
+    def test_one_free_fit_per_station(self, tmp_path, fit_counts, command):
         series_csv = tmp_path / "series.csv"
-        _write_series(series_csv, n_stations=3)
-        free_fits = []
-
-        def counting_fit_mle(data, constraint="free"):
-            free_fits.append(constraint == "free")
-            return fit_mle(data, constraint)
-
-        monkeypatch.setattr(cli, "fit_mle", counting_fit_mle)
-        monkeypatch.setattr(estimate, "fit_mle", counting_fit_mle)
-        assert main(["fit", "--input", str(series_csv), "--out", str(tmp_path / "out")]) == 0
-        assert sum(free_fits) == 3
+        _write_series(series_csv, n_stations=4)
+        assert main([*command, "--input", str(series_csv), "--out", str(tmp_path / "out")]) == 0
+        assert fit_counts["free"] == 4
 
     def test_gof_outputs(self, tmp_path):
         series_csv = tmp_path / "series.csv"
@@ -311,3 +322,123 @@ class TestReport:
         assert len(rows) == 20  # header + 19 other stations
         cfg = json.loads((out / "run_config.json").read_text())
         assert cfg["seed"] == 29 and cfg["bootstrap"] == 99
+
+    def test_report_fits_each_station_once(self, tmp_path, fit_counts):
+        out = tmp_path / "report"
+        assert main(["report", "--demo", "--out", str(out), "--seed", "29", *FAST]) == 0
+        rows = json.loads((out / "gof.json").read_text()).values()
+        second_stage = sum(row["p_second"] is not None for row in rows)
+        assert second_stage >= 1, "seed 29 must reach a second-stage test"
+        assert fit_counts["free"] == fit_counts["gumbel"] == 20
+        assert fit_counts["frechet"] + fit_counts["weibull"] == second_stage
+
+
+# a 9-year station whose free fit raises FitError
+FAILING = [189.3, 72.7, 145.4, 210.8, 85.8, 423.1, 72.2, 87.2, 121.8]
+FAILING_REASON = "MLE did not converge under constraint 'free'"
+# an 8-year station sharing 8 years with every demo station
+SHORT = [61.2, 88.0, 73.5, 95.1, 70.3, 102.4, 66.0, 80.8]
+PARAMS_OUTPUTS = [
+    f"cluster/params_{name}"
+    for name in ("dendrogram.json", "distance.tsv", "pam.json", "pseudo_f.csv", "silhouette.csv")
+]
+
+
+class TestStationIsolation:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("isolation")
+        assert main(["ingest", "--demo", "--seed", "29", "--out", str(root / "demo")]) == 0
+        demo = root / "demo" / "series.csv"
+        failing = root / "failing.csv"
+        failing.write_text(
+            demo.read_text() + "".join(f"Bad,{2000 + i},{v}\n" for i, v in enumerate(FAILING))
+        )
+        both = root / "both.csv"
+        both.write_text(
+            failing.read_text() + "".join(f"Short,{2000 + i},{v}\n" for i, v in enumerate(SHORT))
+        )
+        return {"demo": demo, "failing": failing, "both": both, "root": root}
+
+    @staticmethod
+    def _run(inputs, name, command, source):
+        out = inputs["root"] / f"{name}_{source}"
+        assert main([*command, "--input", str(inputs[source]), "--out", str(out), *FAST]) == 0
+        assert not (out / "error.json").exists()
+        return out
+
+    @pytest.mark.parametrize(
+        "command, outputs",
+        [
+            (["fit"], ["fits.json", "station_params.csv"]),
+            (["cluster", "--method", "params"], PARAMS_OUTPUTS),
+        ],
+    )
+    def test_failed_free_fit_is_listed_and_left_out(self, inputs, command, outputs):
+        name = command[0]
+        with_bad = self._run(inputs, name, command, "failing")
+        without = self._run(inputs, name, command, "demo")
+        assert json.loads((with_bad / "fit_errors.json").read_text()) == {"Bad": FAILING_REASON}
+        assert not (without / "fit_errors.json").exists()
+        for path in outputs:
+            assert (with_bad / path).read_bytes() == (without / path).read_bytes(), path
+
+    def test_rerun_without_failures_removes_old_records(self, inputs):
+        out = inputs["root"] / "rerun"
+        for source, failed in (("both", True), ("demo", False)):
+            for command in (["fit"], ["cluster", "--method", "fmadogram"]):
+                assert main([*command, "--input", str(inputs[source]), "--out", str(out)]) == 0
+            assert (out / "fit_errors.json").exists() == failed
+            assert (out / "cluster" / "fmadogram_excluded.json").exists() == failed
+
+    def test_report_drops_failed_and_short_stations(self, inputs):
+        out = self._run(inputs, "report", ["report", "--seed", "29"], "both")
+        ref = self._run(inputs, "report", ["report", "--seed", "29"], "demo")
+        assert json.loads((out / "fit_errors.json").read_text()) == {"Bad": FAILING_REASON}
+        demo_stations = json.loads((ref / "gof.json").read_text())
+        excluded = json.loads((out / "cluster" / "fmadogram_excluded.json").read_text())
+        assert excluded == {
+            "min_overlap": 10,
+            "excluded": {"Short": {station: 8 for station in demo_stations}},
+        }
+        assert not (ref / "fit_errors.json").exists()
+        assert not (ref / "cluster" / "fmadogram_excluded.json").exists()
+        for name in ("fits.json", "gof.json"):
+            rows = json.loads((out / name).read_text())
+            ref_rows = json.loads((ref / name).read_text())
+            assert "Bad" not in rows and "Short" in rows
+            assert {k: v for k, v in rows.items() if k != "Short"} == ref_rows
+        for path in (ref / "cluster").glob("fmadogram_*"):
+            assert (out / "cluster" / path.name).read_bytes() == path.read_bytes(), path.name
+        assert "Bad," not in (out / "series.csv").read_text()
+        assert not (out / "diagnostics" / "bad").exists()
+
+
+def _span(station, first, last):
+    years = np.arange(first, last + 1)
+    return AnnualMaximaSeries(station, years, np.linspace(10.0, 50.0, years.size), np.ones(years.size))
+
+
+class TestShortOverlapExclusions:
+    def test_most_short_pairs_first_then_later_station(self):
+        # C and D (9 years each) are in 3 short pairs, B (12 years) in 2
+        series = [
+            _span("A", 1981, 2010),
+            _span("B", 1981, 1992),
+            _span("C", 2002, 2010),
+            _span("D", 2002, 2010),
+        ]
+        excluded = cli._short_overlap_exclusions(series, min_overlap=10)
+        assert list(excluded) == ["D", "C"]
+        assert excluded == {"D": {"A": 9, "B": 0, "C": 9}, "C": {"A": 9, "B": 0}}
+
+    def test_tie_goes_to_fewer_years(self):
+        # every station is in 2 short pairs; B and C have 8 years, A 30
+        series = [_span("A", 1981, 2010), _span("B", 1981, 1988), _span("C", 2003, 2010)]
+        excluded = cli._short_overlap_exclusions(series, min_overlap=10)
+        assert excluded == {"C": {"A": 8, "B": 0}, "B": {"A": 8}}
+        assert list(excluded) == ["C", "B"]
+
+    def test_nothing_to_exclude(self):
+        assert cli._short_overlap_exclusions([_span("A", 1981, 1990)] * 2, min_overlap=10) == {}
+        assert cli._short_overlap_exclusions([], min_overlap=10) == {}

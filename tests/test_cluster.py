@@ -33,6 +33,8 @@ from rainmax.estimate import FitResult
 from rainmax.gev import GevParams
 from rainmax.ingest import AnnualMaximaSeries, synth_dataset
 
+from _reference_years import common_years, gapped_network
+
 
 def _fit(params: GevParams) -> FitResult:
     return FitResult(
@@ -163,6 +165,21 @@ class TestFmadogram:
         ):
             assert pair in message
         assert "'full0' and 'full1'" not in message
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gapped_series_match_per_pair_alignment(self, seed):
+        from scipy.stats import rankdata
+
+        series = gapped_network(seed)
+        dm = fmadogram_dm(series, min_overlap=10)
+        for i, j in itertools.combinations(range(len(series)), 2):
+            a, b = common_years(series[i], series[j])
+            m = a.size
+            fa, fb = rankdata(a) / (m + 1), rankdata(b) / (m + 1)
+            assert dm.values[i, j] == 0.5 * float(np.abs(fa - fb).mean())
+
+    def test_no_stations(self):
+        assert fmadogram_dm([]).values.shape == (0, 0)
 
     def test_average_ranks_match_scipy_on_ties(self):
         from scipy.stats import rankdata

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rainmax import gof
-from rainmax.estimate import FitError
+from rainmax.estimate import FitError, fit_mle
 from rainmax.gev import GevParams, gev_cdf, gev_quantile, gev_sample
 from rainmax.gof import (
     fit_family,
@@ -185,9 +185,22 @@ class TestLrt:
     @pytest.mark.parametrize("seed", range(6))
     def test_deviance_nonnegative(self, seed):
         x = gev_sample(GUMBEL, 33, seed=seed)
-        res = lrt_gumbel_vs_gev(x)
+        res = lrt_gumbel_vs_gev(fit_mle(x, "free"), fit_mle(x, "gumbel"))
         assert res.statistic >= 0.0
         assert 0.0 <= res.p_value <= 1.0
+
+    def test_deviance_is_twice_the_stored_loglik_gap(self):
+        x = gev_sample(GevParams(80, 25, 0.3), 33, seed=12)
+        free, gumbel = fit_mle(x, "free"), fit_mle(x, "gumbel")
+        res = lrt_gumbel_vs_gev(free, gumbel)
+        assert res.statistic == max(0.0, 2.0 * (free.loglik - gumbel.loglik))
+        assert res.fit is None
+
+    def test_fits_must_be_free_then_gumbel(self):
+        x = gev_sample(GUMBEL, 33, seed=0)
+        free, gumbel = fit_mle(x, "free"), fit_mle(x, "gumbel")
+        with pytest.raises(ValueError, match="need a free and a gumbel fit"):
+            lrt_gumbel_vs_gev(gumbel, free)
 
     def test_zero_deviance_gives_unit_p(self):
         from scipy.stats import chi2
@@ -199,20 +212,20 @@ class TestLrt:
         runs = 200
         for seed in range(runs):
             x = gev_sample(GevParams(0, 1, 0.4), 200, seed=seed)
-            rejections += lrt_gumbel_vs_gev(x).p_value < 0.05
+            rejections += lrt_gumbel_vs_gev(fit_mle(x, "free"), fit_mle(x, "gumbel")).p_value < 0.05
         assert rejections >= int(0.90 * runs)
 
 
 class TestSelectFamily:
     def test_alpha_zero_always_keeps_gumbel(self):
         x = gev_sample(GevParams(0, 1, 0.4), 33, seed=1)
-        decision = select_family(x, alpha=0.0, B=99, seed=2)
+        decision = select_family(x, fit_mle(x, "free"), alpha=0.0, B=99, seed=2)
         assert decision.chosen == "gumbel"
         assert decision.second_p is None
 
     def test_accepting_sample_keeps_gumbel(self):
         x = gev_sample(GUMBEL, 33, seed=2)
-        decision = select_family(x, alpha=0.05, B=199, seed=3)
+        decision = select_family(x, fit_mle(x, "free"), alpha=0.05, B=199, seed=3)
         assert decision.chosen == "gumbel"
         assert decision.gumbel_p >= 0.05
         assert decision.second_p is None
@@ -220,14 +233,38 @@ class TestSelectFamily:
     def test_rejection_routes_by_shape_sign(self):
         # heavy-tailed sample chosen so the first-stage test rejects
         x = gev_sample(GevParams(80, 25, 0.3), 33, seed=12)
-        decision = select_family(x, alpha=0.05, delta=0.05, B=199, seed=5)
+        decision = select_family(x, fit_mle(x, "free"), alpha=0.05, delta=0.05, B=199, seed=5)
         assert decision.gumbel_p < 0.05, "construction must reject the first stage"
         assert decision.chosen == "frechet"
         assert decision.second_p is not None
 
     def test_decision_carries_both_p_values(self):
         x = gev_sample(GevParams(80, 25, 0.3), 33, seed=12)
-        decision = select_family(x, alpha=0.05, B=199, seed=5)
+        decision = select_family(x, fit_mle(x, "free"), alpha=0.05, B=199, seed=5)
         assert 0.0 < decision.gumbel_p < 1.0
         assert 0.0 < decision.second_p <= 1.0
         assert decision.alpha == 0.05
+
+    @pytest.mark.parametrize(
+        "params, seed, chosen",
+        [(GUMBEL, 2, "gumbel"), (GevParams(80, 25, 0.3), 12, "frechet")],
+    )
+    def test_decision_carries_the_tested_fits(self, params, seed, chosen):
+        # the fits are those the tCvM tests made of the observed sample,
+        # equal to refitting the family
+        x = gev_sample(params, 33, seed=seed)
+        decision = select_family(x, fit_mle(x, "free"), alpha=0.05, B=99, seed=5)
+        assert decision.chosen == chosen
+        assert decision.gumbel_fit == fit_family(x, "gumbel")
+        assert decision.fit == fit_family(x, chosen)
+
+    def test_requires_the_free_fit(self):
+        x = gev_sample(GUMBEL, 33, seed=2)
+        with pytest.raises(ValueError, match="need the free fit"):
+            select_family(x, fit_mle(x, "gumbel"), B=99)
+
+
+def test_tcvm_result_carries_the_observed_fit():
+    x = gev_sample(GevParams(80, 25, -0.2), 33, seed=3)
+    for family in ("gumbel", "weibull"):
+        assert tcvm_test(x, family, B=99, seed=1).fit == fit_family(x, family)

@@ -25,7 +25,10 @@ from rainmax.ingest import (
     synth_dataset,
     write_series_csv,
     write_skip_log,
+    year_matrix,
 )
+
+from _reference_years import common_years, gapped_network
 
 
 def _csv(text: str) -> io.BytesIO:
@@ -326,6 +329,28 @@ class TestSeriesInvariants:
     def test_coverage_bounds(self):
         with pytest.raises(ValueError):
             AnnualMaximaSeries("A", [1990], [1.0], [1.2])
+
+
+class TestYearMatrix:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_masks_match_per_pair_lookup(self, seed):
+        series = gapped_network(seed)
+        years, values = year_matrix(series)
+        present = ~np.isnan(values)
+        assert years.tolist() == sorted(set().union(*(s.years.tolist() for s in series)))
+        for i, s in enumerate(series):
+            assert years[present[i]].tolist() == s.years.tolist()
+            assert values[i, present[i]].tolist() == s.values.tolist()
+        for i in range(len(series)):
+            for j in range(len(series)):
+                both = present[i] & present[j]
+                a, b = common_years(series[i], series[j])
+                assert values[i, both].tolist() == a.tolist()
+                assert values[j, both].tolist() == b.tolist()
+
+    def test_no_stations(self):
+        years, values = year_matrix([])
+        assert years.size == 0 and values.shape == (0, 0)
 
 
 class TestSerialization:

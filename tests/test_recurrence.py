@@ -25,6 +25,8 @@ from rainmax.recurrence import (
     write_pair_report_csv,
 )
 
+from _reference_years import common_years, gapped_network
+
 
 class TestMarginalRate:
     def test_constant_series_saturates(self):
@@ -263,6 +265,20 @@ class TestPairwiseReport:
         assert [r.other for r in rows] == ["st00", "st01", "st02", "st04", "st05"]
         assert all(r.result is not None for r in rows)
         assert all(r.n_common == 33 for r in rows)
+
+    def test_gapped_pairs_match_per_pair_alignment(self):
+        series = gapped_network(4)
+        config = RecurrenceConfig(permutations=99, seed=7)
+        rows = pairwise_independence_report(series, "g2", config)
+        assert [r.other for r in rows] == ["g0", "g1", "g3", "g4", "g5"]
+        target = series[2]
+        for row, other in zip(rows, series[:2] + series[3:]):
+            x, y = common_years(target, other)
+            assert row.n_common == x.size
+            seed = derive_seed(7, "indep", "g2", other.station_id)
+            expected = independence_test(x, y, RecurrenceConfig(permutations=99, seed=seed))
+            assert row.result.statistic == expected.statistic
+            assert row.result.p_value == expected.p_value
 
     def test_missing_target_rejected(self):
         with pytest.raises(ValueError, match="nowhere"):
