@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import shutil
 import sys
 import unicodedata
 from dataclasses import dataclass
@@ -260,7 +261,10 @@ def _write_diagnostics(
     fits: dict[str, FitResult],
     out: Path,
 ) -> None:
+    """Per-station plot data under ``diagnostics/``, which is cleared first
+    so that no station directory is left from an earlier run."""
     root = out / "diagnostics"
+    shutil.rmtree(root, ignore_errors=True)
     for s in series:
         fit = fits[s.station_id]
         station_dir = root / slugify(s.station_id)
@@ -286,6 +290,8 @@ def _cluster_params(fits: dict[str, FitResult], cfg: RunConfig, out: Path) -> cl
     cluster_dir.mkdir(parents=True, exist_ok=True)
     features = cl.param_features(fits, standardize=cfg.standardize)
     dm = cl.euclidean_dm(features)
+    # select_k checks kmax before any Ward cut is taken or file written
+    chosen = cl.select_k(dm=dm, method="silhouette", kmax=cfg.kmax)
     with (cluster_dir / "params_distance.tsv").open("w", encoding="utf-8", newline="") as fh:
         cl.write_distance_tsv(dm, fh)
 
@@ -299,7 +305,6 @@ def _cluster_params(fits: dict[str, FitResult], cfg: RunConfig, out: Path) -> cl
         cluster_dir / "params_dendrogram.json",
     )
 
-    chosen = cl.select_k(dm=dm, method="silhouette", kmax=cfg.kmax)
     with (cluster_dir / "params_silhouette.csv").open("w", encoding="utf-8", newline="") as fh:
         cl.write_score_table(chosen.scores, fh)
     _dump_json(
@@ -307,7 +312,7 @@ def _cluster_params(fits: dict[str, FitResult], cfg: RunConfig, out: Path) -> cl
         cluster_dir / "params_pam.json",
     )
 
-    # the pseudo-F table scores the cuts written above (select_k has checked kmax)
+    # the pseudo-F table scores the cuts written above
     scores = {k: cl.pseudo_f(features, p) for k, p in cuts.items()}
     with (cluster_dir / "params_pseudo_f.csv").open("w", encoding="utf-8", newline="") as fh:
         cl.write_score_table(scores, fh)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .estimate import FitResult
 from .ingest import AnnualMaximaSeries, year_matrix
@@ -113,8 +112,20 @@ def param_features(
     return FeatureMatrix(labels, _standardize(x) if standardize else x)
 
 
+def _squared_distances(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``x``. Each is summed
+    over the columns in order, as scipy's ``pdist(x, "sqeuclidean")`` sums
+    it, so both give the same bits."""
+    x = np.asarray(x, dtype=float)
+    d = np.zeros((x.shape[0], x.shape[0]))
+    for column in x.T:
+        diff = column[:, None] - column[None, :]
+        d += diff * diff
+    return d
+
+
 def euclidean_dm(features: FeatureMatrix) -> DistanceMatrix:
-    return DistanceMatrix(features.labels, squareform(pdist(features.values)))
+    return DistanceMatrix(features.labels, np.sqrt(_squared_distances(features.values)))
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -217,40 +228,39 @@ def ward_cluster(features: FeatureMatrix) -> Dendrogram:
     """Ward agglomeration via the Lance-Williams recurrence.
 
     Works on squared Euclidean distances, so each merge height is the
-    increase-in-variance cost and heights are nondecreasing.
+    increase-in-variance cost and heights are nondecreasing. Each step
+    merges the first closest pair in row-major order, the lowest index
+    first, and updates the merged cluster's distances to the others at once.
     """
     x = features.values
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 stations to cluster")
-    d = squareform(pdist(x, metric="sqeuclidean"))
+    d = _squared_distances(x)
+    distances = DistanceMatrix(features.labels, np.sqrt(d))
+    # inf on the diagonal, and later on merged-away rows and columns, keeps
+    # argmin to pairs of active clusters
     np.fill_diagonal(d, np.inf)
     size = np.ones(n)
     cluster_id = list(range(n))
-    active = list(range(n))
+    active = np.ones(n, dtype=bool)
     merges: list[tuple[int, int, float]] = []
     for step in range(n - 1):
-        best = (np.inf, -1, -1)
-        for ai in range(len(active)):
-            for aj in range(ai + 1, len(active)):
-                i, j = active[ai], active[aj]
-                if d[i, j] < best[0]:
-                    best = (d[i, j], i, j)
-        height, i, j = best
+        # d is symmetric, so the first minimum in row-major order has i < j
+        i, j = divmod(int(np.argmin(d)), n)
+        height = d[i, j]
         ids = sorted((cluster_id[i], cluster_id[j]))
         merges.append((ids[0], ids[1], float(height)))
-        si, sj = size[i], size[j]
-        for k in active:
-            if k in (i, j):
-                continue
-            sk = size[k]
-            d_new = ((si + sk) * d[i, k] + (sj + sk) * d[j, k] - sk * height) / (si + sj + sk)
-            d[i, k] = d[k, i] = d_new
+        active[j] = False
+        others = np.flatnonzero(active & (np.arange(n) != i))
+        si, sj, sk = size[i], size[j], size[others]
+        d[i, others] = d[others, i] = (
+            (si + sk) * d[i, others] + (sj + sk) * d[j, others] - sk * height
+        ) / (si + sj + sk)
         size[i] = si + sj
         cluster_id[i] = n + step
-        active.remove(j)
         d[j, :] = d[:, j] = np.inf
-    return Dendrogram(features.labels, merges, euclidean_dm(features))
+    return Dendrogram(features.labels, merges, distances)
 
 
 def pam_cluster(dm: DistanceMatrix, k: int) -> Partition:

@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincinv
 
 from .gev import XI_EPS, GevParams, log_likelihood
 
@@ -114,7 +112,7 @@ def fit_pwm(data: object) -> FitResult:
     else:
         if k <= -0.99:
             raise FitError(f"PWM shape estimate out of range (k={k:.3f})")
-        g = gamma_fn(1.0 + k)
+        g = math.gamma(1.0 + k)
         sigma = l2 * k / ((1.0 - 2.0 ** (-k)) * g)
         mu = b0 - sigma * (1.0 - g) / k
         xi = -k
@@ -130,6 +128,79 @@ def fit_pwm(data: object) -> FitResult:
         converged=True,
         iterations=0,
     )
+
+
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_MAX_ITER = 100
+
+
+def _brent_root(
+    f: Callable[[float], float],
+    a: tuple[float, float],
+    b: tuple[float, float],
+    xtol: float,
+) -> tuple[float, int]:
+    """Root of ``f`` bracketed by ``a`` and ``b``, each a point with its
+    function value (the caller has them), the values of opposite signs.
+
+    Brent's method: inverse quadratic interpolation or a secant step while
+    it shrinks the bracket fast enough, bisection otherwise, until the
+    bracket is narrower than xtol + 4 eps |x|. These are the steps and the
+    stopping rule of scipy's ``brentq``, so the same function values give
+    the same root. Returns the root and the iterations taken.
+    """
+    (xpre, fpre), (xcur, fcur) = a, b
+    if fpre == 0:
+        return xpre, 0
+    if fcur == 0:
+        return xcur, 0
+    xblk = fblk = spre = scur = 0.0
+    for iteration in range(1, _ROOT_MAX_ITER + 1):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, iteration
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        # take the interpolation step when it is short enough, else bisect
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise FitError(f"root not bracketed within {xtol} after {_ROOT_MAX_ITER} iterations")
+
+
+def _chi2_1_quantile(level: float) -> float:
+    """Quantile of the chi-square distribution with one degree of freedom.
+
+    P(X <= 2 z^2) = erf(z), so the quantile is 2 z^2 with erf(z) = level;
+    z is found by bisection down to adjacent floats.
+    """
+    lo, hi = 0.0, 6.0  # erf(6) rounds to 1
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return 2.0 * hi * hi
+        if math.erf(mid) < level:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _fit_gumbel_exact(x: np.ndarray) -> FitResult:
@@ -159,10 +230,11 @@ def _fit_gumbel_exact(x: np.ndarray) -> FitResult:
             if g(hi) > 0:
                 break
             hi *= 2.0
-        if not g(lo) < 0 < g(hi):
+        g_lo, g_hi = g(lo), g(hi)
+        if not g_lo < 0 < g_hi:
             raise FitError("could not bracket the Gumbel scale equation")
-        s, info = brentq(g, lo, hi, xtol=1e-12, full_output=True)[0:2]
-        iterations += info.iterations
+        s, steps = _brent_root(g, (lo, g_lo), (hi, g_hi), xtol=1e-12)
+        iterations += steps
         mu = xmin - s * math.log(float(np.exp(-(x - xmin) / s).mean()))
 
     params = GevParams(float(mu), float(s), 0.0)
@@ -548,13 +620,14 @@ def profile_ci_xi(
 
     Endpoints solve 2*(max loglik - profile loglik(xi)) = chi2(1) quantile;
     they are located by marching outward from the MLE and refined by
-    bisection, and may be asymmetric. The profile log-likelihood at each
-    shape comes from a safeguarded Newton solve on (mu, log sigma) with
-    the closed-form GEV derivatives, warm-started from the nearest shape
-    already solved; at the search bound xi = -1 it takes its closed form
-    on the support edge. ``free`` is the sample's free ``fit_mle`` result
-    when the caller already has it. Raises FitError when an endpoint
-    does not materialize inside the search range.
+    Brent's method on the bracket the march found, and may be asymmetric.
+    The profile log-likelihood at each shape comes from a safeguarded
+    Newton solve on (mu, log sigma) with the closed-form GEV derivatives,
+    warm-started from the nearest shape already solved; at the search
+    bound xi = -1 it takes its closed form on the support edge. ``free``
+    is the sample's free ``fit_mle`` result when the caller already has
+    it. Raises FitError when an endpoint does not materialize inside the
+    search range.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
@@ -563,7 +636,7 @@ def profile_ci_xi(
         free = fit_mle(x, "free")
     lmax = free.loglik
     xi_hat = float(np.clip(free.params.xi, *_XI_SEARCH_RANGE))
-    threshold = 2.0 * float(gammaincinv(0.5, level))  # chi-square(1) quantile
+    threshold = _chi2_1_quantile(level)
 
     warm: list[tuple[float, tuple[float, float]]] = [
         (xi_hat, (free.params.mu, free.params.sigma))
@@ -578,12 +651,13 @@ def profile_ci_xi(
     def find_endpoint(direction: float) -> float:
         bound = _XI_SEARCH_RANGE[1] if direction > 0 else _XI_SEARCH_RANGE[0]
         step = 0.1 * direction
-        inner = xi_hat
+        inner, f_inner = xi_hat, None  # the MLE's deviance is solved only if needed
         while True:
             outer = inner + step
             if (direction > 0 and outer >= bound) or (direction < 0 and outer <= bound):
                 outer = bound
-            if deviance(outer) > threshold:
+            f_outer = deviance(outer) - threshold
+            if f_outer > 0:
                 break
             if outer == bound:
                 side = "upper" if direction > 0 else "lower"
@@ -591,8 +665,12 @@ def profile_ci_xi(
                     f"profile deviance stays below the threshold at xi={bound}; "
                     f"{side} endpoint unbounded in {_XI_SEARCH_RANGE}"
                 )
-            inner = outer
-        return float(brentq(lambda v: deviance(v) - threshold, min(inner, outer), max(inner, outer), xtol=1e-6))
+            inner, f_inner = outer, f_outer
+        if f_inner is None:
+            f_inner = deviance(inner) - threshold
+        # the march's values close the bracket, so no shape is solved twice
+        a, b = sorted([(inner, f_inner), (outer, f_outer)])
+        return float(_brent_root(lambda v: deviance(v) - threshold, a, b, xtol=1e-6)[0])
 
     upper = find_endpoint(+1.0)
     lower = find_endpoint(-1.0)

@@ -43,17 +43,61 @@ def _write_daily(path):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second per CLI launch; the package uses
-    # scipy.special and numpy for what it needed from it
+def _child_env():
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, rainmax.cli; print('scipy.stats' in sys.modules)"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # numpy is the only runtime dependency; scipy costs most of a CLI launch
+    probe = (
+        "import sys, rainmax.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+# runs the CLI with an import hook that refuses every scipy module
+WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from rainmax.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_report_runs_without_scipy(tmp_path):
+    args = ["report", "--demo", "--seed", "29", "--out", "out", *FAST]
+    trees = []
+    for name, command in (("blocked", ["-c", WITHOUT_SCIPY]), ("plain", ["-m", "rainmax"])):
+        (tmp_path / name).mkdir()
+        done = subprocess.run(
+            [sys.executable, *command, *args],
+            cwd=tmp_path / name,
+            env=_child_env(),
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        trees.append(_tree(tmp_path / name / "out"))
+    assert trees[0] == trees[1]
+    assert "fits.json" in trees[0] and "run_config.json" in trees[0]
 
 
 class TestSlugify:
@@ -303,6 +347,15 @@ class TestSubcommands:
         assert first == second
 
 
+@pytest.mark.parametrize("kmax", [20, 25])
+def test_cluster_params_checks_kmax_before_writing(tmp_path, capsys, kmax):
+    out = tmp_path / "out"
+    assert main(["cluster", "--demo", "--method", "params", "--kmax", str(kmax), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"]) == ("ValueError", f"kmax must lie in [2, 19], got {kmax}")
+    assert not (out / "cluster" / "params_dendrogram.json").exists()
+
+
 class TestReport:
     def test_small_end_to_end(self, tmp_path):
         out = tmp_path / "report"
@@ -390,6 +443,17 @@ class TestStationIsolation:
                 assert main([*command, "--input", str(inputs[source]), "--out", str(out)]) == 0
             assert (out / "fit_errors.json").exists() == failed
             assert (out / "cluster" / "fmadogram_excluded.json").exists() == failed
+
+    @pytest.mark.parametrize("command", [["diagnose"], ["report", "--seed", "29"]])
+    def test_rerun_clears_stale_diagnostics(self, inputs, command):
+        demo = inputs["demo"].read_text()
+        with_short = inputs["root"] / "with_short.csv"
+        with_short.write_text(demo + "".join(f"Short,{2000 + i},{v}\n" for i, v in enumerate(SHORT)))
+        demo_slugs = {slugify(line.split(",")[0]) for line in demo.splitlines()[1:]}
+        out = inputs["root"] / f"stale_{command[0]}"
+        for source, slugs in ((with_short, demo_slugs | {"short"}), (inputs["demo"], demo_slugs)):
+            assert main([*command, "--input", str(source), "--out", str(out), *FAST]) == 0
+            assert {p.name for p in (out / "diagnostics").iterdir()} == slugs
 
     def test_report_drops_failed_and_short_stations(self, inputs):
         out = self._run(inputs, "report", ["report", "--seed", "29"], "both")

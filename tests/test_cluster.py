@@ -8,11 +8,14 @@ import math
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import pdist, squareform
 
 import rainmax.cluster as cluster_module
 from rainmax.cluster import (
     DistanceMatrix,
+    FeatureMatrix,
     Partition,
+    _squared_distances,
     euclidean_dm,
     extremal_coefficient,
     features_from_iterable,
@@ -33,6 +36,7 @@ from rainmax.estimate import FitResult
 from rainmax.gev import GevParams
 from rainmax.ingest import AnnualMaximaSeries, synth_dataset
 
+from _reference_ward import ward_merges
 from _reference_years import common_years, gapped_network
 
 
@@ -110,6 +114,16 @@ class TestEuclidean:
             for j in range(10):
                 expected = math.sqrt(((rows[i] - rows[j]) ** 2).sum())
                 assert dm.values[i, j] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("columns", [1, 3, 6])
+    def test_bitwise_equal_to_pdist(self, columns):
+        rng = np.random.default_rng(columns)
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            x = rng.normal(size=(n, columns)) * 10.0 ** rng.uniform(-3, 3)
+            feats = FeatureMatrix(tuple(f"s{i}" for i in range(n)), x)
+            assert np.array_equal(_squared_distances(x), squareform(pdist(x, "sqeuclidean")))
+            assert np.array_equal(euclidean_dm(feats).values, squareform(pdist(x)))
 
 
 def _series(station, values, years=None):
@@ -290,6 +304,15 @@ class TestWard:
             theirs = fcluster(ref, k, criterion="maxclust")
             # same partition up to label permutation
             assert len({(a, b) for a, b in zip(mine, theirs)}) == k
+
+    def test_merges_bitwise_equal_to_scalar_loop(self):
+        # small integer features tie many distances and merge heights
+        rng = np.random.default_rng(15)
+        for trial in range(200):
+            n = int(rng.integers(2, 30))
+            x = rng.integers(0, 2 + trial % 4, size=(n, 1 + trial % 4)).astype(float)
+            feats = FeatureMatrix(tuple(f"s{i}" for i in range(n)), x)
+            assert ward_cluster(feats).merges == ward_merges(x), trial
 
     def test_singleton_split_iff_outlier(self):
         rng = np.random.default_rng(14)

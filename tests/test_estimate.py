@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import gamma as scipy_gamma
 from scipy.stats import chi2
 
 from rainmax import estimate
 from rainmax.demo import demo_dataset
 from rainmax.estimate import (
     FitError,
+    _brent_root,
+    _chi2_1_quantile,
     _fit_gumbel_exact,
     _fit_rows,
     _gev_rows_derivatives,
@@ -63,6 +67,48 @@ class TestFitPwm:
         assert moved.mu == pytest.approx(a + b * base.mu, rel=1e-6, abs=1e-6)
         assert moved.sigma == pytest.approx(b * base.sigma, rel=1e-6)
         assert moved.xi == pytest.approx(base.xi, abs=1e-9)
+
+    def test_math_gamma_matches_scipy_gamma(self, monkeypatch):
+        shapes = (-0.3, -0.1, 0.1, 0.4)
+        samples = [gev_sample(GevParams(80, 25, xi), 40, seed=s) for s, xi in enumerate(shapes)]
+        fits = [fit_pwm(x).params for x in samples]
+        monkeypatch.setattr(math, "gamma", lambda v: float(scipy_gamma(v)))
+        for x, fit in zip(samples, fits):
+            ref = fit_pwm(x).params
+            assert fit.xi == ref.xi
+            assert fit.mu == pytest.approx(ref.mu, rel=1e-13, abs=0)
+            assert fit.sigma == pytest.approx(ref.sigma, rel=1e-13, abs=0)
+
+
+class TestChi2Quantile:
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+    def test_matches_scipy(self, level):
+        assert _chi2_1_quantile(level) == pytest.approx(chi2.ppf(level, df=1), rel=1e-14, abs=0)
+
+
+_ROOT_FUNCTIONS = (
+    lambda v, c: v**3 - c,
+    lambda v, c: math.exp(v) - 1.0 - c,
+    lambda v, c: math.tanh(v - c) + 0.1,
+    lambda v, c: math.atan(c * v) - 0.2,
+)
+
+
+class TestBrentRoot:
+    """The bracketed root finder against scipy's brentq."""
+
+    @pytest.mark.parametrize("xtol", [1e-12, 1e-6, 1e-3])
+    def test_lands_within_xtol_of_brentq(self, xtol):
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            c = float(rng.uniform(0.1, 3.0))
+            f = lambda v, g=_ROOT_FUNCTIONS[trial % len(_ROOT_FUNCTIONS)], c=c: g(v, c)  # noqa: E731
+            a, b = -float(rng.uniform(0.5, 5.0)), float(rng.uniform(3.0, 10.0))
+            root, _ = _brent_root(f, (a, f(a)), (b, f(b)), xtol)
+            assert abs(root - brentq(f, a, b, xtol=xtol)) <= xtol
+
+    def test_root_at_a_bracket_end(self):
+        assert _brent_root(math.sin, (0.0, 0.0), (1.0, math.sin(1.0)), 1e-12) == (0.0, 0)
 
 
 class TestFitMle:
@@ -148,11 +194,23 @@ class TestFitMle:
             mu, sigma, ok, iterations = rows(X)
             return mu, sigma, np.zeros_like(ok), iterations
 
+        solves = []
+        brent = estimate._brent_root
+
+        def recording(f, a, b, xtol):
+            root, steps = brent(f, a, b, xtol)
+            solves.append((f, a[0], b[0], xtol, root))
+            return root, steps
+
         monkeypatch.setattr(estimate, "_gumbel_rows", stalled)
+        monkeypatch.setattr(estimate, "_brent_root", recording)
         bracketed = fit_mle(x, "gumbel")
         assert bracketed.params.mu == pytest.approx(newton.params.mu, rel=1e-10)
         assert bracketed.params.sigma == pytest.approx(newton.params.sigma, rel=1e-10)
         assert bracketed.iterations > newton.iterations
+        ((g, lo, hi, xtol, root),) = solves
+        assert bracketed.params.sigma == root
+        assert abs(root - brentq(g, lo, hi, xtol=xtol)) <= xtol
 
     def test_pwm_and_mle_agree_large_sample(self):
         x = gev_sample(GevParams(0, 1, 0.0), 100_000, seed=10)
@@ -397,6 +455,21 @@ class TestProfileKernel:
             ref = profile_ci_xi(x)
             assert ci.lower == pytest.approx(ref.lower, abs=1e-9)
             assert ci.upper == pytest.approx(ref.upper, abs=1e-9)
+
+    def test_no_shape_is_solved_twice(self, monkeypatch):
+        # the march's deviances close the root finder's bracket
+        solved = []
+        solve = estimate._profile_loglik
+
+        def counting(x, xi, start):
+            solved.append(xi)
+            return solve(x, xi, start)
+
+        monkeypatch.setattr(estimate, "_profile_loglik", counting)
+        for s in demo_dataset(seed=29):
+            solved.clear()
+            profile_ci_xi(s.values)
+            assert len(solved) == len(set(solved)), s.station_id
 
     def test_given_free_fit_is_not_refitted(self, monkeypatch):
         x = gev_sample(GevParams(80, 25, 0.1), 50, seed=6)

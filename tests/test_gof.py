@@ -1,6 +1,7 @@
 """Goodness-of-fit tests: closed-form and quadrature oracles for the
 truncated statistic, bootstrap determinism, LRT properties, family routing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -206,6 +207,17 @@ class TestLrt:
         from scipy.stats import chi2
 
         assert chi2.sf(0.0, df=1) == 1.0
+
+    def test_p_value_matches_chi2_survival(self):
+        from scipy.stats import chi2
+
+        x = gev_sample(GUMBEL, 33, seed=0)
+        free, gumbel = fit_mle(x, "free"), fit_mle(x, "gumbel")
+        gumbel = dataclasses.replace(gumbel, loglik=0.0)
+        for d in np.linspace(0.0, 200.0, 2001):
+            res = lrt_gumbel_vs_gev(dataclasses.replace(free, loglik=d / 2.0), gumbel)
+            assert res.statistic == d
+            assert res.p_value == pytest.approx(chi2.sf(d, df=1), rel=1e-12, abs=0)
 
     def test_large_sample_power_against_heavy_tail(self):
         rejections = 0
