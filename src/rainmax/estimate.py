@@ -190,14 +190,18 @@ def _chi2_1_quantile(level: float) -> float:
     """Quantile of the chi-square distribution with one degree of freedom.
 
     P(X <= 2 z^2) = erf(z), so the quantile is 2 z^2 with erf(z) = level;
-    z is found by bisection down to adjacent floats.
+    z is found by bisection down to adjacent floats. Above level 0.95 the
+    bisection solves erfc(z) = 1 - level instead: 1 - level is exact there
+    and erfc keeps full precision where erf rounds towards 1. At and below
+    0.95 erf is kept; erfc would move the default 0.95 quantile by 1 ulp.
     """
-    lo, hi = 0.0, 6.0  # erf(6) rounds to 1
+    tail = level > 0.95
+    lo, hi = 0.0, 6.0  # erf(6) rounds to 1; erfc(6) lies below 1 - (largest double < 1)
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return 2.0 * hi * hi
-        if math.erf(mid) < level:
+        if (math.erfc(mid) > 1.0 - level) if tail else (math.erf(mid) < level):
             lo = mid
         else:
             hi = mid

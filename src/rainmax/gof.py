@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimate import FitError, FitResult, _fit_rows, fit_mle
 from .gev import XI_EPS, GevParams, gev_quantile
-from .seeding import derive_seed
+from .seeding import derive_seed, derive_seeds, stream_uniforms
 
 FAMILIES = ("gumbel", "frechet", "weibull")
 
@@ -108,10 +108,13 @@ def tcvm_test(
     Fits the family, simulates B samples from the fitted law, refits the
     family on each replicate and recomputes the statistic, so the null
     distribution accounts for parameter estimation. Replicate b draws
-    from its own stream ``derive_seed(seed, "tcvm", family, b)``.
-    Replicates are refitted by the row kernel, a block of rows per call; a
-    row it cannot settle draws again from its stream (counted in
-    ``redraws``), up to 10 draws per replicate.
+    from its own stream ``np.random.default_rng([derive_seed(seed, "tcvm",
+    family, b)])``; all B streams are derived and stepped together in one
+    array pass (``derive_seeds``, ``stream_uniforms``), which the tests
+    check bit for bit against numpy's generators. Replicates are refitted
+    by the row kernel, a block of rows per call; a row it cannot settle
+    draws again from its stream (counted in ``redraws``), up to 10 draws
+    per replicate.
     """
     if B < _MIN_BOOTSTRAP:
         raise ValueError(f"bootstrap count must be at least {_MIN_BOOTSTRAP}, got {B}")
@@ -120,18 +123,19 @@ def tcvm_test(
     fitted = fit_family(x, family)
     observed = tcvm_statistic(x, fitted.params, delta)
 
+    seeds = derive_seeds(seed, ("tcvm", family), range(B))
+    uniforms = stream_uniforms(seeds, n)
     boot = np.empty(B)
     redraws = 0
     for start in range(0, B, _BLOCK_ROWS):
-        block = range(start, min(start + _BLOCK_ROWS, B))
-        rngs = [np.random.default_rng([derive_seed(seed, "tcvm", family, b)]) for b in block]
-        samples = _to_sample(np.stack([rng.random(n) for rng in rngs]), fitted.params)
+        stop = min(start + _BLOCK_ROWS, B)
+        samples = _to_sample(uniforms[start:stop], fitted.params)
         mu, sigma, xi, ok, _ = _fit_rows(samples, family)
-        boot[block.start : block.stop][ok] = _tcvm_rows(
-            samples[ok], mu[ok], sigma[ok], xi[ok], delta
-        )
-        for i in np.flatnonzero(~ok):
-            boot[block[i]], extra = _redraw(rngs[i], n, family, fitted.params, delta, block[i])
+        boot[start:stop][ok] = _tcvm_rows(samples[ok], mu[ok], sigma[ok], xi[ok], delta)
+        for b in (start + np.flatnonzero(~ok)).tolist():
+            rng = np.random.default_rng([seeds[b]])
+            rng.random(n)  # step past the draw the block used
+            boot[b], extra = _redraw(rng, n, family, fitted.params, delta, b)
             redraws += extra
     p = (1.0 + float((boot >= observed).sum())) / (B + 1.0)
     return TestResult(

@@ -85,6 +85,15 @@ class TestChi2Quantile:
     def test_matches_scipy(self, level):
         assert _chi2_1_quantile(level) == pytest.approx(chi2.ppf(level, df=1), rel=1e-14, abs=0)
 
+    def test_default_level_keeps_its_bits(self):
+        # the 0.95 threshold every default profile interval is solved against
+        assert _chi2_1_quantile(0.95) == 3.8414588206941236
+
+    @pytest.mark.parametrize("level", [0.99, 0.999, 0.99999, 1 - 1e-8, 1 - 1e-12])
+    def test_levels_near_one_keep_full_precision(self, level):
+        # erf(z) rounds towards 1 here; the erfc tail does not
+        assert _chi2_1_quantile(level) == pytest.approx(chi2.ppf(level, df=1), rel=1e-14, abs=0)
+
 
 _ROOT_FUNCTIONS = (
     lambda v, c: v**3 - c,

@@ -144,42 +144,72 @@ class TestBatchedBootstrap:
         res = tcvm_test(x, family, delta=0.05, B=99, seed=seed)
         assert res.p_value == _scalar_tcvm_p_value(x, family, 0.05, 99, seed)
 
+    def test_blocks_equal_per_replicate_loop(self, monkeypatch):
+        # B = 300 is three refit blocks, the last one partial
+        x = gev_sample(GUMBEL, 33, seed=22)
+        kernel = gof._tcvm_rows
+        statistics = []
+
+        def record(*args):
+            out = kernel(*args)
+            statistics.append(out)
+            return out
+
+        monkeypatch.setattr(gof, "_tcvm_rows", record)
+        res = tcvm_test(x, "gumbel", B=300, seed=5)
+        observed, *blocks = statistics  # the observed sample's statistic comes first
+        assert [len(b) for b in blocks] == [128, 128, 44]
+        expected = list(_gumbel_bootstrap_statistics(x, 5, B=300))
+        assert np.concatenate(blocks).tolist() == expected
+        assert res.p_value == (1.0 + sum(b >= observed[0] for b in expected)) / 301.0
+
     def test_unconverged_row_draws_again(self, monkeypatch):
+        self._check_redraws(monkeypatch, B=99, replicate=7)
+
+    def test_unconverged_row_in_last_partial_block_draws_again(self, monkeypatch):
+        self._check_redraws(monkeypatch, B=300, replicate=290)
+
+    @staticmethod
+    def _check_redraws(monkeypatch, B, replicate):
         x = gev_sample(GUMBEL, 33, seed=21)
-        reference = tcvm_test(x, "gumbel", B=99, seed=4)
+        reference = tcvm_test(x, "gumbel", B=B, seed=4)
         assert reference.redraws == 0
 
         kernel = gof._fit_rows
+        block, row = divmod(replicate, gof._BLOCK_ROWS)
         calls = []
 
-        def fail_replicate_7(samples, family, failures):
+        def fail_replicate(samples, family, failures):
             mu, sigma, xi, converged, iterations = kernel(samples, family)
             calls.append(samples)
-            if len(calls) <= failures:  # the block call, then each redraw of row 7
-                converged[7 if len(calls) == 1 else 0] = False
+            # the replicate's block call, then each of its redraws
+            if block < len(calls) <= block + failures:
+                converged[row if len(calls) == block + 1 else 0] = False
             return mu, sigma, xi, converged, iterations
 
-        monkeypatch.setattr(gof, "_fit_rows", lambda s, f: fail_replicate_7(s, f, 2))
-        res = tcvm_test(x, "gumbel", B=99, seed=4)
+        monkeypatch.setattr(gof, "_fit_rows", lambda s, f: fail_replicate(s, f, 2))
+        res = tcvm_test(x, "gumbel", B=B, seed=4)
         assert res.redraws == 2
         # each redraw is the replicate's next draw from its own stream
-        rng = np.random.default_rng([derive_seed(4, "tcvm", "gumbel", 7)])
+        rng = np.random.default_rng([derive_seed(4, "tcvm", "gumbel", replicate)])
         draws = [gof._to_sample(rng.random(33), fit_family(x, "gumbel").params) for _ in range(3)]
-        assert len(calls) == 3
-        np.testing.assert_array_equal(calls[0][7], draws[0])
-        np.testing.assert_array_equal(calls[1][0], draws[1])
-        np.testing.assert_array_equal(calls[2][0], draws[2])
-        # replicate 7's statistic now comes from its third draw
+        assert len(calls) == block + 3
+        np.testing.assert_array_equal(calls[block][row], draws[0])
+        np.testing.assert_array_equal(calls[block + 1][0], draws[1])
+        np.testing.assert_array_equal(calls[block + 2][0], draws[2])
+        # the replicate's statistic now comes from its third draw
         refit = fit_family(draws[2], "gumbel")
-        expected = list(_gumbel_bootstrap_statistics(x, 4))
-        expected[7] = tcvm_statistic(draws[2], refit.params)
+        expected = list(_gumbel_bootstrap_statistics(x, 4, B=B))
+        expected[replicate] = tcvm_statistic(draws[2], refit.params)
         observed = tcvm_statistic(x, fit_family(x, "gumbel").params)
-        assert res.p_value == (1.0 + sum(b >= observed for b in expected)) / 100.0
+        assert res.p_value == (1.0 + sum(b >= observed for b in expected)) / (B + 1.0)
 
         calls.clear()
-        monkeypatch.setattr(gof, "_fit_rows", lambda s, f: fail_replicate_7(s, f, 10))
-        with pytest.raises(FitError, match="replicate 7 failed to refit gumbel after 10 draws"):
-            tcvm_test(x, "gumbel", B=99, seed=4)
+        monkeypatch.setattr(gof, "_fit_rows", lambda s, f: fail_replicate(s, f, 10))
+        with pytest.raises(
+            FitError, match=f"replicate {replicate} failed to refit gumbel after 10 draws"
+        ):
+            tcvm_test(x, "gumbel", B=B, seed=4)
 
 
 class TestLrt:
