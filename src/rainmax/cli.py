@@ -8,16 +8,16 @@ the same configuration and inputs reproduces the outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import itertools
 import json
 import shutil
 import sys
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from . import cluster as cl
 from . import diagnose, gof, ingest, recurrence
@@ -33,11 +33,11 @@ class RunConfig:
     out: str = "out"
     seed: int = 0
     alpha: float = 0.05
-    delta: float = 0.05
-    bootstrap: int = 999
-    permutations: int = 999
-    min_coverage: float = 0.8
-    min_overlap: int = 10
+    delta: float = gof.DEFAULT_DELTA
+    bootstrap: int = gof.DEFAULT_BOOTSTRAP
+    permutations: int = recurrence.DEFAULT_PERMUTATIONS
+    min_coverage: float = ingest.DEFAULT_MIN_COVERAGE
+    min_overlap: int = cl.DEFAULT_MIN_OVERLAP
     standardize: bool = True
     kmax: int = 7
     method: str = "params"
@@ -64,6 +64,8 @@ class RunConfig:
             raise ValueError("kmax must be at least 2")
         if self.method not in ("params", "fmadogram"):
             raise ValueError("method must be 'params' or 'fmadogram'")
+        if not 0.0 < self.ci_level < 1.0:
+            raise ValueError("ci_level must lie in (0, 1)")
 
 
 def slugify(name: str) -> str:
@@ -89,6 +91,15 @@ def _fit_payload(fit: FitResult) -> dict:
         "converged": fit.converged,
         "iterations": fit.iterations,
     }
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """One CSV file with standard quoting, so a station id holding a comma
+    or a quote stays one field."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_if_any(payload: dict, path: Path) -> None:
@@ -143,17 +154,18 @@ def _free_fits(
 ) -> tuple[list[AnnualMaximaSeries], dict[str, FitResult]]:
     """The one free fit per station that every fitting stage reads.
 
-    A station whose fit raises ``FitError`` is left out of the returned
-    series and so out of every later output; ``fit_errors.json`` names it
-    with its reason. The file exists only when a station failed, so one
-    left by an earlier run is removed.
+    A station whose fit raises ``FitError``, or ``ValueError`` for a sample
+    the fit rejects (fewer than 5 distinct maxima), is left out of the
+    returned series and so out of every later output; ``fit_errors.json``
+    names it with its reason. The file exists only when a station failed,
+    so one left by an earlier run is removed.
     """
     fits: dict[str, FitResult] = {}
     errors: dict[str, str] = {}
     for s in series:
         try:
             fits[s.station_id] = fit_mle(s.values, "free")
-        except FitError as exc:
+        except (FitError, ValueError) as exc:
             errors[s.station_id] = str(exc)
     _write_if_any(errors, out / "fit_errors.json")
     return [s for s in series if s.station_id in fits], fits
@@ -184,18 +196,11 @@ def _format_optional(value: float | None) -> str:
 
 
 def _write_station_params_csv(fits: dict[str, dict], path: Path) -> None:
-    lines = ["station,mu,sigma,xi,ci_lo,ci_hi"]
-    for station, row in fits.items():
-        fields = [
-            station,
-            format(row["mu"], ".10g"),
-            format(row["sigma"], ".10g"),
-            format(row["xi"], ".10g"),
-            _format_optional(row["ci_lo"]),
-            _format_optional(row["ci_hi"]),
-        ]
-        lines.append(",".join(fields))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = ("mu", "sigma", "xi", "ci_lo", "ci_hi")
+    rows = (
+        [station, *(_format_optional(row[c]) for c in columns)] for station, row in fits.items()
+    )
+    _write_csv(path, ["station", *columns], rows)
 
 
 def cmd_fit(cfg: RunConfig) -> int:
@@ -238,13 +243,12 @@ def _gof_all(
 
 
 def _write_families_csv(results: dict[str, dict], path: Path) -> None:
-    lines = ["station,family,p_gumbel,p_second"]
-    for station, row in results.items():
-        second = _format_optional(row["p_second"])
-        lines.append(
-            ",".join([station, row["family"], format(row["p_gumbel"], ".10g"), second])
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    pvalues = ("p_gumbel", "p_second")
+    rows = (
+        [station, row["family"], *(_format_optional(row[c]) for c in pvalues)]
+        for station, row in results.items()
+    )
+    _write_csv(path, ["station", "family", *pvalues], rows)
 
 
 def cmd_gof(cfg: RunConfig) -> int:
@@ -319,74 +323,35 @@ def _cluster_params(fits: dict[str, FitResult], cfg: RunConfig, out: Path) -> cl
     return cuts[2]
 
 
-def _short_overlap_exclusions(
-    series: Sequence[AnnualMaximaSeries], min_overlap: int
-) -> dict[str, dict[str, int]]:
-    """Stations to leave out so that every remaining pair shares at least
-    ``min_overlap`` years, each with its short pairs and their overlaps.
-
-    Each round excludes the kept station in the most short pairs among the
-    kept stations; ties go to the station with fewer years, then to the
-    later one in input order.
-    """
-    _, values = ingest.year_matrix(series)
-    present = (~np.isnan(values)).astype(np.int64)
-    overlap = present @ present.T
-    n_years = np.diag(overlap)
-    short = overlap < min_overlap
-    np.fill_diagonal(short, False)
-    kept = np.ones(len(series), dtype=bool)
-    excluded: dict[str, dict[str, int]] = {}
-    while True:
-        counts = (short & kept).sum(axis=1) * kept
-        if not counts.any():
-            return excluded
-        worst = max(range(len(series)), key=lambda i: (counts[i], -n_years[i], i))
-        pairs = np.flatnonzero(short[worst] & kept)
-        excluded[series[worst].station_id] = {
-            series[j].station_id: int(overlap[worst, j]) for j in pairs
-        }
-        kept[worst] = False
-
-
 def _cluster_fmadogram(
     series: Sequence[AnnualMaximaSeries], cfg: RunConfig, out: Path
 ) -> None:
     """F-madogram clustering outputs. Stations that share fewer than
     ``min_overlap`` years with others are left out and listed, with their
     short pairs, in ``fmadogram_excluded.json``."""
+    dm, excluded = cl.fmadogram_excluding_short(series, min_overlap=cfg.min_overlap)
+    # select_k checks kmax before any file is written
+    chosen = cl.select_k(dm=dm, method="silhouette", kmax=cfg.kmax)
     cluster_dir = out / "cluster"
     cluster_dir.mkdir(parents=True, exist_ok=True)
-    excluded = _short_overlap_exclusions(series, cfg.min_overlap)
     payload = {"min_overlap": cfg.min_overlap, "excluded": excluded} if excluded else {}
     _write_if_any(payload, cluster_dir / "fmadogram_excluded.json")
-    series = [s for s in series if s.station_id not in excluded]
-    dm = cl.fmadogram_dm(series, min_overlap=cfg.min_overlap)
     with (cluster_dir / "fmadogram_distance.tsv").open("w", encoding="utf-8", newline="") as fh:
         cl.write_distance_tsv(dm, fh)
-    chosen = cl.select_k(dm=dm, method="silhouette", kmax=cfg.kmax)
     with (cluster_dir / "fmadogram_silhouette.csv").open("w", encoding="utf-8", newline="") as fh:
         cl.write_score_table(chosen.scores, fh)
     _dump_json(
         {str(k): cl.partition_payload(p) for k, p in chosen.partitions.items()},
         cluster_dir / "fmadogram_pam.json",
     )
-    lines = ["station_a,station_b,fmadogram,theta,theta_raw"]
-    for i in range(dm.n):
-        for j in range(i + 1, dm.n):
-            coef = cl.extremal_coefficient(float(dm.values[i, j]))
-            lines.append(
-                ",".join(
-                    [
-                        dm.labels[i],
-                        dm.labels[j],
-                        format(dm.values[i, j], ".10g"),
-                        format(coef.theta, ".10g"),
-                        format(coef.raw, ".10g"),
-                    ]
-                )
-            )
-    (cluster_dir / "fmadogram_extremal.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = []
+    for i, j in itertools.combinations(range(dm.n), 2):
+        nu = float(dm.values[i, j])
+        coef = cl.extremal_coefficient(nu)
+        values = (format(v, ".10g") for v in (nu, coef.theta, coef.raw))
+        rows.append([dm.labels[i], dm.labels[j], *values])
+    header = ["station_a", "station_b", "fmadogram", "theta", "theta_raw"]
+    _write_csv(cluster_dir / "fmadogram_extremal.csv", header, rows)
 
 
 def cmd_cluster(cfg: RunConfig) -> int:

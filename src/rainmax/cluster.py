@@ -142,43 +142,82 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _year_overlap(
+    series: Sequence[AnnualMaximaSeries],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stations aligned once by :func:`~rainmax.ingest.year_matrix`:
+    the stations x years maxima, the mask of years present, and the years
+    each pair of stations shares (each station's own years on the diagonal)."""
+    _, values = year_matrix(series)
+    present = ~np.isnan(values)
+    counts = present.astype(np.int64)
+    return values, present, counts @ counts.T
+
+
+def _madogram_distances(
+    labels: tuple[str, ...], values: np.ndarray, present: np.ndarray
+) -> DistanceMatrix:
+    n = len(labels)
+    d = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        both = present[i] & present[j]
+        fi, fj = (_average_ranks(values[k, both]) / (both.sum() + 1) for k in (i, j))
+        d[i, j] = d[j, i] = 0.5 * float(np.abs(fi - fj).mean())
+    return DistanceMatrix(labels, d)
+
+
 def fmadogram_dm(
     series: Sequence[AnnualMaximaSeries],
     min_overlap: int = DEFAULT_MIN_OVERLAP,
 ) -> DistanceMatrix:
     """Pairwise F-madogram distances on common years.
 
-    The series are aligned once by :func:`~rainmax.ingest.year_matrix`; a
-    pair's common years are the columns both rows fill. Each series is
-    reduced to average ranks over the shared years, scaled by 1/(n+1); the
-    distance is half the mean absolute difference of the two rank
-    transforms, hence invariant under strictly increasing maps.
-    Pairs sharing fewer than ``min_overlap`` years have no distance: one
-    ValueError names every such pair with its overlap.
+    A pair's common years are the years both stations fill
+    (``_year_overlap``). Each series is reduced to average ranks over the
+    shared years, scaled by 1/(n+1); the distance is half the mean absolute
+    difference of the two rank transforms, hence invariant under strictly
+    increasing maps. Pairs sharing fewer than ``min_overlap`` years have no
+    distance: one ValueError names every such pair with its overlap.
     """
     labels = tuple(s.station_id for s in series)
-    n = len(series)
-    _, values = year_matrix(series)
-    present = ~np.isnan(values)
-    d = np.zeros((n, n))
-    short: list[str] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            both = present[i] & present[j]
-            xi, xj = values[i, both], values[j, both]
-            m = xi.size
-            if m < min_overlap:
-                short.append(f"{labels[i]!r} and {labels[j]!r} share only {m}")
-                continue
-            fi = _average_ranks(xi) / (m + 1)
-            fj = _average_ranks(xj) / (m + 1)
-            d[i, j] = d[j, i] = 0.5 * float(np.abs(fi - fj).mean())
+    values, present, overlap = _year_overlap(series)
+    short = [
+        f"{labels[i]!r} and {labels[j]!r} share only {overlap[i, j]}"
+        for i, j in zip(*np.nonzero(np.triu(overlap < min_overlap, k=1)))
+    ]
     if short:
         raise ValueError(
             f"{len(short)} station pair(s) share fewer than {min_overlap} years: "
             + "; ".join(short)
         )
-    return DistanceMatrix(labels, d)
+    return _madogram_distances(labels, values, present)
+
+
+def fmadogram_excluding_short(
+    series: Sequence[AnnualMaximaSeries],
+    min_overlap: int = DEFAULT_MIN_OVERLAP,
+) -> tuple[DistanceMatrix, dict[str, dict[str, int]]]:
+    """F-madogram distances among the stations left once every pair shares
+    at least ``min_overlap`` years, and the stations left out, each with
+    its short pairs and their overlaps.
+
+    Each round leaves out the kept station in the most short pairs among
+    the kept stations; ties go to the station with fewer years, then to the
+    later one in input order. One alignment serves both steps.
+    """
+    labels = [s.station_id for s in series]
+    values, present, overlap = _year_overlap(series)
+    short = overlap < min_overlap
+    np.fill_diagonal(short, False)
+    kept = np.ones(len(labels), dtype=bool)
+    excluded: dict[str, dict[str, int]] = {}
+    while (counts := (short & kept).sum(axis=1) * kept).any():
+        worst = max(range(len(labels)), key=lambda i: (counts[i], -overlap[i, i], i))
+        pairs = np.flatnonzero(short[worst] & kept)
+        excluded[labels[worst]] = {labels[j]: int(overlap[worst, j]) for j in pairs}
+        kept[worst] = False
+    names = tuple(label for label, k in zip(labels, kept) if k)
+    return _madogram_distances(names, values[kept], present[kept]), excluded
 
 
 def extremal_coefficient(nu: float) -> ExtremalCoefficient:

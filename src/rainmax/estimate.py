@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gev import XI_EPS, GevParams, log_likelihood
+from .gev import XI_EPS, GevParams, _gev_rows_loglik, _gumbel_rows_loglik, log_likelihood
 
 CONSTRAINTS = ("free", "gumbel", "frechet", "weibull")
 
@@ -351,22 +351,6 @@ def _gumbel_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         active[idx[done]] = False
     mu = xmin - s * np.log(np.exp(-(X - xmin[:, None]) / s[:, None]).mean(axis=1))
     return mu, s, ~active, iterations
-
-
-def _gumbel_rows_loglik(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    z = (X - mu[:, None]) / sigma[:, None]
-    return -X.shape[1] * np.log(sigma) - z.sum(axis=1) - np.exp(-z).sum(axis=1)
-
-
-def _gev_rows_loglik(X: np.ndarray, mu: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Row log-likelihoods at (mu, log sigma, xi != 0); -inf off the support."""
-    k = xi[:, None]
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        z = (X - mu[:, None]) / np.exp(eta)[:, None]
-        y = np.log1p(k * z)
-        ll = -X.shape[1] * eta - ((1.0 + 1.0 / k) * y + np.exp(-y / k)).sum(axis=1)
-    feasible = np.all(k * z > -1.0, axis=1) & np.isfinite(ll)
-    return np.where(feasible, ll, -np.inf)
 
 
 def _gev_rows_derivatives(

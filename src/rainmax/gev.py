@@ -2,6 +2,9 @@
 
 All evaluations route |shape| < 1e-8 to the Gumbel branch and use
 log1p/expm1 forms elsewhere, so values are continuous through shape -> 0.
+The CDF and the log-likelihood are row kernels over a (rows, n) sample
+matrix, one parameter set per row, which the fitting and testing kernels
+call directly; ``gev_cdf`` and ``log_likelihood`` are their one-row case.
 """
 
 from __future__ import annotations
@@ -77,18 +80,28 @@ def _as_output(x: object, out: np.ndarray) -> float | np.ndarray:
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _gev_rows_cdf(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Distribution function of every row of X at its own parameters; 0/1
+    beyond the finite support endpoint."""
+    z = (X - mu[:, None]) / sigma[:, None]
+    k = xi[:, None]
+    gumbel = np.abs(k) < XI_EPS
+    inside = gumbel | (1.0 + k * z > 0)
+    k_safe = np.where(gumbel, 1.0, k)
+    logt = np.log1p(k_safe * np.where(inside & ~gumbel, z, 0.0))
+    with np.errstate(over="ignore"):
+        u = np.where(gumbel, np.exp(-np.exp(-z)), np.exp(-np.exp(-logt / k_safe)))
+    return np.where(inside, u, np.where(k > 0, 0.0, 1.0))
+
+
+def _one_row(params: GevParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.array([params.mu]), np.array([params.sigma]), np.array([params.xi])
+
+
 def gev_cdf(x: object, params: GevParams) -> float | np.ndarray:
     """Distribution function; 0/1 beyond the finite support endpoint."""
-    z = (np.asarray(x, dtype=float) - params.mu) / params.sigma
-    xi = params.xi
-    if abs(xi) < XI_EPS:
-        out = np.exp(-np.exp(-z))
-    else:
-        inside = 1.0 + xi * z > 0
-        logt = np.log1p(xi * np.where(inside, z, 0.0))
-        with np.errstate(over="ignore"):
-            vals = np.exp(-np.exp(-logt / xi))
-        out = np.where(inside, vals, 0.0 if xi > 0 else 1.0)
+    xarr = np.asarray(x, dtype=float)
+    out = _gev_rows_cdf(xarr.reshape(1, -1), *_one_row(params)).reshape(xarr.shape)
     return _as_output(x, out)
 
 
@@ -139,33 +152,45 @@ def gev_sample(params: GevParams, n: int, seed: int) -> np.ndarray:
     return np.asarray(gev_quantile(u, params))
 
 
+def _gumbel_rows_loglik(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Row log-likelihoods of the Gumbel law (xi = 0) at (mu, sigma)."""
+    z = (X - mu[:, None]) / sigma[:, None]
+    return -X.shape[1] * np.log(sigma) - z.sum(axis=1) - np.exp(-z).sum(axis=1)
+
+
+def _gev_rows_loglik(X: np.ndarray, mu: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Row log-likelihoods at (mu, log sigma, xi != 0); -inf off the support."""
+    k = xi[:, None]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        z = (X - mu[:, None]) / np.exp(eta)[:, None]
+        y = np.log1p(k * z)
+        ll = -X.shape[1] * eta - ((1.0 + 1.0 / k) * y + np.exp(-y / k)).sum(axis=1)
+    feasible = np.all(k * z > -1.0, axis=1) & np.isfinite(ll)
+    return np.where(feasible, ll, -np.inf)
+
+
 def log_likelihood(params: GevParams, data: object) -> float:
     """Total log density; -inf when any point falls outside the support.
 
-    The -inf sentinel (rather than an exception) lets optimizers traverse
-    infeasible parameter regions. At xi = -1 exactly the density
-    exp(-t)/sigma (t = 1 + xi z) stays positive on the support edge t = 0,
-    so a point there keeps the log-likelihood finite.
+    The one-row case of ``_gumbel_rows_loglik`` for |xi| < XI_EPS and of
+    ``_gev_rows_loglik`` at (mu, log sigma, xi) otherwise, the formulas the
+    fitting kernel maximizes. The -inf sentinel (rather than an exception)
+    lets optimizers traverse infeasible parameter regions. At xi = -1
+    exactly the density exp(-t)/sigma (t = 1 + xi z) stays positive on the
+    support edge t = 0, so a point there keeps the log-likelihood finite.
     """
-    x = np.asarray(data, dtype=float)
+    x = np.asarray(data, dtype=float).reshape(1, -1)
     if x.size == 0:
         raise ValueError("data must be nonempty")
-    z = (x - params.mu) / params.sigma
-    xi = params.xi
-    n = x.size
-    if abs(xi) < XI_EPS:
-        ll = -n * np.log(params.sigma) - z.sum() - np.exp(-z).sum()
-    elif xi == -1.0:
-        t = 1.0 - z
+    mu, sigma, xi = _one_row(params)
+    if abs(params.xi) < XI_EPS:
+        ll = _gumbel_rows_loglik(x, mu, sigma)[0]
+    elif params.xi == -1.0:
+        t = 1.0 - (x - params.mu) / params.sigma
         if np.any(t < 0.0):
             return -np.inf
-        ll = -n * np.log(params.sigma) - t.sum()
+        ll = -x.size * np.log(params.sigma) - t.sum()
     else:
-        t = 1.0 + xi * z
-        if np.any(t <= 0.0):
-            return -np.inf
-        w = np.log1p(xi * z) / xi
-        with np.errstate(over="ignore"):
-            ll = -n * np.log(params.sigma) - (1.0 + xi) * w.sum() - np.exp(-w).sum()
+        ll = _gev_rows_loglik(x, mu, np.log(sigma), xi)[0]
     ll = float(ll)
     return ll if np.isfinite(ll) else -np.inf

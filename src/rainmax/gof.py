@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import FitError, FitResult, _fit_rows, fit_mle
-from .gev import XI_EPS, GevParams, gev_quantile
+from .gev import GevParams, _gev_rows_cdf, _one_row, gev_quantile
 from .seeding import derive_seed, derive_seeds, stream_uniforms
 
 FAMILIES = ("gumbel", "frechet", "weibull")
@@ -57,15 +57,7 @@ def _tcvm_rows(
     X: np.ndarray, mu: np.ndarray, sigma: np.ndarray, xi: np.ndarray, delta: float
 ) -> np.ndarray:
     """``tcvm_statistic`` of every row of X against its own GEV parameters."""
-    z = (X - mu[:, None]) / sigma[:, None]
-    k = xi[:, None]
-    gumbel = np.abs(k) < XI_EPS
-    inside = gumbel | (1.0 + k * z > 0)
-    k_safe = np.where(gumbel, 1.0, k)
-    logt = np.log1p(k_safe * np.where(inside & ~gumbel, z, 0.0))
-    with np.errstate(over="ignore"):
-        u = np.where(gumbel, np.exp(-np.exp(-z)), np.exp(-np.exp(-logt / k_safe)))
-    u = np.sort(np.where(inside, u, np.where(k > 0, 0.0, 1.0)), axis=1)
+    u = np.sort(_gev_rows_cdf(X, mu, sigma, xi), axis=1)
     n = X.shape[1]
     knots = np.concatenate([np.zeros((X.shape[0], 1)), u, np.ones((X.shape[0], 1))], axis=1)
     a = np.clip(knots[:, :-1], delta, 1.0 - delta)
@@ -87,8 +79,7 @@ def tcvm_statistic(data: object, params: GevParams, delta: float = DEFAULT_DELTA
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("data must be nonempty")
-    mu, sigma, xi = (np.array([v]) for v in (params.mu, params.sigma, params.xi))
-    return float(_tcvm_rows(x[None, :], mu, sigma, xi, delta)[0])
+    return float(_tcvm_rows(x[None, :], *_one_row(params), delta)[0])
 
 
 def _to_sample(u: np.ndarray, params: GevParams) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, TextIO
+from typing import Callable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -130,49 +130,20 @@ def _deviation_table(counts: np.ndarray, n_pairs: int, g: int) -> np.ndarray:
     return np.abs(joint - rr_x[..., :, None] * rr_y[..., None, :])
 
 
-def independence_statistic(
-    x: object, y: object, config: RecurrenceConfig | None = None
-) -> tuple[float, GridDetail]:
-    """Sup-norm statistic T = max |joint rate - product of marginals|.
+def _recurrence_bins(
+    x: object, y: object, quantiles: Sequence[float]
+) -> tuple[int, GridDetail, Callable[[np.ndarray], np.ndarray]]:
+    """Radius grids and pair bins of two aligned series.
 
-    Radii are empirical quantiles of each series' nonzero pairwise
-    distances, so T depends only on ranks and is invariant under strictly
-    increasing transforms of either series.
+    Returns the series length, the grid detail of the observed pairing and
+    ``deviation_tables``, which maps a (P, n) array of permutations of the
+    second series' time index to their P deviation tables. The pair bins
+    are built once; a permutation only reindexes the second series' bins,
+    so the marginal rates are exactly preserved.
     """
-    config = config or RecurrenceConfig()
     ax, ay = _aligned_pair(x, y)
     n = ax.size
-    q = np.asarray(config.radius_quantiles)
-    g = q.size
-    n_pairs = n * (n - 1) // 2
-
-    iu = np.triu_indices(n, k=1)
-    dx = np.abs(ax[:, None] - ax[None, :])[iu]
-    dy = np.abs(ay[:, None] - ay[None, :])[iu]
-    gx = _radius_grid(dx, q, "x")
-    gy = _radius_grid(dy, q, "y")
-    gbins = g + 1
-    ix = np.searchsorted(gx, dx, side="left")
-    iy = np.searchsorted(gy, dy, side="left")
-    counts = np.bincount(ix * gbins + iy, minlength=gbins * gbins).reshape(gbins, gbins)
-    deviations = _deviation_table(counts, n_pairs, g)
-    detail = GridDetail(x_radii=gx, y_radii=gy, deviations=deviations)
-    return float(deviations.max()), detail
-
-
-def independence_test(
-    x: object, y: object, config: RecurrenceConfig | None = None
-) -> IndependenceResult:
-    """Permutation test of independence between two aligned series.
-
-    The second series' time index is permuted; pairwise-distance bins for
-    both series are precomputed once and the permutation only reindexes
-    the second series' bins, so the marginal rates are exactly preserved.
-    """
-    config = config or RecurrenceConfig()
-    ax, ay = _aligned_pair(x, y)
-    n = ax.size
-    q = np.asarray(config.radius_quantiles)
+    q = np.asarray(quantiles)
     g = q.size
     gbins = g + 1
     n_pairs = n * (n - 1) // 2
@@ -198,20 +169,46 @@ def independence_test(
         return _deviation_table(counts.reshape(-1, gbins, gbins), n_pairs, g)
 
     deviations = deviation_tables(np.arange(n, dtype=np.int32)[None, :])[0]
-    observed = float(deviations.max())
+    return n, GridDetail(x_radii=gx, y_radii=gy, deviations=deviations), deviation_tables
+
+
+def independence_statistic(
+    x: object, y: object, config: RecurrenceConfig | None = None
+) -> tuple[float, GridDetail]:
+    """Sup-norm statistic T = max |joint rate - product of marginals|.
+
+    Radii are empirical quantiles of each series' nonzero pairwise
+    distances, so T depends only on ranks and is invariant under strictly
+    increasing transforms of either series. This is the observed
+    (identity-permutation) statistic of :func:`independence_test`.
+    """
+    config = config or RecurrenceConfig()
+    _, detail, _ = _recurrence_bins(x, y, config.radius_quantiles)
+    return float(detail.deviations.max()), detail
+
+
+def independence_test(
+    x: object, y: object, config: RecurrenceConfig | None = None
+) -> IndependenceResult:
+    """Permutation test of independence between two aligned series: the
+    p-value refers the observed statistic to the statistics of
+    ``config.permutations`` permutations of the second series' time index.
+    """
+    config = config or RecurrenceConfig()
+    n, detail, deviation_tables = _recurrence_bins(x, y, config.radius_quantiles)
+    observed = float(detail.deviations.max())
 
     rng = np.random.default_rng([derive_seed(config.seed, "recurrence-perm")])
     perms = rng.permuted(np.tile(np.arange(n), (config.permutations, 1)), axis=1).astype(np.int32)
     # blocks are sized by pairs, so their temporaries stay near
     # _PERM_BLOCK_PAIRS elements whatever the series length
-    rows = max(1, _PERM_BLOCK_PAIRS // n_pairs)
+    rows = max(1, _PERM_BLOCK_PAIRS // (n * (n - 1) // 2))
     exceed = 0
     for start in range(0, config.permutations, rows):
         dev = deviation_tables(perms[start : start + rows])
         exceed += int(np.count_nonzero(dev.max(axis=(1, 2)) >= observed))
     p = (1.0 + exceed) / (config.permutations + 1.0)
 
-    detail = GridDetail(x_radii=gx, y_radii=gy, deviations=deviations)
     return IndependenceResult(
         statistic=observed,
         p_value=p,
@@ -272,18 +269,10 @@ def write_pair_report_csv(rows: Sequence[PairReportRow], stream: TextIO) -> None
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["target", "other", "statistic", "p_value", "n_common_years"])
     for row in rows:
-        if row.result is None:
-            writer.writerow([row.target, row.other, "", "", row.n_common])
-        else:
-            writer.writerow(
-                [
-                    row.target,
-                    row.other,
-                    format(row.result.statistic, ".10g"),
-                    format(row.result.p_value, ".10g"),
-                    row.n_common,
-                ]
-            )
+        stats = ["", ""]
+        if row.result is not None:
+            stats = [format(v, ".10g") for v in (row.result.statistic, row.result.p_value)]
+        writer.writerow([row.target, row.other, *stats, row.n_common])
 
 
 def pair_report_payload(rows: Sequence[PairReportRow]) -> list[dict]:

@@ -2,6 +2,8 @@
 idempotent re-runs. Heavy end-to-end determinism lives in the acceptance
 suite; these runs use small replicate counts."""
 
+import csv
+import dataclasses
 import datetime as dt
 import json
 import os
@@ -14,10 +16,10 @@ import pytest
 
 from rainmax import cli, estimate, gof
 from rainmax.cli import main, slugify
-from rainmax.demo import URUGUAY_STATION_PARAMS
+from rainmax.demo import URUGUAY_STATION_PARAMS, demo_dataset
 from rainmax.estimate import fit_mle
 from rainmax.gev import GevParams
-from rainmax.ingest import AnnualMaximaSeries, synth_dataset, write_series_csv
+from rainmax.ingest import synth_dataset, write_series_csv
 
 FAST = ["--bootstrap", "99", "--permutations", "99"]
 
@@ -157,6 +159,16 @@ class TestErrors:
         rc = main(["gof", "--demo", "--out", str(tmp_path / "o"), "--alpha", "1.5"])
         assert rc == 1
         assert "alpha" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_ci_level_checked_before_any_output(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ci_level": 1.5}))
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["report", "--demo", "--config", str(config), "--out", str(out), *FAST]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ValueError", "ci_level must lie in (0, 1)")
+        assert [p.name for p in out.iterdir()] == ["error.json"]
 
     def test_indep_requires_target(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"
@@ -347,13 +359,40 @@ class TestSubcommands:
         assert first == second
 
 
+@pytest.mark.parametrize("method", ["params", "fmadogram"])
 @pytest.mark.parametrize("kmax", [20, 25])
-def test_cluster_params_checks_kmax_before_writing(tmp_path, capsys, kmax):
+def test_cluster_checks_kmax_before_writing(tmp_path, capsys, kmax, method):
     out = tmp_path / "out"
-    assert main(["cluster", "--demo", "--method", "params", "--kmax", str(kmax), "--out", str(out)]) == 1
+    args = ["cluster", "--demo", "--method", method, "--kmax", str(kmax)]
+    assert main([*args, "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["message"]) == ("ValueError", f"kmax must lie in [2, 19], got {kmax}")
-    assert not (out / "cluster" / "params_dendrogram.json").exists()
+    assert not any((out / "cluster").glob("*"))
+
+
+def test_station_ids_with_commas_stay_one_field(tmp_path):
+    station = "Paso de los Toros, Tacuarembo"
+    series = [
+        dataclasses.replace(s, station_id=station) if s.station_id == "Paso de los Toros" else s
+        for s in demo_dataset(seed=29)
+    ]
+    source = tmp_path / "series.csv"
+    with source.open("w", encoding="utf-8", newline="") as fh:
+        write_series_csv(series, fh)
+    out = tmp_path / "out"
+    assert main(["report", "--input", str(source), "--out", str(out), "--seed", "29", *FAST]) == 0
+    columns = {}
+    for path in out.rglob("*.csv"):
+        with path.open(encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert all(len(row) == len(header) for row in rows), path
+        columns[path.relative_to(out).as_posix()] = [set(column) for column in zip(*rows)]
+    for name in ("series.csv", "station_params.csv", "families.csv"):
+        assert station in columns[name][0], name
+    pairs = [name for name in columns if name.startswith("independence/")]
+    assert len(pairs) == 1  # seed 29 leaves one singleton in the 2-group cut
+    for name in ("cluster/fmadogram_extremal.csv", *pairs):
+        assert station in columns[name][0] | columns[name][1], name
 
 
 class TestReport:
@@ -391,6 +430,9 @@ FAILING = [189.3, 72.7, 145.4, 210.8, 85.8, 423.1, 72.2, 87.2, 121.8]
 FAILING_REASON = "MLE did not converge under constraint 'free'"
 # an 8-year station sharing 8 years with every demo station
 SHORT = [61.2, 88.0, 73.5, 95.1, 70.3, 102.4, 66.0, 80.8]
+# stations with fewer than 5 distinct maxima, which the free fit rejects
+FEW = {"Four": [61.2, 88.0, 73.5, 95.1], "Flat": [70.0] * 33}
+FEW_REASON = "data must contain at least 5 distinct values"
 PARAMS_OUTPUTS = [
     f"cluster/params_{name}"
     for name in ("dendrogram.json", "distance.tsv", "pam.json", "pseudo_f.csv", "silhouette.csv")
@@ -411,7 +453,10 @@ class TestStationIsolation:
         both.write_text(
             failing.read_text() + "".join(f"Short,{2000 + i},{v}\n" for i, v in enumerate(SHORT))
         )
-        return {"demo": demo, "failing": failing, "both": both, "root": root}
+        few = root / "few.csv"
+        rows = [f"{s},{2000 + i},{v}\n" for s, values in FEW.items() for i, v in enumerate(values)]
+        few.write_text(demo.read_text() + "".join(rows))
+        return {"demo": demo, "failing": failing, "both": both, "few": few, "root": root}
 
     @staticmethod
     def _run(inputs, name, command, source):
@@ -435,6 +480,31 @@ class TestStationIsolation:
         assert not (without / "fit_errors.json").exists()
         for path in outputs:
             assert (with_bad / path).read_bytes() == (without / path).read_bytes(), path
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fit"],
+            ["gof"],
+            ["diagnose"],
+            ["cluster", "--method", "params"],
+            ["report", "--seed", "29"],
+        ],
+    )
+    def test_station_with_too_few_distinct_maxima_is_listed(self, inputs, command):
+        out = self._run(inputs, command[0], command, "few")
+        assert json.loads((out / "fit_errors.json").read_text()) == {s: FEW_REASON for s in FEW}
+        for path in out.rglob("*"):
+            if path.is_file() and path.name != "fit_errors.json":
+                text = path.read_text(encoding="utf-8")
+                assert not any(station in text for station in FEW), path
+        assert not any(slugify(s) in {p.name for p in out.glob("diagnostics/*")} for s in FEW)
+
+    def test_fmadogram_checks_kmax_before_writing_exclusions(self, inputs):
+        out = inputs["root"] / "kmax_fmadogram"
+        args = ["cluster", "--method", "fmadogram", "--kmax", "25", "--input", str(inputs["both"])]
+        assert main([*args, "--out", str(out)]) == 1
+        assert not any((out / "cluster").glob("*"))
 
     def test_rerun_without_failures_removes_old_records(self, inputs):
         out = inputs["root"] / "rerun"
@@ -476,33 +546,3 @@ class TestStationIsolation:
             assert (out / "cluster" / path.name).read_bytes() == path.read_bytes(), path.name
         assert "Bad," not in (out / "series.csv").read_text()
         assert not (out / "diagnostics" / "bad").exists()
-
-
-def _span(station, first, last):
-    years = np.arange(first, last + 1)
-    return AnnualMaximaSeries(station, years, np.linspace(10.0, 50.0, years.size), np.ones(years.size))
-
-
-class TestShortOverlapExclusions:
-    def test_most_short_pairs_first_then_later_station(self):
-        # C and D (9 years each) are in 3 short pairs, B (12 years) in 2
-        series = [
-            _span("A", 1981, 2010),
-            _span("B", 1981, 1992),
-            _span("C", 2002, 2010),
-            _span("D", 2002, 2010),
-        ]
-        excluded = cli._short_overlap_exclusions(series, min_overlap=10)
-        assert list(excluded) == ["D", "C"]
-        assert excluded == {"D": {"A": 9, "B": 0, "C": 9}, "C": {"A": 9, "B": 0}}
-
-    def test_tie_goes_to_fewer_years(self):
-        # every station is in 2 short pairs; B and C have 8 years, A 30
-        series = [_span("A", 1981, 2010), _span("B", 1981, 1988), _span("C", 2003, 2010)]
-        excluded = cli._short_overlap_exclusions(series, min_overlap=10)
-        assert excluded == {"C": {"A": 8, "B": 0}, "B": {"A": 8}}
-        assert list(excluded) == ["C", "B"]
-
-    def test_nothing_to_exclude(self):
-        assert cli._short_overlap_exclusions([_span("A", 1981, 1990)] * 2, min_overlap=10) == {}
-        assert cli._short_overlap_exclusions([], min_overlap=10) == {}

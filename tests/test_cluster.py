@@ -20,6 +20,7 @@ from rainmax.cluster import (
     extremal_coefficient,
     features_from_iterable,
     fmadogram_dm,
+    fmadogram_excluding_short,
     pam_cluster,
     pam_cost,
     param_features,
@@ -168,17 +169,16 @@ class TestFmadogram:
         short_b = _series("shortB", np.arange(1.0, 6.0), years=np.arange(2006, 2011))
         with pytest.raises(ValueError) as err:
             fmadogram_dm([full[0], short_a, full[1], short_b], min_overlap=10)
-        message = str(err.value)
-        assert message.startswith("5 station pair(s) share fewer than 10 years: ")
-        for pair in (
-            "'full0' and 'shortA' share only 8",
-            "'full0' and 'shortB' share only 5",
-            "'shortA' and 'full1' share only 8",
-            "'shortA' and 'shortB' share only 0",
-            "'full1' and 'shortB' share only 5",
-        ):
-            assert pair in message
-        assert "'full0' and 'full1'" not in message
+        # every short pair, in station order
+        assert str(err.value) == "5 station pair(s) share fewer than 10 years: " + "; ".join(
+            [
+                "'full0' and 'shortA' share only 8",
+                "'full0' and 'shortB' share only 5",
+                "'shortA' and 'full1' share only 8",
+                "'shortA' and 'shortB' share only 0",
+                "'full1' and 'shortB' share only 5",
+            ]
+        )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gapped_series_match_per_pair_alignment(self, seed):
@@ -224,6 +224,60 @@ class TestFmadogram:
             assert fmadogram_dm(mapped, min_overlap=10).values[0, 1] == pytest.approx(
                 base, abs=1e-15
             )
+
+
+def _span(station, first, last):
+    years = np.arange(first, last + 1)
+    return AnnualMaximaSeries(station, years, np.linspace(10.0, 50.0, years.size), np.ones(years.size))
+
+
+class TestFmadogramExcludingShort:
+    def test_most_short_pairs_first_then_later_station(self):
+        # C and D (9 years each) are in 3 short pairs, B (12 years) in 2
+        series = [
+            _span("A", 1981, 2010),
+            _span("B", 1981, 1992),
+            _span("C", 2002, 2010),
+            _span("D", 2002, 2010),
+        ]
+        dm, excluded = fmadogram_excluding_short(series, min_overlap=10)
+        assert list(excluded) == ["D", "C"]
+        assert excluded == {"D": {"A": 9, "B": 0, "C": 9}, "C": {"A": 9, "B": 0}}
+        assert dm.labels == ("A", "B")
+
+    def test_tie_goes_to_fewer_years(self):
+        # every station is in 2 short pairs; B and C have 8 years, A 30
+        series = [_span("A", 1981, 2010), _span("B", 1981, 1988), _span("C", 2003, 2010)]
+        dm, excluded = fmadogram_excluding_short(series, min_overlap=10)
+        assert excluded == {"C": {"A": 8, "B": 0}, "B": {"A": 8}}
+        assert list(excluded) == ["C", "B"]
+        assert dm.labels == ("A",)
+
+    def test_nothing_to_exclude(self):
+        dm, excluded = fmadogram_excluding_short([_span("A", 1981, 1990)] * 2, min_overlap=10)
+        assert excluded == {} and dm.labels == ("A", "A")
+        dm, excluded = fmadogram_excluding_short([], min_overlap=10)
+        assert excluded == {} and dm.values.shape == (0, 0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_aligns_once_and_matches_fmadogram_dm_on_kept_stations(self, seed, monkeypatch):
+        short = [_span("S1", 1950, 1957), _span("S2", 2100, 2111)]
+        series = [*gapped_network(seed), *short]
+        calls = []
+        aligned = cluster_module.year_matrix
+
+        def counting(stations):
+            calls.append(len(stations))
+            return aligned(stations)
+
+        monkeypatch.setattr(cluster_module, "year_matrix", counting)
+        dm, excluded = fmadogram_excluding_short(series, min_overlap=10)
+        assert calls == [len(series)]
+        assert set(excluded) == {"S1", "S2"}
+        kept = [s for s in series if s.station_id not in excluded]
+        ref = fmadogram_dm(kept, min_overlap=10)
+        assert dm.labels == ref.labels
+        assert dm.values.tobytes() == ref.values.tobytes()
 
 
 class TestExtremalCoefficient:

@@ -21,14 +21,13 @@ from rainmax.estimate import (
     _fit_gumbel_exact,
     _fit_rows,
     _gev_rows_derivatives,
-    _gev_rows_loglik,
     _profile_loglik,
     fit_mle,
     fit_pwm,
     profile_ci_xi,
     sample_pwms,
 )
-from rainmax.gev import XI_EPS, GevParams, gev_sample, log_likelihood
+from rainmax.gev import XI_EPS, GevParams, _gev_rows_loglik, gev_sample, log_likelihood
 from rainmax.gof import _to_sample
 from rainmax.seeding import derive_seed
 

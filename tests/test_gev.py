@@ -11,9 +11,13 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import genextreme
 
+from rainmax import gof
 from rainmax.gev import (
     GevParams,
     ReturnSpec,
+    _gev_rows_cdf,
+    _gev_rows_loglik,
+    _gumbel_rows_loglik,
     gev_cdf,
     gev_pdf,
     gev_quantile,
@@ -246,3 +250,38 @@ class TestLogLikelihood:
         assert log_likelihood(params, inner) == pytest.approx(
             log_likelihood(GevParams(6.0, 4.0, -1.0 + 1e-9), inner), abs=1e-6
         )
+
+
+ROW_PARAMS = [GevParams(5.0, 2.0, 0.0), GevParams(5.0, 2.0, 0.3), GevParams(5.0, 2.0, -0.4)]
+GEV_FIELDS = ("mu", "sigma", "xi")
+
+
+class TestOneRowCases:
+    """The scalar CDF and log-likelihood are the one-row case of the row
+    kernels that the tCvM test and the fitting kernel call."""
+
+    def test_cdf_is_the_row_cdf_bit_for_bit(self):
+        # Gumbel, Frechet and Weibull rows; the Frechet row's lower endpoint
+        # is 5 - 2/0.3 = -1.67 and the Weibull row's upper endpoint 10, so
+        # -5 and 12 lie outside their supports
+        x = np.array([-5.0, -1.0, 0.0, 3.0, 5.0, 7.5, 9.99, 12.0, 40.0])
+        X = np.tile(x, (len(ROW_PARAMS), 1))
+        mu, sigma, xi = (np.array([getattr(p, f) for p in ROW_PARAMS]) for f in GEV_FIELDS)
+        rows = _gev_rows_cdf(X, mu, sigma, xi)
+        assert gof._gev_rows_cdf is _gev_rows_cdf
+        for row, params in zip(rows, ROW_PARAMS):
+            assert np.asarray(gev_cdf(x, params)).tobytes() == row.tobytes()
+            assert [gev_cdf(v, params) for v in x] == row.tolist()
+        assert rows[1, 0] == 0.0 and rows[2, -2] == 1.0
+
+    @pytest.mark.parametrize("params", ROW_PARAMS, ids=["gumbel", "frechet", "weibull"])
+    def test_loglik_is_the_row_formula(self, params):
+        x = gev_sample(params, 40, seed=17)
+        mu, sigma, xi = np.array([params.mu]), np.array([params.sigma]), np.array([params.xi])
+        if params.xi == 0.0:
+            row = _gumbel_rows_loglik(x[None, :], mu, sigma)[0]
+        else:
+            row = _gev_rows_loglik(x[None, :], mu, np.log(sigma), xi)[0]
+        assert log_likelihood(params, x) == row
+        ref = genextreme.logpdf(x, -params.xi, params.mu, params.sigma).sum()
+        assert log_likelihood(params, x) == pytest.approx(ref, rel=1e-12)

@@ -128,6 +128,18 @@ class TestIndependenceStatistic:
         moved_y, _ = independence_statistic(x, 0.25 * y - 7.0)
         assert base == moved_x == moved_y
 
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_statistic_is_the_tests_observed_value(self, tied):
+        rng = np.random.default_rng(23)
+        x, y = rng.random(33), rng.random(33)
+        if tied:
+            x, y = np.round(10.0 * x), np.round(5.0 * y)
+        t, detail = independence_statistic(x, y)
+        result = independence_test(x, y, RecurrenceConfig(permutations=99, seed=2))
+        assert t == result.statistic
+        for name in ("x_radii", "y_radii", "deviations"):
+            assert getattr(detail, name).tobytes() == getattr(result.grid, name).tobytes()
+
     def test_grid_detail_shape(self):
         rng = np.random.default_rng(9)
         t, detail = independence_statistic(rng.random(30), rng.random(30))
