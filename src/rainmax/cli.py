@@ -52,10 +52,15 @@ class RunConfig:
             raise ValueError("alpha must lie in [0, 1)")
         if not 0.0 <= self.delta < 0.5:
             raise ValueError("delta must lie in [0, 0.5)")
-        if self.bootstrap < 99:
-            raise ValueError("bootstrap count must be at least 99")
-        if self.permutations < 99:
-            raise ValueError("permutations must be at least 99")
+        if self.bootstrap < gof._MIN_BOOTSTRAP:
+            raise ValueError(
+                f"bootstrap count must be at least {gof._MIN_BOOTSTRAP}, got {self.bootstrap}"
+            )
+        if self.permutations < recurrence._MIN_PERMUTATIONS:
+            raise ValueError(
+                f"permutations must be at least {recurrence._MIN_PERMUTATIONS}, "
+                f"got {self.permutations}"
+            )
         if not 0.0 < self.min_coverage <= 1.0:
             raise ValueError("min_coverage must lie in (0, 1]")
         if self.min_overlap < 2:
@@ -73,6 +78,20 @@ def slugify(name: str) -> str:
     cleaned = "".join(c.lower() if c.isalnum() else "_" for c in ascii_name)
     collapsed = "_".join(filter(None, cleaned.split("_")))
     return collapsed or "station"
+
+
+def _check_slugs(series: Sequence[AnnualMaximaSeries]) -> None:
+    """Per-station outputs are named by ``slugify(station_id)``; two
+    stations with one slug would overwrite each other's files, so such a
+    pair stops the run before any file is written."""
+    seen: dict[str, str] = {}
+    for s in series:
+        slug = slugify(s.station_id)
+        first = seen.setdefault(slug, s.station_id)
+        if first != s.station_id:
+            raise ValueError(
+                f"stations {first!r} and {s.station_id!r} share the output name {slug!r}"
+            )
 
 
 def _dump_json(payload: object, path: Path) -> None:
@@ -283,7 +302,9 @@ def _write_diagnostics(
 
 def cmd_diagnose(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    series, fits = _free_fits(_load_series(cfg), out)
+    series = _load_series(cfg)
+    _check_slugs(series)
+    series, fits = _free_fits(series, out)
     _write_diagnostics(series, fits, out)
     return 0
 
@@ -392,7 +413,9 @@ def cmd_report(cfg: RunConfig) -> int:
     and an independence report for each singleton in the 2-group parameter
     clustering."""
     out = _out_dir(cfg)
-    series, fits = _free_fits(_load_series(cfg), out)
+    series = _load_series(cfg)
+    _check_slugs(series)
+    series, fits = _free_fits(series, out)
 
     with (out / "series.csv").open("w", encoding="utf-8", newline="") as fh:
         ingest.write_series_csv(series, fh)

@@ -157,11 +157,23 @@ def _year_overlap(
 def _madogram_distances(
     labels: tuple[str, ...], values: np.ndarray, present: np.ndarray
 ) -> DistanceMatrix:
+    """Each station's scaled ranks depend only on the station and the years
+    it is ranked over, so they are computed once per (station, year set)
+    and shared by every pair with those common years: once per station
+    when all stations fill the same years."""
     n = len(labels)
     d = np.zeros((n, n))
+    ranks: dict[tuple[int, bytes], np.ndarray] = {}
+
+    def scaled_ranks(k: int, both: np.ndarray) -> np.ndarray:
+        key = (k, both.tobytes())
+        if key not in ranks:
+            ranks[key] = _average_ranks(values[k, both]) / (both.sum() + 1)
+        return ranks[key]
+
     for i, j in itertools.combinations(range(n), 2):
         both = present[i] & present[j]
-        fi, fj = (_average_ranks(values[k, both]) / (both.sum() + 1) for k in (i, j))
+        fi, fj = scaled_ranks(i, both), scaled_ranks(j, both)
         d[i, j] = d[j, i] = 0.5 * float(np.abs(fi - fj).mean())
     return DistanceMatrix(labels, d)
 

@@ -23,7 +23,7 @@ DEFAULT_PERMUTATIONS = 999
 _MIN_PERMUTATIONS = 99
 _MIN_SERIES_LENGTH = 10
 _MAX_SERIES_LENGTH = 3000  # all n(n-1)/2 pair distances are held in memory
-_PERM_BLOCK_PAIRS = 1 << 18  # permuted pair bins gathered per independence-test block
+_PERM_BLOCK_PAIRS = 1 << 16  # permuted pair bins gathered per independence-test block
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,9 @@ class RecurrenceConfig:
         if q.size == 0 or np.any((q <= 0) | (q >= 1)) or np.any(np.diff(q) <= 0):
             raise ValueError("radius quantiles must be strictly increasing inside (0, 1)")
         if self.permutations < _MIN_PERMUTATIONS:
-            raise ValueError(f"permutations must be at least {_MIN_PERMUTATIONS}")
+            raise ValueError(
+                f"permutations must be at least {_MIN_PERMUTATIONS}, got {self.permutations}"
+            )
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -132,14 +134,19 @@ def _deviation_table(counts: np.ndarray, n_pairs: int, g: int) -> np.ndarray:
 
 def _recurrence_bins(
     x: object, y: object, quantiles: Sequence[float]
-) -> tuple[int, GridDetail, Callable[[np.ndarray], np.ndarray]]:
+) -> tuple[int, int, GridDetail, Callable[[np.ndarray], np.ndarray]]:
     """Radius grids and pair bins of two aligned series.
 
-    Returns the series length, the grid detail of the observed pairing and
-    ``deviation_tables``, which maps a (P, n) array of permutations of the
-    second series' time index to their P deviation tables. The pair bins
-    are built once; a permutation only reindexes the second series' bins,
-    so the marginal rates are exactly preserved.
+    Returns the series length, the block size, the grid detail of the
+    observed pairing and ``deviation_tables``, which maps an int32 (m, n)
+    array of m <= block size permutations of the second series' time index
+    to their m deviation tables. The pair bins are built once; a
+    permutation only reindexes the second series' bins, so the marginal
+    rates are exactly preserved.
+
+    Blocks are sized by pairs, so their buffers hold about
+    ``_PERM_BLOCK_PAIRS`` elements whatever the series length. The buffers
+    are allocated here once and every block is computed in them.
     """
     ax, ay = _aligned_pair(x, y)
     n = ax.size
@@ -156,20 +163,33 @@ def _recurrence_bins(
     ix_bins = (np.searchsorted(gx, dx_full[iu_r, iu_c], side="left") * gbins).astype(np.int32)
     iy_flat = np.searchsorted(gy, dy_full, side="left").astype(np.int32).ravel()
     del dx_full, dy_full
-    iu_r, iu_c = iu_r.astype(np.int32), iu_c.astype(np.int32)
     table = gbins * gbins
+
+    rows = max(1, _PERM_BLOCK_PAIRS // n_pairs)
+    pair_index = np.empty((rows, n_pairs), dtype=np.int32)
+    keys = np.empty((rows, n_pairs), dtype=np.int32)
+    # each row's x bins plus that row's table offset in the block's bincount
+    offsets = ix_bins + (np.arange(rows, dtype=np.int32) * table)[:, None]
 
     def deviation_tables(pi: np.ndarray) -> np.ndarray:
         # one table per row of pi: the permuted bins are gathered through one
-        # flat pair index and all tables are counted by one offset bincount
-        keys = iy_flat.take(pi[:, iu_r] * n + pi[:, iu_c])
-        keys += ix_bins
-        keys += (np.arange(pi.shape[0], dtype=np.int32) * table)[:, None]
-        counts = np.bincount(keys.ravel(), minlength=pi.shape[0] * table)
+        # flat pair index and all tables are counted by one offset bincount.
+        # Every index is in range by construction; mode="wrap" lets take
+        # write straight into out, where mode="raise" would buffer it.
+        m = pi.shape[0]
+        index, key = pair_index[:m], keys[:m]
+        np.take(pi, iu_r, axis=1, out=index, mode="wrap")
+        index *= n
+        np.take(pi, iu_c, axis=1, out=key, mode="wrap")
+        index += key
+        np.take(iy_flat, index, out=key, mode="wrap")
+        key += offsets[:m]
+        counts = np.bincount(key.ravel(), minlength=m * table)
         return _deviation_table(counts.reshape(-1, gbins, gbins), n_pairs, g)
 
     deviations = deviation_tables(np.arange(n, dtype=np.int32)[None, :])[0]
-    return n, GridDetail(x_radii=gx, y_radii=gy, deviations=deviations), deviation_tables
+    detail = GridDetail(x_radii=gx, y_radii=gy, deviations=deviations)
+    return n, rows, detail, deviation_tables
 
 
 def independence_statistic(
@@ -183,7 +203,7 @@ def independence_statistic(
     (identity-permutation) statistic of :func:`independence_test`.
     """
     config = config or RecurrenceConfig()
-    _, detail, _ = _recurrence_bins(x, y, config.radius_quantiles)
+    _, _, detail, _ = _recurrence_bins(x, y, config.radius_quantiles)
     return float(detail.deviations.max()), detail
 
 
@@ -195,14 +215,12 @@ def independence_test(
     ``config.permutations`` permutations of the second series' time index.
     """
     config = config or RecurrenceConfig()
-    n, detail, deviation_tables = _recurrence_bins(x, y, config.radius_quantiles)
+    n, rows, detail, deviation_tables = _recurrence_bins(x, y, config.radius_quantiles)
     observed = float(detail.deviations.max())
 
     rng = np.random.default_rng([derive_seed(config.seed, "recurrence-perm")])
-    perms = rng.permuted(np.tile(np.arange(n), (config.permutations, 1)), axis=1).astype(np.int32)
-    # blocks are sized by pairs, so their temporaries stay near
-    # _PERM_BLOCK_PAIRS elements whatever the series length
-    rows = max(1, _PERM_BLOCK_PAIRS // (n * (n - 1) // 2))
+    perms = np.tile(np.arange(n, dtype=np.int32), (config.permutations, 1))
+    rng.permuted(perms, axis=1, out=perms)
     exceed = 0
     for start in range(0, config.permutations, rows):
         dev = deviation_tables(perms[start : start + rows])

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rainmax import cli, estimate, gof
+from rainmax import cli, estimate, gof, recurrence
 from rainmax.cli import main, slugify
 from rainmax.demo import URUGUAY_STATION_PARAMS, demo_dataset
 from rainmax.estimate import fit_mle
@@ -169,6 +169,28 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["message"]) == ("ValueError", "ci_level must lie in (0, 1)")
         assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    @pytest.mark.parametrize(
+        "module, floor, flag, wording",
+        [
+            (gof, "_MIN_BOOTSTRAP", "--bootstrap", "bootstrap count"),
+            (recurrence, "_MIN_PERMUTATIONS", "--permutations", "permutations"),
+        ],
+        ids=["bootstrap", "permutations"],
+    )
+    def test_count_floors_are_the_libraries(
+        self, tmp_path, capsys, monkeypatch, module, floor, flag, wording
+    ):
+        # indep without --target fails just after validation, so the message
+        # tells whether the count passed the floor
+        args = ["indep", "--demo", "--out", str(tmp_path / "o")]
+        monkeypatch.setattr(module, floor, 150)
+        assert main([*args, flag, "120"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == f"{wording} must be at least 150, got 120"
+        monkeypatch.setattr(module, floor, 50)
+        assert main([*args, flag, "60"]) == 1
+        assert "--target" in json.loads(capsys.readouterr().err)["message"]
 
     def test_indep_requires_target(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"
@@ -368,6 +390,25 @@ def test_cluster_checks_kmax_before_writing(tmp_path, capsys, kmax, method):
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["message"]) == ("ValueError", f"kmax must lie in [2, 19], got {kmax}")
     assert not any((out / "cluster").glob("*"))
+
+
+@pytest.mark.parametrize("command", ["diagnose", "report"])
+def test_colliding_slugs_stop_before_any_output(tmp_path, capsys, command):
+    demo = demo_dataset(seed=29)
+    paso = next(s for s in demo if s.station_id == "Paso de los Toros")
+    twin = dataclasses.replace(paso, station_id="Paso de los Toros.", values=paso.values * 1.5)
+    source = tmp_path / "series.csv"
+    with source.open("w", encoding="utf-8", newline="") as fh:
+        write_series_csv([*demo, twin], fh)
+    out = tmp_path / "out"
+    assert main([command, "--input", str(source), "--out", str(out), *FAST]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"]) == (
+        "ValueError",
+        "stations 'Paso de los Toros' and 'Paso de los Toros.' share the output name "
+        "'paso_de_los_toros'",
+    )
+    assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
 def test_station_ids_with_commas_stay_one_field(tmp_path):

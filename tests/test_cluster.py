@@ -192,6 +192,19 @@ class TestFmadogram:
             fa, fb = rankdata(a) / (m + 1), rankdata(b) / (m + 1)
             assert dm.values[i, j] == 0.5 * float(np.abs(fa - fb).mean())
 
+    def test_full_overlap_ranks_each_station_once(self, monkeypatch):
+        calls = []
+        average_ranks = cluster_module._average_ranks
+
+        def counting(x):
+            calls.append(x.size)
+            return average_ranks(x)
+
+        monkeypatch.setattr(cluster_module, "_average_ranks", counting)
+        spec = [(f"s{i}", GevParams(90.0, 20.0, 0.05)) for i in range(12)]
+        fmadogram_dm(synth_dataset(spec, years=30, seed=25))
+        assert calls == [30] * 12
+
     def test_no_stations(self):
         assert fmadogram_dm([]).values.shape == (0, 0)
 

@@ -12,6 +12,7 @@ from rainmax.gev import GevParams
 from rainmax.seeding import derive_seed
 from rainmax.ingest import AnnualMaximaSeries, synth_dataset
 from rainmax.recurrence import (
+    _PERM_BLOCK_PAIRS,
     GridDetail,
     IndependenceResult,
     RecurrenceConfig,
@@ -233,15 +234,19 @@ class TestIndependenceAgainstPermutationLoop:
     @pytest.mark.parametrize("permutations", [99, 129, 999])
     @pytest.mark.parametrize("n", [10, 33, 60])
     def test_matches_reference(self, n, permutations, seed):
-        # 999 permutations span several blocks at n = 33 and n = 60 (496 and
-        # 148 rows per block), 99 and 129 fit in one
+        # a block holds 1456, 124 and 37 permutations at n = 10, 33 and 60:
+        # all counts fit in one block at n = 10, 129 and 999 span several
+        # at n = 33, and every count spans several at n = 60
         rng = np.random.default_rng(100 * seed + n)
         x = rng.random(n)
         if seed == 0:
             y = rng.integers(0, 5, size=n).astype(float)  # heavy ties in y
         else:
             y = x + rng.normal(0.0, 0.5, size=n)
-        config = RecurrenceConfig(permutations=permutations, seed=seed)
+        self._assert_matches(x, y, RecurrenceConfig(permutations=permutations, seed=seed))
+
+    @staticmethod
+    def _assert_matches(x, y, config):
         got = independence_test(x, y, config)
         want = _reference_independence_test(x, y, config)
         assert got.statistic == want.statistic
@@ -249,6 +254,48 @@ class TestIndependenceAgainstPermutationLoop:
         assert got.grid.deviations.tobytes() == want.grid.deviations.tobytes()
         np.testing.assert_array_equal(got.grid.x_radii, want.grid.x_radii)
         np.testing.assert_array_equal(got.grid.y_radii, want.grid.y_radii)
+
+    @pytest.mark.parametrize(
+        "n, permutations, grid, ties",
+        [
+            pytest.param(33, 999, 9, False, id="partial-last-block"),
+            pytest.param(400, 99, 9, False, id="one-permutation-per-block"),
+            pytest.param(60, 199, 19, False, id="19-quantile-grid"),
+            pytest.param(60, 999, 9, True, id="ties-in-both-series"),
+        ],
+    )
+    def test_block_edge_cases(self, n, permutations, grid, ties):
+        rng = np.random.default_rng(n + grid)
+        if ties:
+            x = rng.integers(0, 4, size=n).astype(float)
+            y = np.minimum(x + rng.integers(0, 2, size=n), 4.0)
+        else:
+            x = rng.random(n)
+            y = x + rng.normal(0.0, 0.5, size=n)
+        quantiles = tuple(np.round(np.arange(1, grid + 1) / (grid + 1), 10).tolist())
+        config = RecurrenceConfig(radius_quantiles=quantiles, permutations=permutations, seed=n)
+        self._assert_matches(x, y, config)
+
+    def test_edge_cases_reach_the_block_edges(self):
+        # n = 33: 124 permutations per block and 999 = 8 * 124 + 7; n = 400:
+        # 79 800 pairs exceed one block, so each block is one permutation
+        assert divmod(999, _PERM_BLOCK_PAIRS // (33 * 32 // 2)) == (8, 7)
+        assert 400 * 399 // 2 > _PERM_BLOCK_PAIRS
+
+    def test_block_buffers_are_reused(self):
+        # the block buffers are allocated once per test; allocating fresh
+        # temporaries per block peaked near 4.4 MB here
+        rng = np.random.default_rng(35)
+        x, y = rng.random(60), rng.random(60)
+        # a first, small test keeps one-time imports and caches out of the peak
+        independence_test(x[:20], y[:20], RecurrenceConfig(permutations=99, seed=7))
+        tracemalloc.start()
+        try:
+            independence_test(x, y, RecurrenceConfig(permutations=999, seed=7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
     def test_block_memory_follows_pair_count(self):
         # at n = 1000 one permutation already has 499 500 pairs; blocks sized
