@@ -157,23 +157,27 @@ def _year_overlap(
 def _madogram_distances(
     labels: tuple[str, ...], values: np.ndarray, present: np.ndarray
 ) -> DistanceMatrix:
-    """Each station's scaled ranks depend only on the station and the years
-    it is ranked over, so they are computed once per (station, year set)
-    and shared by every pair with those common years: once per station
-    when all stations fill the same years."""
+    """A station ranked over all of its own years gives the same scaled
+    ranks in every such pair, so those are computed once per station and
+    kept (at most one array per station): every pair of a network whose
+    stations fill the same years. A pair whose common years leave out some
+    of a station's years ranks that station over the common years alone."""
     n = len(labels)
     d = np.zeros((n, n))
-    ranks: dict[tuple[int, bytes], np.ndarray] = {}
+    own_years = present.sum(axis=1)
+    own_ranks: dict[int, np.ndarray] = {}
 
-    def scaled_ranks(k: int, both: np.ndarray) -> np.ndarray:
-        key = (k, both.tobytes())
-        if key not in ranks:
-            ranks[key] = _average_ranks(values[k, both]) / (both.sum() + 1)
-        return ranks[key]
+    def scaled_ranks(k: int, both: np.ndarray, m: int) -> np.ndarray:
+        if m < own_years[k]:
+            return _average_ranks(values[k, both]) / (m + 1)
+        if k not in own_ranks:
+            own_ranks[k] = _average_ranks(values[k, both]) / (m + 1)
+        return own_ranks[k]
 
     for i, j in itertools.combinations(range(n), 2):
         both = present[i] & present[j]
-        fi, fj = scaled_ranks(i, both), scaled_ranks(j, both)
+        m = int(both.sum())
+        fi, fj = scaled_ranks(i, both, m), scaled_ranks(j, both, m)
         d[i, j] = d[j, i] = 0.5 * float(np.abs(fi - fj).mean())
     return DistanceMatrix(labels, d)
 

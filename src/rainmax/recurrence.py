@@ -146,7 +146,9 @@ def _recurrence_bins(
 
     Blocks are sized by pairs, so their buffers hold about
     ``_PERM_BLOCK_PAIRS`` elements whatever the series length. The buffers
-    are allocated here once and every block is computed in them.
+    are sized to the largest block asked for so far and every block is
+    computed in them: one row for the observed pairing, then the test's
+    first block, which no later block exceeds.
     """
     ax, ay = _aligned_pair(x, y)
     n = ax.size
@@ -166,10 +168,9 @@ def _recurrence_bins(
     table = gbins * gbins
 
     rows = max(1, _PERM_BLOCK_PAIRS // n_pairs)
-    pair_index = np.empty((rows, n_pairs), dtype=np.int32)
-    keys = np.empty((rows, n_pairs), dtype=np.int32)
-    # each row's x bins plus that row's table offset in the block's bincount
-    offsets = ix_bins + (np.arange(rows, dtype=np.int32) * table)[:, None]
+    # pair index, keys, and each row's x bins plus that row's table offset
+    # in the block's bincount
+    buffers: list[np.ndarray] = []
 
     def deviation_tables(pi: np.ndarray) -> np.ndarray:
         # one table per row of pi: the permuted bins are gathered through one
@@ -177,13 +178,19 @@ def _recurrence_bins(
         # Every index is in range by construction; mode="wrap" lets take
         # write straight into out, where mode="raise" would buffer it.
         m = pi.shape[0]
-        index, key = pair_index[:m], keys[:m]
+        if not buffers or buffers[0].shape[0] < m:
+            buffers[:] = [
+                np.empty((m, n_pairs), dtype=np.int32),
+                np.empty((m, n_pairs), dtype=np.int32),
+                ix_bins + (np.arange(m, dtype=np.int32) * table)[:, None],
+            ]
+        index, key, offsets = (b[:m] for b in buffers)
         np.take(pi, iu_r, axis=1, out=index, mode="wrap")
         index *= n
         np.take(pi, iu_c, axis=1, out=key, mode="wrap")
         index += key
         np.take(iy_flat, index, out=key, mode="wrap")
-        key += offsets[:m]
+        key += offsets
         counts = np.bincount(key.ravel(), minlength=m * table)
         return _deviation_table(counts.reshape(-1, gbins, gbins), n_pairs, g)
 

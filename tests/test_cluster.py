@@ -4,6 +4,7 @@ operation, scipy cross-checks for Ward, exhaustive search for PAM."""
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,63 @@ class TestFmadogram:
         spec = [(f"s{i}", GevParams(90.0, 20.0, 0.05)) for i in range(12)]
         fmadogram_dm(synth_dataset(spec, years=30, seed=25))
         assert calls == [30] * 12
+
+    def test_gapped_pairs_rank_common_years_and_keep_one_array_per_station(
+        self, monkeypatch
+    ):
+        from scipy.stats import rankdata
+
+        calls = []
+        average_ranks = cluster_module._average_ranks
+
+        def counting(x):
+            calls.append(x.size)
+            return average_ranks(x)
+
+        monkeypatch.setattr(cluster_module, "_average_ranks", counting)
+        # two stations fill every year the six gapped ones span
+        spec = [(f"full{i}", GevParams(90.0, 20.0, 0.05)) for i in range(2)]
+        series = gapped_network(4) + synth_dataset(spec, years=55, seed=26)
+        dm = fmadogram_dm(series, min_overlap=10)
+
+        own = [s.years.size for s in series]
+        own_once, per_pair = set(), []
+        for i, j in itertools.combinations(range(len(series)), 2):
+            a, b = common_years(series[i], series[j])
+            m = a.size
+            fa, fb = rankdata(a) / (m + 1), rankdata(b) / (m + 1)
+            assert dm.values[i, j] == 0.5 * float(np.abs(fa - fb).mean())
+            for k in (i, j):
+                if m == own[k]:
+                    own_once.add(k)
+                else:
+                    per_pair.append(m)
+        # each gapped station inside a full one, and the two full stations
+        # together, reuse the station's own ranks; every other side is
+        # ranked over the pair's common years
+        assert own_once == set(range(len(series)))
+        assert sorted(calls) == sorted([own[k] for k in own_once] + per_pair)
+
+    def test_gapped_network_keeps_no_ranks_per_pair(self):
+        # 60 stations missing a random quarter of 80 years: nearly every
+        # pair has its own common years, and ranks kept per (station, year
+        # set) peaked at 2.6 MB here against 0.2 MB for one pair at a time
+        rng = np.random.default_rng(27)
+        spec = [(f"g{i}", GevParams(90.0, 20.0, 0.05)) for i in range(60)]
+        series = []
+        for s in synth_dataset(spec, years=80, seed=27):
+            keep = rng.random(80) >= 0.25
+            series.append(
+                AnnualMaximaSeries(s.station_id, s.years[keep], s.values[keep], s.coverage[keep])
+            )
+        fmadogram_dm(series[:5])  # one-time imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            fmadogram_dm(series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2**10
 
     def test_no_stations(self):
         assert fmadogram_dm([]).values.shape == (0, 0)

@@ -283,8 +283,8 @@ class TestIndependenceAgainstPermutationLoop:
         assert 400 * 399 // 2 > _PERM_BLOCK_PAIRS
 
     def test_block_buffers_are_reused(self):
-        # the block buffers are allocated once per test; allocating fresh
-        # temporaries per block peaked near 4.4 MB here
+        # every block of a test is computed in the same buffers; allocating
+        # fresh temporaries per block peaked near 4.4 MB here
         rng = np.random.default_rng(35)
         x, y = rng.random(60), rng.random(60)
         # a first, small test keeps one-time imports and caches out of the peak
@@ -296,6 +296,24 @@ class TestIndependenceAgainstPermutationLoop:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20
+
+    def test_block_buffers_follow_the_rows_used(self):
+        # at n = 10 a block may hold 1456 permutations (about 790 KB of
+        # buffers), but the observed statistic uses one row and P = 99 fills
+        # 99: buffers of the full block size peaked at 863 KB and 1150 KB
+        rng = np.random.default_rng(36)
+        x, y = rng.random(10), rng.random(10)
+        independence_test(x, y, RecurrenceConfig(permutations=99, seed=8))
+        peaks = []
+        for entry in (independence_statistic, independence_test):
+            tracemalloc.start()
+            try:
+                entry(x, y, RecurrenceConfig(permutations=99, seed=8))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 64 * 2**10
+        assert peaks[1] < 640 * 2**10
 
     def test_block_memory_follows_pair_count(self):
         # at n = 1000 one permutation already has 499 500 pairs; blocks sized
