@@ -11,12 +11,11 @@ import calendar
 import csv
 import datetime as dt
 import io
-import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
+from dataclasses import asdict, dataclass
+from typing import BinaryIO, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -28,7 +27,9 @@ DEFAULT_MIN_COVERAGE = 0.8
 
 _HEADER = ["station", "date", "precip_mm"]
 _ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
-_BLOCK_ROWS = 8192  # csv rows per columnar block; bounds the per-block Python lists
+_PLAIN_HEADER = ",".join(_HEADER).encode()
+_BLOCK_BYTES = 1 << 18  # bytes per block of the plain pass, cut on a line end; bounds its temporaries
+_MAX_FIELD_BYTES = 256  # widest field of the plain pass; each block is padded by as much
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 # Duplicate keys pack the station index above the day ordinal:
 # date.max.toordinal() is 3 652 059 < 2**22.
@@ -110,22 +111,6 @@ class SummaryStats:
     mean: float
 
 
-def _parse_date(text: str) -> dt.date:
-    """The one date form every parsing path accepts: ``YYYY-MM-DD``.
-
-    ``date.fromisoformat`` also takes ``19900101`` and ``1990-W01-1`` from
-    Python 3.11 on, so the shape is checked before it is called.
-    """
-    if _ISO_DATE.fullmatch(text) is None:
-        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
-    return dt.date.fromisoformat(text)
-
-
-def _csv_rows(data: bytes) -> Iterator[list[str]]:
-    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write
-    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
-
-
 def parse_daily_csv(source: BinaryIO) -> DailyTable:
     """Parse a ``station,date,precip_mm`` CSV into a :class:`DailyTable`.
 
@@ -135,74 +120,98 @@ def parse_daily_csv(source: BinaryIO) -> DailyTable:
     keys, always for the first offending line.
     """
     data = source.read()
-    try:
-        table = _read_columns(data)
-    except (UnicodeDecodeError, csv.Error):  # raised by the reader, possibly blocks past the first bad line
-        table = None
-    if table is None:
-        _validate_rows(data)
-        raise RuntimeError("columnar parse rejected a file the row validator accepts")
-    return table
+    table = _read_plain(data)
+    return _validate_rows(data) if table is None else table
 
 
-def _read_columns(data: bytes) -> DailyTable | None:
-    """Columnar parse of a well-formed file, ``_BLOCK_ROWS`` csv rows at a time.
+def _read_plain(data: bytes) -> DailyTable | None:
+    """One numpy pass over a file in the plain grammar (README "Ingest"),
+    a block of whole lines at a time.
 
-    Returns None on the first sign of any error and leaves finding and
-    reporting it to :func:`_validate_rows`.
+    Returns None for any other file and on the first sign of any error,
+    leaving parsing, checking and reporting to :func:`_validate_rows`.
     """
-    reader = _csv_rows(data)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != _HEADER:
+    bom = 3 if data.startswith(b"\xef\xbb\xbf") else 0  # a UTF-8 byte-order mark
+    cr = b"\r" in data
+    eol = b"\r\n" if cr else b"\n"
+    start = bom + len(_PLAIN_HEADER) + len(eol)
+    if (
+        data[bom:start] not in (_PLAIN_HEADER + eol, _PLAIN_HEADER)  # the latter ends the file
+        or b'"' in data or b"\0" in data
+        or (cr and not data.count(b"\r") == data.count(b"\r\n") == data.count(b"\n"))
+        or csv.field_size_limit() < _MAX_FIELD_BYTES
+    ):
         return None
-    index: dict[str, int] = {}
-    ordinals: dict[str, int] = {}
-    stations = [np.empty(0, np.int32)]
-    days = [np.empty(0, np.int32)]
-    values = [np.empty(0)]
-    n_missing = 0
-    while block := list(itertools.islice(reader, _BLOCK_ROWS)):
-        widths = set(map(len, block))
-        if not widths <= {0, 3}:
-            return None
-        if 0 in widths:
-            block = [row for row in block if row]
-            if not block:
-                continue
-        station_col, date_col, value_col = zip(*block)
-        n = len(block)
-        station_texts = list(map(str.strip, station_col))
-        for text in dict.fromkeys(station_texts):
-            index.setdefault(text, len(index))
-        stations.append(np.fromiter(map(index.__getitem__, station_texts), np.int32, n))
-        date_texts = list(map(str.strip, date_col))
-        for text in set(date_texts).difference(ordinals):
-            try:
-                ordinals[text] = _parse_date(text).toordinal()
-            except ValueError:
-                return None
-        days.append(np.fromiter(map(ordinals.__getitem__, date_texts), np.int32, n))
-        value_texts = list(map(str.strip, value_col))
-        n_missing += value_texts.count("")
-        try:
-            values.append(np.fromiter([float(t) if t else math.nan for t in value_texts], np.float64, n))
-        except ValueError:
-            return None
-    if "" in index:
+    station, ordinal = np.empty((2, data.count(b"\n")), np.int32)  # a line or more per row
+    precip = np.empty(station.size)
+    index: dict[bytes, int] = {}  # ids in first-seen order
+    done = 0
+    try:
+        while start < len(data):
+            end = data.find(b"\n", min(start + _BLOCK_BYTES, len(data)) - 1) + 1 or len(data)
+            ids, days, values = _plain_block(np.frombuffer(data, np.uint8, end - start, start), cr)
+            unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+            for key in unique[np.argsort(first)].tolist():
+                index.setdefault(key, len(index))
+            rows = slice(done, done + len(ids))
+            station[rows] = np.array([index[key] for key in unique.tolist()], np.int32)[inverse]
+            ordinal[rows], precip[rows] = days, values
+            done, start = rows.stop, end
+        stations = tuple(key.decode("utf-8") for key in index)
+    except ValueError:  # outside the plain grammar, a bad date or value, or bad UTF-8
         return None
-    station, ordinal, precip = np.concatenate(stations), np.concatenate(days), np.concatenate(values)
-    # NaN must come only from empty fields, so it can mark a missing day.
-    if np.count_nonzero(~np.isfinite(precip)) != n_missing or np.any(precip < 0):
+    station, ordinal, precip = station[:done], ordinal[:done], precip[:done]
+    keys = (station.astype(np.int64) << _ORDINAL_BITS) | ordinal
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]) or any(s != s.strip() for s in stations):
         return None
-    keys = np.sort((station.astype(np.int64) << _ORDINAL_BITS) | ordinal)
-    if np.any(keys[1:] == keys[:-1]):
-        return None
-    return DailyTable(tuple(index), station, ordinal, precip)
+    return DailyTable(stations, station, ordinal, precip)
 
 
-def _validate_rows(data: bytes) -> None:
-    """Check a daily CSV row by row; raises the error of its first bad line."""
-    reader = _csv_rows(data)
+def _plain_block(lines: np.ndarray, cr: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Station ids (an ``S`` array), day ordinals and values of a run of
+    whole lines; ValueError if one is outside the plain grammar or bad."""
+    block = np.concatenate((lines, np.zeros(_MAX_FIELD_BYTES, np.uint8)))  # so every gather window fits
+    newlines = np.flatnonzero(lines == 10)
+    begin, stop = np.concatenate(([0], newlines + 1)), np.concatenate((newlines - cr, [lines.size]))
+    begin, stop = begin[stop > begin], stop[stop > begin]  # blank lines are skipped
+    # the commas pair up in order, each pair inside its own line
+    commas = np.flatnonzero(lines == 44)
+    id_end, date_end = commas[0::2], commas[1::2]
+    if commas.size != 2 * begin.size:
+        raise ValueError("not 2 commas a line")
+    id_width, value_width = id_end - begin, stop - date_end - 1
+    if np.any(id_width < 1) or np.any(value_width < 0) or np.any(date_end - id_end != 11):
+        raise ValueError("an empty id or a date of other than 10 bytes")
+    dates = np.lib.stride_tricks.sliding_window_view(block, 10)[id_end + 1]
+    if np.any(dates[:, [0, 1, 2, 3, 5, 6, 8, 9]] - 48 > 9) or np.any(dates[:, 4::3] != ord("-")):
+        raise ValueError("not a YYYY-MM-DD date")
+    days = dates.view("S10").ravel().astype("datetime64[D]").astype(np.int64) + _EPOCH_ORDINAL
+    has = value_width > 0
+    text = _gather(block, date_end[has] + 1, value_width[has])
+    values = np.full(begin.size, np.nan)
+    values[has] = present = text.astype(np.float64)
+    printable = (text.view(np.uint8) == 0) | (text.view(np.uint8) - 33 < 94)  # ASCII, no whitespace
+    # numpy alone reads year 0000; values are finite and not negative
+    if np.any(days < 1) or not np.all(printable) or not np.all((present >= 0) & (present < np.inf)):
+        raise ValueError("year 0000, or a value outside ASCII, not finite or negative")
+    return _gather(block, begin, id_width), days, values
+
+
+def _gather(block: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """``block[starts[i] : starts[i] + widths[i]]`` as one ``S`` array."""
+    width = max(int(widths.max(initial=0)), 1)
+    if width > _MAX_FIELD_BYTES:
+        raise ValueError("a field wider than the gathers take")
+    fields = np.lib.stride_tricks.sliding_window_view(block, width)[starts]
+    fields[np.arange(width) >= widths[:, None]] = 0  # an S value ends at its first trailing NUL
+    return fields.view(f"S{width}").ravel()
+
+
+def _validate_rows(data: bytes) -> DailyTable:
+    """Parse and check a daily CSV row by row; raises the error of its first bad line."""
+    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -210,7 +219,8 @@ def _validate_rows(data: bytes) -> None:
     if [h.strip() for h in header] != _HEADER:
         raise ParseError(1, f"expected header {','.join(_HEADER)!r}, got {','.join(header)!r}")
 
-    seen: set[tuple[str, dt.date]] = set()
+    index: dict[str, int] = {}
+    rows: dict[tuple[int, int], float] = {}  # (station index, day ordinal) -> precip, in file order
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -219,25 +229,26 @@ def _validate_rows(data: bytes) -> None:
         station, date_text, precip_text = (field.strip() for field in row)
         if not station:
             raise ParseError(lineno, "empty station id")
-        try:
-            date = _parse_date(date_text)
+        try:  # date.fromisoformat also takes 19900101 and 1990-W01-1 from Python 3.11 on
+            date = dt.date.fromisoformat(date_text if _ISO_DATE.fullmatch(date_text) else "")
         except ValueError:
             raise ParseError(lineno, f"invalid ISO date {date_text!r}")
+        precip = math.nan
         if precip_text != "":
             try:
                 precip = float(precip_text)
             except ValueError:
-                precip = math.nan
+                pass
             if not math.isfinite(precip):
                 raise ParseError(lineno, f"invalid precipitation value {precip_text!r}")
             if precip < 0:
-                raise ValidationError(
-                    f"line {lineno}: negative precipitation {precip} for {station}"
-                )
-        key = (station, date)
-        if key in seen:
+                raise ValidationError(f"line {lineno}: negative precipitation {precip} for {station}")
+        key = (index.setdefault(station, len(index)), date.toordinal())
+        if key in rows:
             raise ValidationError(f"line {lineno}: duplicate record for {station} {date}")
-        seen.add(key)
+        rows[key] = precip
+    station_col, ordinal_col = np.array(list(rows), np.int32).reshape(-1, 2).T.copy()
+    return DailyTable(tuple(index), station_col, ordinal_col, np.array(list(rows.values())))
 
 
 def block_maxima(
@@ -395,19 +406,11 @@ def read_series_csv(stream: TextIO) -> list[AnnualMaximaSeries]:
         year_values[year] = value
     out = []
     for station, year_values in grouped.items():
-        rows = sorted(year_values.items())
-        years = np.array([y for y, _ in rows])
-        values = np.array([v for _, v in rows])
-        out.append(AnnualMaximaSeries(station, years, values, np.ones(len(rows))))
+        years, values = zip(*sorted(year_values.items()))
+        out.append(AnnualMaximaSeries(station, np.array(years), np.array(values), np.ones(len(years))))
     return out
 
 
 def write_skip_log(skips: Iterable[SkipEntry], stream: TextIO) -> None:
     for entry in skips:
-        stream.write(
-            json.dumps(
-                {"station": entry.station, "year": entry.year, "coverage": entry.coverage},
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        stream.write(json.dumps(asdict(entry), sort_keys=True) + "\n")

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from rainmax import ingest
@@ -385,6 +387,11 @@ class TestSerialization:
         assert str(err.value) == f"line 3: invalid max_mm value {value!r}"
 
 
+# The plain pass cuts a block at the first line end at or after this many bytes
+# past its start: 7 of the 17-byte data lines of ``_broken``.
+_SEAM_BLOCK_BYTES = 7 * 17
+
+
 def _oracle_file(seed: int) -> bytes:
     """A seeded multi-station daily file: missing-day runs (some long enough to
     drop a year), dry years, leap years, shuffled rows, blank lines, padded
@@ -427,10 +434,10 @@ def _series_key(series):
 class TestColumnarOracle:
     """The columnar parse and grouped block maxima against the reference."""
 
-    @pytest.mark.parametrize("block_rows", [7, ingest._BLOCK_ROWS])
+    @pytest.mark.parametrize("block_bytes", [_SEAM_BLOCK_BYTES, ingest._BLOCK_BYTES])
     @pytest.mark.parametrize("min_coverage", [0.8, 0.95])
-    def test_series_and_skip_log_equal_reference(self, monkeypatch, block_rows, min_coverage):
-        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    def test_series_and_skip_log_equal_reference(self, monkeypatch, block_bytes, min_coverage):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
         data = _oracle_file(11)
         table = parse_daily_csv(io.BytesIO(data))
         records = _reference_parse(io.BytesIO(data))
@@ -444,7 +451,7 @@ class TestColumnarOracle:
         assert any(e.coverage >= min_coverage for e in skipped)
 
     def test_columns_equal_reference_records(self, monkeypatch):
-        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", _SEAM_BLOCK_BYTES)
         data = _oracle_file(12)
         table = parse_daily_csv(io.BytesIO(data))
         records = _reference_parse(io.BytesIO(data))
@@ -470,8 +477,8 @@ class TestColumnarOracle:
 
 def _broken(rows: dict[int, str], n: int = 24) -> bytes:
     """A valid 24-row file for station A with the given data rows replaced
-    (row k sits on line k + 2; with 7-row blocks, rows 6|7, 13|14 and 20|21
-    straddle block seams)."""
+    (row k sits on line k + 2; with ``_SEAM_BLOCK_BYTES`` blocks of 7 rows,
+    rows 6|7, 13|14 and 20|21 straddle block seams)."""
     lines = ["station,date,precip_mm"]
     for k in range(n):
         lines.append(rows.get(k, f"A,{dt.date(1990, 1, 1) + dt.timedelta(days=k)},{k % 5}.5"))
@@ -518,10 +525,10 @@ class TestBrokenFileCorpus:
         err = info.value
         return type(err), str(err), getattr(err, "line", None)
 
-    @pytest.mark.parametrize("block_rows", [7, ingest._BLOCK_ROWS])
+    @pytest.mark.parametrize("block_bytes", [_SEAM_BLOCK_BYTES, ingest._BLOCK_BYTES])
     @pytest.mark.parametrize("name", sorted(_CORPUS))
-    def test_error_equals_reference(self, monkeypatch, block_rows, name):
-        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    def test_error_equals_reference(self, monkeypatch, block_bytes, name):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
         data = _CORPUS[name]
         assert self._error(parse_daily_csv, data) == self._error(_reference_parse, data)
 
@@ -538,6 +545,148 @@ class TestBrokenFileCorpus:
         ],
     )
     def test_changed_cases_name_their_line(self, monkeypatch, row, text, message):
-        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", _SEAM_BLOCK_BYTES)
         data = _broken({row: text})
         assert self._error(parse_daily_csv, data) == (ParseError, f"line {row + 2}: {message}", row + 2)
+
+
+def _table_records(table) -> list[_Record]:
+    return [
+        _Record(table.stations[s], dt.date.fromordinal(d), None if np.isnan(v) else v)
+        for s, d, v in zip(table.station.tolist(), table.ordinal.tolist(), table.precip.tolist())
+    ]
+
+
+def _outcome(parse, data: bytes):
+    """The records a parse returns, or the type, message and line of its error."""
+    try:
+        result = parse(io.BytesIO(data))
+    except Exception as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return result if isinstance(result, list) else _table_records(result)
+
+
+def _assert_same_table(a, b):
+    assert a.stations == b.stations
+    for column in ("station", "ordinal", "precip"):
+        x, y = getattr(a, column), getattr(b, column)
+        assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), column
+
+
+_PLAIN_FORMS = {"lf": ("", "\n"), "crlf": ("", "\r\n"), "bom_crlf": ("\ufeff", "\r\n")}
+_ID_WORD = st.text(alphabet="AbZtaéóñÑü0-9_.", min_size=1, max_size=6)
+_VALUE = st.one_of(
+    st.just(""),
+    st.floats(0, 500).map(lambda v: f"{v:.1f}"),
+    st.sampled_from(["0", "1_000", ".5", "5.", "1e2", "12.25", "-0", "007"]),
+)
+
+
+@st.composite
+def _plain_files(draw):
+    """A plain daily file: ids with inner spaces and accents, missing values,
+    blank lines, rows in any order, in one of the ``_PLAIN_FORMS``."""
+    ids = draw(st.lists(st.lists(_ID_WORD, min_size=1, max_size=3).map(" ".join), min_size=1, max_size=4, unique=True))
+    rows = []
+    for station in ids:
+        days = draw(st.lists(st.integers(0, 3000), min_size=1, max_size=12, unique=True))
+        rows += [f"{station},{dt.date(1968, 12, 25) + dt.timedelta(days=d)},{draw(_VALUE)}" for d in days]
+    lines = ["station,date,precip_mm", *draw(st.permutations(rows))]
+    for at in draw(st.lists(st.integers(1, len(lines)), max_size=3)):
+        lines.insert(at, "")
+    bom, eol = _PLAIN_FORMS[draw(st.sampled_from(sorted(_PLAIN_FORMS)))]
+    return (bom + eol.join(lines) + draw(st.sampled_from([eol, ""]))).encode("utf-8")
+
+
+def _bench_shaped_file(stations: int = 3, years: int = 2) -> bytes:
+    """Rows shaped like the benchmark's daily file: ``Dnn`` ids, station by
+    station and day by day, one-decimal values and a run of empty ones."""
+    rng = np.random.default_rng(3)
+    lines = ["station,date,precip_mm"]
+    for s in range(stations):
+        day = dt.date(1971, 1, 1)
+        while day.year < 1971 + years:
+            value = "" if 40 <= day.timetuple().tm_yday < 60 else f"{rng.gamma(0.5, 8.0):.1f}"
+            lines.append(f"D{s + 1:02d},{day},{value}")
+            day += dt.timedelta(days=1)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_ACCENTED = "station,date,precip_mm\nPaso de los Toros,1990-01-01,12.5\nTacuarembó,1990-01-01,\nPaso de los Toros,1990-01-02,0\n"
+
+# Valid and invalid files at the edges of the plain grammar
+_EDGE_FILES = {
+    "year_0000": _broken({5: "A,0000-01-01,1"}),
+    "signed_year": _broken({5: "A,+990-01-01,1"}),
+    "lone_cr": _broken({5: "A,1990-01-06,1\rA,1990-06-01,2"}),
+    "lone_cr_in_id": _broken({13: "A\rB,1990-06-01,1"}),
+    "nul_in_id": _broken({6: "A\0B,1990-06-01,1"}),
+    "nul_ending_id": _broken({6: "A\0,1990-06-01,1"}),
+    "trailing_space_id": _broken({7: "A ,1990-06-01,1"}),
+    "no_break_space_id": _broken({7: "\u00a0A,1990-06-01,1"}),
+    "id_over_field_limit": _broken({}) + b"B" * (csv.field_size_limit() + 1) + b",1990-07-01,1\n",
+    "underscore_value": _broken({14: "A,1990-01-15,1_000"}),
+    "no_final_newline": _broken({})[:-1],
+    "crlf_then_lf": _broken({}).replace(b"\n", b"\r\n", 10),
+    "accented": _ACCENTED.encode("utf-8"),
+}
+
+
+class TestBytesPass:
+    """The plain-file bytes pass against the row path and the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_plain_files())
+    def test_plain_files_equal_row_path_and_reference(self, data):
+        plain = ingest._read_plain(data)
+        assert plain is not None
+        _assert_same_table(plain, ingest._validate_rows(data))
+        assert _table_records(plain) == _reference_parse(io.BytesIO(data.removeprefix("\ufeff".encode())))
+
+    @pytest.mark.parametrize("block_bytes", [1, _SEAM_BLOCK_BYTES, ingest._BLOCK_BYTES])
+    @pytest.mark.parametrize("name", sorted(_EDGE_FILES))
+    def test_edge_file_equals_reference(self, monkeypatch, block_bytes, name):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        data = _EDGE_FILES[name]
+        assert _outcome(parse_daily_csv, data) == _outcome(_reference_parse, data)
+
+    def test_field_limit_below_the_gather_width_takes_the_row_path(self):
+        data = _broken({}) + b"B" * 150 + b",1990-07-01,1\n"
+        assert parse_daily_csv(io.BytesIO(data)).stations == ("A", "B" * 150)
+        limit = csv.field_size_limit(100)
+        try:
+            assert _outcome(parse_daily_csv, data) == _outcome(_reference_parse, data)
+            assert _outcome(parse_daily_csv, data)[0] is csv.Error
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("block_bytes", [1, _SEAM_BLOCK_BYTES, ingest._BLOCK_BYTES])
+    def test_blocks_cut_anywhere_give_one_table(self, monkeypatch, block_bytes):
+        data = _bench_shaped_file()
+        whole = ingest._read_plain(data)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        _assert_same_table(ingest._read_plain(data), whole)
+
+    @pytest.mark.parametrize(
+        "data, replayed",
+        [
+            (_bench_shaped_file(), False),
+            (_ACCENTED.encode("utf-8"), False),
+            (_broken({}).replace(b"\n", b"\r\n"), False),
+            (_broken({3: '"A",1990-01-04,1'}), True),
+            (_broken({3: "A, 1990-01-04,1"}), True),
+        ],
+        ids=["bench_shaped", "accented", "crlf", "quoted", "padded"],
+    )
+    def test_only_files_outside_the_plain_grammar_take_the_row_path(self, monkeypatch, data, replayed):
+        calls = []
+
+        def spy(data):
+            calls.append(len(data))
+            return row_path(data)
+
+        row_path = ingest._validate_rows
+        monkeypatch.setattr(ingest, "_validate_rows", spy)
+        table = parse_daily_csv(io.BytesIO(data))
+        assert bool(calls) == replayed
+        assert _table_records(table) == _reference_parse(io.BytesIO(data))
