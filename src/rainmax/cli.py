@@ -490,6 +490,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the JSON values a --config file may give each RunConfig field, by its annotation
+_CONFIG_TYPES = {
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config is not None:
@@ -497,10 +507,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
         loaded = json.loads(path.read_text(encoding="utf-8"))
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(loaded) - known
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file must hold a JSON object: {path}")
+        fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+        unknown = set(loaded) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in loaded.items():
+            kind, ok = _CONFIG_TYPES[fields[name].type]
+            if not ok(value):
+                raise ValueError(f"config key {name!r} must be {kind}, got {json.dumps(value)}")
         cfg = dataclasses.replace(cfg, **loaded)
     overrides = {
         f.name: getattr(args, f.name)
@@ -515,13 +531,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    out = args.out  # the resolved configuration's, once it is known
     try:
         cfg = _resolve_config(args)
+        out = cfg.out
         return _COMMANDS[args.command](cfg)
     except Exception as exc:  # noqa: BLE001 - CLI boundary emits an error envelope
         envelope = {"error": type(exc).__name__, "message": str(exc), "command": args.command}
         sys.stderr.write(json.dumps(envelope, sort_keys=True) + "\n")
-        out = getattr(args, "out", None)
         if out is not None and Path(out).is_dir():
             _dump_json(envelope, Path(out) / "error.json")
         return 1

@@ -1,25 +1,22 @@
 """GEV parameter estimation: maximum likelihood, probability-weighted moments,
 and profile-likelihood confidence intervals for the shape.
 
-Every maximum-likelihood fit is a case of one row kernel, ``_fit_rows``,
-which fits every row of a sample matrix at once. The Gumbel fit profiles mu
-out in closed form and solves the remaining scalar score equation by
-Newton. The sign-constrained fits run safeguarded Newton on
-(mu, log sigma, xi) with the closed-form score and observed information
-(Prescott & Walden 1980), starting from the Gumbel solution. A row whose
-constrained supremum lies on the boundary xi = 0 takes its Gumbel solution;
-a Weibull row whose supremum lies on the support edge xi = -1 takes that
-edge's closed form. The free fit is the better of the Frechet and Weibull
-solves, since the free maximum lies on one side of xi = 0 or on it.
-``fit_mle`` is the one-row case, with standard errors from the same
-closed-form observed information.
-
-Profile intervals maximize over (mu, log sigma) at each fixed shape by the
-same safeguarded Newton method on the (mu, log sigma) block of those
-closed-form derivatives. At the lower search bound xi = -1 the supremum
-lies on the support edge and is taken in closed form.
+Every likelihood maximization over (mu, log sigma, xi) runs through one
+safeguarded Newton loop on the rows of a sample matrix, ``_newton_rows``,
+with the closed-form score and observed information (Prescott & Walden
+1980). With a free shape it gives the sign-constrained fits of the row
+kernel ``_fit_rows``, from each row's Gumbel solution; the Gumbel fit
+itself profiles mu out in closed form and solves the remaining scalar
+score equation by Newton. A row whose constrained supremum lies on the
+boundary xi = 0 takes its Gumbel solution. A Weibull row that ends on the
+support edge xi = -1 takes that edge's closed form, unless its profile on
+a grid of fixed shapes, one batched fixed-shape call, leads to an interior
+maximum above it. The free fit is the better of the Frechet and Weibull
+solves. ``fit_mle`` is the one-row case of ``_fit_rows``, with standard
+errors from the same closed-form observed information. With the shape
+fixed the loop solves over (mu, log sigma) alone: ``_profile_loglik``,
+which profile intervals evaluate at each trial shape, is its one-row case.
 """
-
 from __future__ import annotations
 
 import math
@@ -207,13 +204,14 @@ def _chi2_1_quantile(level: float) -> float:
             hi = mid
 
 
-def _fit_gumbel_exact(x: np.ndarray) -> FitResult:
+def _fit_gumbel_exact(x: np.ndarray) -> tuple[float, float, int]:
     """Gumbel MLE via the profiled scalar score equation in sigma.
 
     With mu profiled out in closed form, the remaining equation
     g(s) = s - mean(x) + sum(x w)/sum(w) = 0 (w = exp(-x/s)) has a unique
     root; the safeguarded Newton iteration of ``_gumbel_rows`` converges
     in a handful of iterations and a bracketing fallback covers the rest.
+    Returns mu, sigma and the iterations taken.
     """
     mu, s, ok, iterations = (v[0] for v in _gumbel_rows(x[None, :]))
     if not ok:
@@ -240,17 +238,7 @@ def _fit_gumbel_exact(x: np.ndarray) -> FitResult:
         s, steps = _brent_root(g, (lo, g_lo), (hi, g_hi), xtol=1e-12)
         iterations += steps
         mu = xmin - s * math.log(float(np.exp(-(x - xmin) / s).mean()))
-
-    params = GevParams(float(mu), float(s), 0.0)
-    return FitResult(
-        params=params,
-        method="mle",
-        constraint="gumbel",
-        loglik=log_likelihood(params, x),
-        std_errors=_std_errors(params, x),
-        converged=True,
-        iterations=int(iterations),
-    )
+    return float(mu), float(s), int(iterations)
 
 
 def _std_errors(params: GevParams, x: np.ndarray) -> tuple[float, float, float] | None:
@@ -300,11 +288,13 @@ def fit_mle(data: object, constraint: str = "free") -> FitResult:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}, got {constraint!r}")
     x = _validate_sample(data, min_distinct=5)
     if constraint == "gumbel":
-        return _fit_gumbel_exact(x)
-    mu, sigma, xi, converged, iterations = _fit_rows(x[None, :], constraint)
-    if not converged[0]:
-        raise FitError(f"MLE did not converge under constraint {constraint!r}")
-    params = GevParams(float(mu[0]), float(sigma[0]), float(xi[0]))
+        mu, sigma, iterations = _fit_gumbel_exact(x)
+        params = GevParams(mu, sigma, 0.0)
+    else:
+        mu, sigma, xi, converged, iterations = (v[0] for v in _fit_rows(x[None, :], constraint))
+        if not converged:
+            raise FitError(f"MLE did not converge under constraint {constraint!r}")
+        params = GevParams(float(mu), float(sigma), float(xi))
     return FitResult(
         params=params,
         method="mle",
@@ -312,7 +302,7 @@ def fit_mle(data: object, constraint: str = "free") -> FitResult:
         loglik=log_likelihood(params, x),
         std_errors=_std_errors(params, x),
         converged=True,
-        iterations=int(iterations[0]),
+        iterations=int(iterations),
     )
 
 
@@ -321,6 +311,7 @@ _ROW_DECREMENT_TOL = 1e-12  # Newton decrement, relative to 1 + |loglik|, that e
 _ROW_HALVINGS = 40
 _XI_BOUNDARY = 1e-6  # a sign-constrained row this close to xi = 0 takes its Gumbel solution
 _XI_STEP_CAP = 0.25  # largest change of xi in one Newton step
+_EDGE_GRID = np.linspace(-0.95, -0.05, 19)  # shapes at which an edge row's profile is solved
 
 
 def _gumbel_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -354,7 +345,7 @@ def _gumbel_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 
 def _gev_rows_derivatives(
-    X: np.ndarray, mu: np.ndarray, eta: np.ndarray, xi: np.ndarray
+    X: np.ndarray, mu: np.ndarray, eta: np.ndarray, xi: np.ndarray, shape: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form score and Hessian of the GEV log-likelihood per row.
 
@@ -362,7 +353,8 @@ def _gev_rows_derivatives(
     inside the support. Per point, with z = (x - mu)/sigma, t = 1 + xi z,
     y = log t and u = t^(-1/xi), the log density is
     -eta - (1 + 1/xi) y - u; the derivatives follow Prescott & Walden
-    (1980) after the change to log scale.
+    (1980) after the change to log scale. With ``shape`` False only the
+    (mu, log sigma) block is computed, for solves at a fixed shape.
     """
     sigma = np.exp(eta)
     z = (X - mu[:, None]) / sigma[:, None]
@@ -372,23 +364,26 @@ def _gev_rows_derivatives(
     u = np.exp(-y / k)
     a = (1.0 + k - u) / t  # minus the derivative of the log density in z
     f_zz = k * a / t - u / t**2
-    u_k = u * (y / k**2 - z / (k * t))
-    f_zk = (a * z - (1.0 - u_k)) / t
-    f_k = (1.0 - u) * y / k**2 - z * a / k
-    f_kk = (
-        -u_k * y / k**2
-        + (1.0 - u) * (z / (t * k**2) - 2.0 * y / k**3)
-        - z * ((1.0 - u_k) * k - a * (t + k * z)) / (k**2 * t)
-    )
-    n = X.shape[1]
-    grad = np.stack([a.sum(axis=1) / sigma, (z * a).sum(axis=1) - n, f_k.sum(axis=1)], axis=1)
-    hess = np.empty((X.shape[0], 3, 3))
+    d = 3 if shape else 2
+    grad, hess = np.empty((X.shape[0], d)), np.empty((X.shape[0], d, d))
+    grad[:, 0] = a.sum(axis=1) / sigma
+    grad[:, 1] = (z * a).sum(axis=1) - X.shape[1]
     hess[:, 0, 0] = f_zz.sum(axis=1) / sigma**2
     hess[:, 0, 1] = hess[:, 1, 0] = (f_zz * z - a).sum(axis=1) / sigma
     hess[:, 1, 1] = (f_zz * z**2 - a * z).sum(axis=1)
-    hess[:, 0, 2] = hess[:, 2, 0] = -f_zk.sum(axis=1) / sigma
-    hess[:, 1, 2] = hess[:, 2, 1] = -(z * f_zk).sum(axis=1)
-    hess[:, 2, 2] = f_kk.sum(axis=1)
+    if shape:
+        u_k = u * (y / k**2 - z / (k * t))
+        f_zk = (a * z - (1.0 - u_k)) / t
+        f_k = (1.0 - u) * y / k**2 - z * a / k
+        f_kk = (
+            -u_k * y / k**2
+            + (1.0 - u) * (z / (t * k**2) - 2.0 * y / k**3)
+            - z * ((1.0 - u_k) * k - a * (t + k * z)) / (k**2 * t)
+        )
+        grad[:, 2] = f_k.sum(axis=1)
+        hess[:, 0, 2] = hess[:, 2, 0] = -f_zk.sum(axis=1) / sigma
+        hess[:, 1, 2] = hess[:, 2, 1] = -(z * f_zk).sum(axis=1)
+        hess[:, 2, 2] = f_kk.sum(axis=1)
     return grad, hess
 
 
@@ -423,51 +418,47 @@ def _widen_into_support(
     return ll
 
 
-def _signed_rows(
-    X: np.ndarray, sign: np.ndarray, mu_g: np.ndarray, sigma_g: np.ndarray, ok_g: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Sign-constrained GEV MLE on every row by safeguarded Newton.
+def _newton_rows(
+    X: np.ndarray,
+    mu: np.ndarray,
+    eta: np.ndarray,
+    xi: np.ndarray,
+    ll: np.ndarray,
+    active: np.ndarray,
+    sign: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Safeguarded Newton ascent on the ``active`` rows of X, in place on
+    (mu, eta = log sigma, xi) and the row log-likelihoods ``ll``.
 
-    ``sign`` is +1 (Frechet) or -1 (Weibull) per row. Iterates on
-    (mu, log sigma, xi) from the row's Gumbel solution (mu_g, sigma_g) with
-    xi = 0.1 * sign. The step uses the observed information with its
-    eigenvalues made positive, so it always ascends. It is scaled so that
-    xi moves by at most ``_XI_STEP_CAP``, and by at most 90 % of the
-    distance to xi = 0 when it would cross, then halved until the iterate
-    lies inside the support, keeps xi > -1 (beyond which the likelihood is
-    unbounded) and does not lower the log-likelihood. A row that reaches
-    the xi = 0 boundary, or settles below its Gumbel log-likelihood, takes
-    the Gumbel solution. A Weibull row that ends, settled or stalled, at or
-    below the supremum on the support edge xi = -1 takes that edge
-    (``_edge_rows``). In both cases the constrained supremum lies there.
-    Returns per-row mu, sigma, xi, log-likelihood, a converged mask and the
-    Newton iterations.
+    The step uses the observed information with its eigenvalues made
+    positive, so it always ascends, and is halved until the iterate lies
+    inside the support, keeps xi > -1 and does not lower the
+    log-likelihood. With ``sign`` None the shape stays fixed. Otherwise
+    ``sign`` is +1 (Frechet) or -1 (Weibull) per row, xi moves by at most
+    ``_XI_STEP_CAP`` and by at most 90 % of its distance to 0 when it would
+    cross, and a row stops within ``_XI_BOUNDARY`` of xi = 0. Returns a
+    converged mask and the iterations per row.
     """
-    rows = X.shape[0]
-    mu, eta = mu_g.copy(), np.log(sigma_g)
-    xi = 0.1 * sign
-    ll = _widen_into_support(X, mu, eta, xi)
-    started = np.isfinite(ll) & ok_g
-    active = started.copy()
-    converged = np.zeros(rows, dtype=bool)
-    boundary = np.zeros(rows, dtype=bool)
-    iterations = np.zeros(rows, dtype=int)
+    converged = np.zeros(X.shape[0], dtype=bool)
+    iterations = np.zeros(X.shape[0], dtype=int)
     for _ in range(_ROW_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         iterations[idx] += 1
-        x, m0, e0, k0, l0, s0 = X[idx], mu[idx], eta[idx], xi[idx], ll[idx], sign[idx]
-        grad, hess = _gev_rows_derivatives(x, m0, e0, k0)
+        x, m0, e0, k0, l0 = X[idx], mu[idx], eta[idx], xi[idx], ll[idx]
+        grad, hess = _gev_rows_derivatives(x, m0, e0, k0, shape=sign is not None)
         w, v = np.linalg.eigh(-hess)
         w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(axis=1, keepdims=True) + 1e-300)
         step = np.einsum("rij,rj->ri", v, np.einsum("rji,rj->ri", v, grad) / w)
         # the decrement g'step estimates twice the log-likelihood still to gain
         settled = (grad * step).sum(axis=1) <= _ROW_DECREMENT_TOL * (1.0 + np.abs(l0))
-        crossing = s0 * (k0 + step[:, 2]) <= 0.0
-        reach = np.where(crossing, np.minimum(0.9 * np.abs(k0), _XI_STEP_CAP), _XI_STEP_CAP)
-        with np.errstate(divide="ignore"):
-            alpha = np.minimum(1.0, reach / np.abs(step[:, 2]))
+        alpha = np.ones(idx.size)
+        if sign is not None:
+            crossing = sign[idx] * (k0 + step[:, 2]) <= 0.0
+            reach = np.where(crossing, np.minimum(0.9 * np.abs(k0), _XI_STEP_CAP), _XI_STEP_CAP)
+            with np.errstate(divide="ignore"):
+                alpha = np.minimum(alpha, reach / np.abs(step[:, 2]))
         pending = np.ones(idx.size, dtype=bool)
         for _ in range(_ROW_HALVINGS):
             p = np.flatnonzero(pending)
@@ -475,7 +466,7 @@ def _signed_rows(
                 break
             m1 = m0[p] + alpha[p] * step[p, 0]
             e1 = e0[p] + alpha[p] * step[p, 1]
-            k1 = k0[p] + alpha[p] * step[p, 2]
+            k1 = k0[p] if sign is None else k0[p] + alpha[p] * step[p, 2]
             l1 = np.where(k1 > -1.0, _gev_rows_loglik(x[p], m1, e1, k1), -np.inf)
             accept = l1 >= l0[p]
             r = idx[p[accept]]
@@ -486,16 +477,52 @@ def _signed_rows(
         # lower the log-likelihood; an unsettled row whose step cannot be
         # taken has stalled and stays unconverged
         converged[idx[settled]] = True
-        boundary[idx] = s0 * xi[idx] < _XI_BOUNDARY
         active[idx[settled | pending]] = False
-        active[boundary] = False
+        if sign is not None:
+            active[idx[sign[idx] * xi[idx] < _XI_BOUNDARY]] = False
+    return converged, iterations
 
-    # only started rows were ever active
+
+def _signed_rows(
+    X: np.ndarray, sign: np.ndarray, mu_g: np.ndarray, sigma_g: np.ndarray, ok_g: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Sign-constrained GEV MLE on every row by ``_newton_rows``, from the
+    row's Gumbel solution (mu_g, sigma_g) with xi = 0.1 * sign; ``sign`` is
+    +1 (Frechet) or -1 (Weibull) per row. A row that reaches the xi = 0
+    boundary, or settles below its Gumbel log-likelihood, takes the Gumbel
+    solution. A Weibull row that ends at or below the supremum on the
+    support edge xi = -1 (``_edge_rows``) takes that edge, unless its
+    profile on ``_EDGE_GRID`` beats the edge and a restart from the best
+    grid point converges. Returns per-row mu, sigma, xi, log-likelihood, a
+    converged mask and the Newton iterations.
+    """
+    mu, eta = mu_g.copy(), np.log(sigma_g)
+    xi = 0.1 * sign
+    ll = _widen_into_support(X, mu, eta, xi)
+    started = np.isfinite(ll) & ok_g
+    converged, iterations = _newton_rows(X, mu, eta, xi, ll, started.copy(), sign)
     ll_g = _gumbel_rows_loglik(X, mu_g, sigma_g)
-    take_gumbel = boundary | (converged & (ll_g > ll))
+    # rows that never started keep xi = 0.1 * sign, away from the boundary
+    take_gumbel = (sign * xi < _XI_BOUNDARY) | (converged & (ll_g > ll))
     ll = np.where(take_gumbel, ll_g, ll)
     mu_e, sigma_e, ll_e = _edge_rows(X)
     take_edge = started & (sign < 0) & (ll <= ll_e)
+    e = np.flatnonzero(take_edge)
+    if e.size and _EDGE_GRID.size:
+        # the likelihood is non-regular for xi <= -0.5, and a step can climb
+        # from an interior maximum's ridge into the edge basin; a restart
+        # never lowers the log-likelihood, so one that converges beats the edge
+        g = _EDGE_GRID.size
+        rows = np.repeat(e, g)
+        X_grid, grid = X[rows], (mu_g[rows], np.log(sigma_g[rows]), np.tile(_EDGE_GRID, e.size))
+        ll_grid = _widen_into_support(X_grid, *grid)
+        np.add.at(iterations, rows, _newton_rows(X_grid, *grid, ll_grid, np.isfinite(ll_grid))[1])
+        best = np.argmax(ll_grid.reshape(e.size, g), axis=1) + g * np.arange(e.size)
+        mu[e], eta[e], xi[e], ll[e] = (v[best] for v in (*grid, ll_grid))
+        rose, restart_iterations = _newton_rows(X, mu, eta, xi, ll, take_edge & (ll > ll_e), sign)
+        iterations += restart_iterations
+        converged |= rose
+        take_gumbel, take_edge = take_gumbel & ~rose, take_edge & ~rose
     pick = [take_edge, take_gumbel]
     return (
         np.select(pick, [mu_e, mu_g], mu),
@@ -552,53 +579,28 @@ def _fit_rows(X: np.ndarray, constraint: str) -> tuple[np.ndarray, ...]:
 
 
 def _profile_loglik(
-    x: np.ndarray,
-    xi: float,
-    start: tuple[float, float],
+    x: np.ndarray, xi: float, start: tuple[float, float]
 ) -> tuple[float, tuple[float, float]]:
-    """Maximize the likelihood over (mu, sigma) at fixed shape.
-
-    Safeguarded Newton on (mu, log sigma) with the (mu, log sigma) block of
-    the row kernel's closed-form score and observed information, under the
-    step rules of ``_signed_rows``. At xi = -1 the supremum lies on the
-    support edge and has the closed form of ``_edge_rows``. Raises FitError
-    when no feasible start is found or the iteration does not settle.
+    """Maximize the likelihood over (mu, sigma) at fixed shape: the one-row
+    fixed-shape case of ``_newton_rows``, from ``start``. Near xi = 0 this
+    is the Gumbel fit; at xi = -1 the supremum lies on the support edge and
+    has the closed form of ``_edge_rows``. Raises FitError when no feasible
+    start is found or the iteration does not settle.
     """
     if abs(xi) < XI_EPS:
-        fit = _fit_gumbel_exact(x)
-        return fit.loglik, (fit.params.mu, fit.params.sigma)
+        mu, sigma, _ = _fit_gumbel_exact(x)
+        return log_likelihood(GevParams(mu, sigma, 0.0), x), (mu, sigma)
     if xi == -1.0:
         mu, sigma, ll = _edge_rows(x[None, :])
         return float(ll[0]), (float(mu[0]), float(sigma[0]))
-
     X, k = x[None, :], np.array([xi])
     mu, eta = np.array([start[0]]), np.array([math.log(start[1])])
-    ll = _widen_into_support(X, mu, eta, k)[0]
-    if not np.isfinite(ll):
+    ll = _widen_into_support(X, mu, eta, k)
+    if not np.isfinite(ll[0]):
         raise FitError(f"no feasible (mu, sigma) start for the profile at xi={xi}")
-
-    for _ in range(_ROW_MAX_ITER):
-        grad, hess = _gev_rows_derivatives(X, mu, eta, k)
-        g = grad[0, :2]
-        w, v = np.linalg.eigh(-hess[0, :2, :2])
-        w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max() + 1e-300)
-        step = v @ ((v.T @ g) / w)
-        # the decrement g'step estimates twice the log-likelihood still to gain
-        settled = g @ step <= _ROW_DECREMENT_TOL * (1.0 + abs(ll))
-        alpha = 1.0
-        for _ in range(_ROW_HALVINGS):
-            mu1, eta1 = mu + alpha * step[0], eta + alpha * step[1]
-            ll1 = _gev_rows_loglik(X, mu1, eta1, k)[0]
-            if ll1 >= ll:
-                mu, eta, ll = mu1, eta1, ll1
-                break
-            alpha /= 2.0
-        else:
-            if not settled:
-                break  # no step keeps the log-likelihood: the solve has stalled
-        if settled:
-            return float(ll), (float(mu[0]), float(math.exp(eta[0])))
-    raise FitError(f"profile likelihood did not settle at xi={xi}")
+    if not _newton_rows(X, mu, eta, k, ll, np.ones(1, dtype=bool))[0][0]:
+        raise FitError(f"profile likelihood did not settle at xi={xi}")
+    return float(ll[0]), (float(mu[0]), float(math.exp(eta[0])))
 
 
 def profile_ci_xi(
@@ -609,13 +611,11 @@ def profile_ci_xi(
     Endpoints solve 2*(max loglik - profile loglik(xi)) = chi2(1) quantile;
     they are located by marching outward from the MLE and refined by
     Brent's method on the bracket the march found, and may be asymmetric.
-    The profile log-likelihood at each shape comes from a safeguarded
-    Newton solve on (mu, log sigma) with the closed-form GEV derivatives,
-    warm-started from the nearest shape already solved; at the search
-    bound xi = -1 it takes its closed form on the support edge. ``free``
-    is the sample's free ``fit_mle`` result when the caller already has
-    it. Raises FitError when an endpoint does not materialize inside the
-    search range.
+    Each shape's profile log-likelihood is ``_profile_loglik``,
+    warm-started from the nearest shape already solved. ``free`` is the
+    sample's free ``fit_mle`` result when the caller already has it.
+    Raises FitError when an endpoint does not materialize inside the search
+    range.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")

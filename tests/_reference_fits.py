@@ -20,8 +20,8 @@ from rainmax.estimate import (
     CONSTRAINTS,
     FitError,
     FitResult,
-    _fit_gumbel_exact,
     _validate_sample,
+    fit_mle,
     fit_pwm,
 )
 from rainmax.gev import XI_EPS, GevParams, log_likelihood
@@ -142,12 +142,12 @@ def _run_simplex(
 
 def nelder_mead_fit(data: object, constraint: str = "free") -> FitResult:
     """The simplex fit under a family constraint, with finite-difference
-    standard errors; the Gumbel fit is ``_fit_gumbel_exact``'s solution."""
+    standard errors; the Gumbel fit is ``fit_mle``'s."""
     if constraint not in CONSTRAINTS:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}, got {constraint!r}")
     x = _validate_sample(data, min_distinct=5)
     if constraint == "gumbel":
-        gum = _fit_gumbel_exact(x)
+        gum = fit_mle(x, "gumbel")
         se = finite_difference_se(gum.params, x, free=(True, True, False))
         return FitResult(gum.params, "mle", "gumbel", gum.loglik, se, True, gum.iterations)
 
@@ -181,7 +181,7 @@ def nelder_mead_fit(data: object, constraint: str = "free") -> FitResult:
     if constraint == "free":
         # the free optimum can never score below the nested Gumbel one; when
         # the simplex lands under it, reseed from the exact Gumbel solution
-        gum = _fit_gumbel_exact(x)
+        gum = fit_mle(x, "gumbel")
         if not attempts or max(ll for _, ll, _ in attempts) < gum.loglik:
             start = np.array([gum.params.mu, math.log(gum.params.sigma), 0.0])
             params, ll, ok, nit = _run_simplex(x, start, constraint)
@@ -208,7 +208,7 @@ def nelder_mead_profile_loglik(x, xi, start):
     """Reference fixed-shape maximization: a Nelder-Mead simplex on
     (mu, log sigma) from a start widened into the support."""
     if abs(xi) < XI_EPS:
-        fit = _fit_gumbel_exact(x)
+        fit = fit_mle(x, "gumbel")
         return fit.loglik, (fit.params.mu, fit.params.sigma)
 
     def nll(theta):

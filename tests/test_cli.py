@@ -155,6 +155,22 @@ class TestErrors:
         envelope = json.loads((out / "error.json").read_text())
         assert envelope["command"] == "fit"
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["default_out", "config_out"])
+    def test_error_json_follows_the_resolved_out(self, tmp_path, capsys, monkeypatch, via_config):
+        # the params clustering writes out/cluster/ before select_k rejects kmax
+        monkeypatch.chdir(tmp_path)
+        args = ["cluster", "--demo", "--kmax", "25"]
+        out = tmp_path / "out"
+        if via_config:
+            out = tmp_path / "from_config"
+            (tmp_path / "cfg.json").write_text(json.dumps({"out": str(out)}))
+            args += ["--config", "cfg.json"]
+        assert main(args) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "kmax must lie in [2, 19], got 25"
+        assert (out / "cluster").is_dir()
+        assert json.loads((out / "error.json").read_text()) == err
+
     def test_invalid_config_value(self, tmp_path, capsys):
         rc = main(["gof", "--demo", "--out", str(tmp_path / "o"), "--alpha", "1.5"])
         assert rc == 1
@@ -225,6 +241,46 @@ class TestConfigPrecedence:
         assert rc == 0
         table = (out / "cluster" / "fmadogram_silhouette.csv").read_text().strip().splitlines()
         assert [row.split(",")[0] for row in table] == ["K", "2", "3"]
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("demo", "false", "true or false"),
+            ("standardize", 0, "true or false"),
+            ("seed", True, "an integer"),
+            ("kmax", 3.0, "an integer"),
+            ("alpha", "0.1", "a number"),
+            ("ci_level", False, "a number"),
+            ("method", None, "a string"),
+            ("input", 5, "a string or null"),
+        ],
+    )
+    def test_config_value_types_checked(self, tmp_path, capsys, key, value, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        expected = f"config key {key!r} must be {kind}, got {json.dumps(value)}"
+        assert (err["error"], err["message"]) == ("ValueError", expected)
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    def test_config_values_of_every_field_type_accepted(self, tmp_path):
+        assert {f.type for f in dataclasses.fields(cli.RunConfig)} <= set(cli._CONFIG_TYPES)
+        values = {"demo": True, "seed": 3, "alpha": 0, "delta": 0.1, "method": "fmadogram"}
+        values |= {"input": None, "target": "Melo", "standardize": False}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        args = cli._build_parser().parse_args(["fit", "--config", str(cfg)])
+        resolved = cli._resolve_config(args)
+        assert {k: getattr(resolved, k) for k in values} == values
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(["seed", 1]))
+        assert main(["fit", "--config", str(cfg), "--demo", "--out", str(tmp_path / "o")]) == 1
+        assert "JSON object" in json.loads(capsys.readouterr().err)["message"]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

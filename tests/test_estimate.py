@@ -18,7 +18,6 @@ from rainmax.estimate import (
     FitError,
     _brent_root,
     _chi2_1_quantile,
-    _fit_gumbel_exact,
     _fit_rows,
     _gev_rows_derivatives,
     _profile_loglik,
@@ -289,11 +288,41 @@ class TestKernelAgainstOracle:
         # the top point lies 0.008 inside the support edge, too close for the
         # reference's finite-difference stencil
         _assert_reaches_oracle(BASIN_SAMPLE, constraint, check_se=False)
-        # an uncapped Newton step jumps past it into the edge basin
+        # an uncapped Newton step jumps past it into the edge basin, and the
+        # edge certificate brings it back
+        cap = estimate._XI_STEP_CAP
         monkeypatch.setattr(estimate, "_XI_STEP_CAP", np.inf)
+        rescued = fit_mle(BASIN_SAMPLE, constraint)
+        assert rescued.params.xi == pytest.approx(fit.params.xi, abs=1e-6)
+        assert rescued.loglik >= fit.loglik - 1e-9
+        # with the grid check off, the uncapped step ends on the edge and
+        # the capped one still keeps the interior maximum
+        monkeypatch.setattr(estimate, "_EDGE_GRID", np.empty(0))
         uncapped = fit_mle(BASIN_SAMPLE, constraint)
         assert uncapped.params.xi == -1.0
         assert uncapped.loglik < fit.loglik - 0.05
+        monkeypatch.setattr(estimate, "_XI_STEP_CAP", cap)
+        assert fit_mle(BASIN_SAMPLE, constraint) == fit
+
+    @pytest.mark.parametrize("constraint", ["free", "weibull"])
+    @pytest.mark.parametrize(
+        "xi, seed",
+        [(-0.5, 1161), (-0.5, 3481), (-0.4, 2851), (-0.4, 3841), (-0.3, 3662)],
+        ids=lambda v: str(v),
+    )
+    def test_edge_certificate_finds_the_interior_maximum(self, xi, seed, constraint, monkeypatch):
+        # n = 22 samples on which the capped step climbs from an interior
+        # maximum's ridge into the support-edge basin
+        x = gev_sample(GevParams(80, 25, xi), 22, seed)
+        fit = fit_mle(x, constraint)
+        assert -1.0 < fit.params.xi < 0.0
+        assert fit.loglik >= nelder_mead_fit(x, constraint).loglik - 1e-8
+        if seed == 2851:
+            # the edge gives -96.3420; the maximum is -96.3287062
+            assert round(fit.loglik, 4) >= -96.3287
+        monkeypatch.setattr(estimate, "_EDGE_GRID", np.empty(0))
+        edge = fit_mle(x, constraint)
+        assert edge.params.xi == -1.0 and edge.loglik < fit.loglik
 
     def test_short_free_fit_stays_where_the_likelihood_is_bounded(self):
         # the simplex returned xi = -1.021 here, where the likelihood is
@@ -347,7 +376,7 @@ class TestFitRows:
         assert converged.all()
         assert np.all(shape == 0.0)
         for row, x in enumerate(X):
-            ref = _fit_gumbel_exact(x).params
+            ref = fit_mle(x, "gumbel").params
             assert mu[row] == pytest.approx(ref.mu, rel=1e-12)
             assert sigma[row] == pytest.approx(ref.sigma, rel=1e-12)
 
@@ -366,7 +395,7 @@ class TestFitRows:
             ll = log_likelihood(GevParams(mu[row], sigma[row], shape[row]), x)
             assert ll >= nelder_mead_fit(x, family).loglik - 1e-8
             if boundary[row]:
-                gum = _fit_gumbel_exact(x).params
+                gum = fit_mle(x, "gumbel").params
                 assert mu[row] == pytest.approx(gum.mu, rel=1e-12)
                 assert sigma[row] == pytest.approx(gum.sigma, rel=1e-12)
 
@@ -431,6 +460,20 @@ class TestProfileKernel:
             ll, (mu, sigma) = _profile_loglik(x, xi, start)
             assert ll >= nelder_mead_profile_loglik(x, xi, start)[0] - 1e-9
             assert ll == pytest.approx(log_likelihood(GevParams(mu, sigma, xi), x), abs=1e-9)
+
+    def test_batched_fixed_shapes_match_the_one_row_solve(self):
+        x = _profile_samples()[0]
+        free = fit_mle(x, "free").params
+        shapes = np.array([-0.95, -0.6, -0.3, -0.05, 0.05, 0.4, 1.0, 2.0])
+        X = np.tile(x, (shapes.size, 1))
+        mu, eta = np.full(shapes.size, free.mu), np.full(shapes.size, math.log(free.sigma))
+        xi = shapes.copy()
+        ll = estimate._widen_into_support(X, mu, eta, xi)
+        converged, _ = estimate._newton_rows(X, mu, eta, xi, ll, np.ones(shapes.size, dtype=bool))
+        assert converged.all() and np.array_equal(xi, shapes)
+        for row, shape in enumerate(shapes):
+            one, (m, s) = _profile_loglik(x, shape, (free.mu, free.sigma))
+            assert (ll[row], mu[row], math.exp(eta[row])) == (one, m, s)
 
     def test_closed_form_at_lower_search_bound(self):
         # the supremum lies on the support edge mu + sigma = max x
