@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from . import cluster as cl
 from . import diagnose, gof, ingest, recurrence
 from .demo import demo_dataset
-from .estimate import FitError, FitResult, fit_mle, profile_ci_xi
+from .estimate import FitError, FitResult, fit_mle_rows, profile_ci_xi_rows
 from .ingest import AnnualMaximaSeries
 from .seeding import derive_seed
 
@@ -173,19 +173,20 @@ def _free_fits(
 ) -> tuple[list[AnnualMaximaSeries], dict[str, FitResult]]:
     """The one free fit per station that every fitting stage reads.
 
-    A station whose fit raises ``FitError``, or ``ValueError`` for a sample
-    the fit rejects (fewer than 5 distinct maxima), is left out of the
-    returned series and so out of every later output; ``fit_errors.json``
-    names it with its reason. The file exists only when a station failed,
-    so one left by an earlier run is removed.
+    All stations are fitted in one ``fit_mle_rows`` call. A station whose
+    fit fails with ``FitError``, or ``ValueError`` for a sample the fit
+    rejects (fewer than 5 distinct maxima), is left out of the returned
+    series and so out of every later output; ``fit_errors.json`` names it
+    with its reason. The file exists only when a station failed, so one
+    left by an earlier run is removed.
     """
     fits: dict[str, FitResult] = {}
     errors: dict[str, str] = {}
-    for s in series:
-        try:
-            fits[s.station_id] = fit_mle(s.values, "free")
-        except (FitError, ValueError) as exc:
-            errors[s.station_id] = str(exc)
+    for s, fit in zip(series, fit_mle_rows([s.values for s in series])):
+        if isinstance(fit, FitResult):
+            fits[s.station_id] = fit
+        else:
+            errors[s.station_id] = str(fit)
     _write_if_any(errors, out / "fit_errors.json")
     return [s for s in series if s.station_id in fits], fits
 
@@ -194,16 +195,16 @@ def _fit_all(
     series: Sequence[AnnualMaximaSeries], fits: dict[str, FitResult], ci_level: float
 ) -> dict[str, dict]:
     """Each station's free fit with its profile interval, which reuses the
-    fit. A station whose interval cannot be found gets null endpoints
-    and a ``ci_error`` reason instead of aborting the run."""
+    fit; all intervals come from one ``profile_ci_xi_rows`` call. A
+    station whose interval cannot be found gets null endpoints and a
+    ``ci_error`` reason instead of aborting the run."""
+    frees = [fits[s.station_id] for s in series]
+    cis = profile_ci_xi_rows([s.values for s in series], ci_level, frees)
     results: dict[str, dict] = {}
-    for s in series:
-        free = fits[s.station_id]
+    for s, free, ci in zip(series, frees, cis):
         payload = _fit_payload(free)
-        try:
-            ci = profile_ci_xi(s.values, level=ci_level, free=free)
-        except FitError as exc:
-            payload.update(ci_lo=None, ci_hi=None, ci_level=ci_level, ci_error=str(exc))
+        if isinstance(ci, FitError):
+            payload.update(ci_lo=None, ci_hi=None, ci_level=ci_level, ci_error=str(ci))
         else:
             payload.update(ci_lo=ci.lower, ci_hi=ci.upper, ci_level=ci.level)
         results[s.station_id] = payload

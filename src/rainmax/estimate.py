@@ -12,22 +12,26 @@ boundary xi = 0 takes its Gumbel solution. A Weibull row that ends on the
 support edge xi = -1 takes that edge's closed form, unless its profile on
 a grid of fixed shapes, one batched fixed-shape call, leads to an interior
 maximum above it. The free fit is the better of the Frechet and Weibull
-solves. ``fit_mle`` is the one-row case of ``_fit_rows``, with standard
-errors from the same closed-form observed information. With the shape
-fixed the loop solves over (mu, log sigma) alone: ``_profile_loglik``,
-which profile intervals evaluate at each trial shape, is its one-row case.
+solves. ``fit_mle_rows`` fits many samples, one ``_fit_rows`` call per
+group of equal length, with standard errors from the same closed-form
+observed information; ``fit_mle`` is its one-row case. With the shape
+fixed the loop solves over (mu, log sigma) alone: ``_profile_rows`` solves
+the trial shapes of many profile-interval searches at once, which
+``profile_ci_xi_rows`` advances in lockstep; ``profile_ci_xi`` is its
+one-row case.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
 from .gev import XI_EPS, GevParams, _gev_rows_loglik, _gumbel_rows_loglik, log_likelihood
 
 CONSTRAINTS = ("free", "gumbel", "frechet", "weibull")
+_ROW_CONSTRAINTS = ("free", "frechet", "weibull")  # the Gumbel fit is one row at a time
 
 _XI_SEARCH_RANGE = (-1.0, 2.0)  # profile CI endpoints must fall inside
 
@@ -131,20 +135,19 @@ _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_MAX_ITER = 100
 
 
-def _brent_root(
-    f: Callable[[float], float],
-    a: tuple[float, float],
-    b: tuple[float, float],
-    xtol: float,
-) -> tuple[float, int]:
-    """Root of ``f`` bracketed by ``a`` and ``b``, each a point with its
-    function value (the caller has them), the values of opposite signs.
+def _brent_search(
+    a: tuple[float, float], b: tuple[float, float], xtol: float
+) -> Generator[float, float, tuple[float, int]]:
+    """Brent's method on a bracket, as a generator: it yields each point at
+    which it needs the function and receives the function's value there.
 
-    Brent's method: inverse quadratic interpolation or a secant step while
-    it shrinks the bracket fast enough, bisection otherwise, until the
-    bracket is narrower than xtol + 4 eps |x|. These are the steps and the
-    stopping rule of scipy's ``brentq``, so the same function values give
-    the same root. Returns the root and the iterations taken.
+    ``a`` and ``b`` are the bracket's ends, each a point with its function
+    value (the caller has them), the values of opposite signs. Inverse
+    quadratic interpolation or a secant step while it shrinks the bracket
+    fast enough, bisection otherwise, until the bracket is narrower than
+    xtol + 4 eps |x|. These are the steps and the stopping rule of scipy's
+    ``brentq``, so the same function values give the same root. Returns the
+    root and the iterations taken; raises FitError after ``_ROOT_MAX_ITER``.
     """
     (xpre, fpre), (xcur, fcur) = a, b
     if fpre == 0:
@@ -179,8 +182,27 @@ def _brent_root(
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
+        fcur = yield xcur
     raise FitError(f"root not bracketed within {xtol} after {_ROOT_MAX_ITER} iterations")
+
+
+def _brent_root(
+    f: Callable[[float], float],
+    a: tuple[float, float],
+    b: tuple[float, float],
+    xtol: float,
+) -> tuple[float, int]:
+    """Root of ``f`` bracketed by ``a`` and ``b``: the scalar driver of
+    ``_brent_search``, which evaluates ``f`` at each point the search
+    yields. Returns the root and the iterations taken.
+    """
+    search = _brent_search(a, b, xtol)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def _chi2_1_quantile(level: float) -> float:
@@ -278,23 +300,57 @@ def fit_mle(data: object, constraint: str = "free") -> FitResult:
     """Maximum-likelihood GEV fit under a family constraint.
 
     The Gumbel fit solves its profiled scale equation
-    (``_fit_gumbel_exact``); every other fit is the one-row case of the
-    row kernel ``_fit_rows``, and ``iterations`` counts its Newton
-    iterations (both sides summed for a free fit). Standard errors come
-    from the closed-form observed information (``_std_errors``). Raises
-    FitError when the kernel cannot settle the sample.
+    (``_fit_gumbel_exact``); every other fit is the one-row case of
+    ``fit_mle_rows``. ``iterations`` counts the Newton iterations (both
+    sides summed for a free fit). Standard errors come from the
+    closed-form observed information (``_std_errors``). Raises FitError
+    when the kernel cannot settle the sample.
     """
     if constraint not in CONSTRAINTS:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}, got {constraint!r}")
+    if constraint != "gumbel":
+        (fit,) = fit_mle_rows([data], constraint)
+        if isinstance(fit, Exception):
+            raise fit
+        return fit
     x = _validate_sample(data, min_distinct=5)
-    if constraint == "gumbel":
-        mu, sigma, iterations = _fit_gumbel_exact(x)
-        params = GevParams(mu, sigma, 0.0)
-    else:
-        mu, sigma, xi, converged, iterations = (v[0] for v in _fit_rows(x[None, :], constraint))
-        if not converged:
-            raise FitError(f"MLE did not converge under constraint {constraint!r}")
-        params = GevParams(float(mu), float(sigma), float(xi))
+    mu, sigma, iterations = _fit_gumbel_exact(x)
+    return _mle_result(x, GevParams(mu, sigma, 0.0), constraint, iterations)
+
+
+def fit_mle_rows(
+    samples: Sequence[object], constraint: str = "free"
+) -> list[FitResult | FitError | ValueError]:
+    """Maximum-likelihood GEV fits of many samples, one entry per sample:
+    its FitResult, or the error ``fit_mle`` would raise for it.
+
+    Every sample is validated first, so a rejected one gets ``fit_mle``'s
+    ValueError. The rest are fitted by one ``_fit_rows`` call per group of
+    equal length, and each FitResult, with its log-likelihood and standard
+    errors, is built from its own row; a row the kernel cannot settle gets
+    a FitError. ``constraint`` is "free", "frechet" or "weibull".
+    """
+    if constraint not in _ROW_CONSTRAINTS:
+        raise ValueError(f"constraint must be one of {_ROW_CONSTRAINTS}, got {constraint!r}")
+    results: list[FitResult | FitError | ValueError | None] = [None] * len(samples)
+    valid: dict[int, np.ndarray] = {}
+    for i, data in enumerate(samples):
+        try:
+            valid[i] = _validate_sample(data, min_distinct=5)
+        except ValueError as exc:
+            results[i] = exc
+    for group in _length_groups(valid):
+        X = np.stack([valid[i] for i in group])
+        for i, x, mu, sigma, xi, converged, iterations in zip(group, X, *_fit_rows(X, constraint)):
+            if converged:
+                params = GevParams(float(mu), float(sigma), float(xi))
+                results[i] = _mle_result(x, params, constraint, iterations)
+            else:
+                results[i] = FitError(f"MLE did not converge under constraint {constraint!r}")
+    return results
+
+
+def _mle_result(x: np.ndarray, params: GevParams, constraint: str, iterations: int) -> FitResult:
     return FitResult(
         params=params,
         method="mle",
@@ -306,12 +362,22 @@ def fit_mle(data: object, constraint: str = "free") -> FitResult:
     )
 
 
+def _length_groups(samples: Mapping[int, np.ndarray]) -> list[list[int]]:
+    """The keys of ``samples`` grouped by sample length, in first-seen
+    order; the samples of one group stack into one row matrix."""
+    groups: dict[int, list[int]] = {}
+    for key, x in samples.items():
+        groups.setdefault(x.size, []).append(key)
+    return list(groups.values())
+
+
 _ROW_MAX_ITER = 100
 _ROW_DECREMENT_TOL = 1e-12  # Newton decrement, relative to 1 + |loglik|, that ends a row
 _ROW_HALVINGS = 40
 _XI_BOUNDARY = 1e-6  # a sign-constrained row this close to xi = 0 takes its Gumbel solution
 _XI_STEP_CAP = 0.25  # largest change of xi in one Newton step
 _EDGE_GRID = np.linspace(-0.95, -0.05, 19)  # shapes at which an edge row's profile is solved
+_EDGE_STOP = 1e-12  # a Weibull row this close to xi = -1, at or below the edge's supremum, stops
 
 
 def _gumbel_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -426,6 +492,7 @@ def _newton_rows(
     ll: np.ndarray,
     active: np.ndarray,
     sign: np.ndarray | None = None,
+    edge: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Safeguarded Newton ascent on the ``active`` rows of X, in place on
     (mu, eta = log sigma, xi) and the row log-likelihoods ``ll``.
@@ -436,8 +503,11 @@ def _newton_rows(
     log-likelihood. With ``sign`` None the shape stays fixed. Otherwise
     ``sign`` is +1 (Frechet) or -1 (Weibull) per row, xi moves by at most
     ``_XI_STEP_CAP`` and by at most 90 % of its distance to 0 when it would
-    cross, and a row stops within ``_XI_BOUNDARY`` of xi = 0. Returns a
-    converged mask and the iterations per row.
+    cross, and a row stops within ``_XI_BOUNDARY`` of xi = 0. ``edge``, when
+    given, holds each row's supremum on the support edge xi = -1
+    (``_edge_rows``): a row stops, unconverged, once 1 + xi is below
+    ``_EDGE_STOP`` with its log-likelihood at or below that supremum.
+    Returns a converged mask and the iterations per row.
     """
     converged = np.zeros(X.shape[0], dtype=bool)
     iterations = np.zeros(X.shape[0], dtype=int)
@@ -480,6 +550,8 @@ def _newton_rows(
         active[idx[settled | pending]] = False
         if sign is not None:
             active[idx[sign[idx] * xi[idx] < _XI_BOUNDARY]] = False
+        if edge is not None:
+            active[idx[(1.0 + xi[idx] < _EDGE_STOP) & (ll[idx] <= edge[idx])]] = False
     return converged, iterations
 
 
@@ -500,12 +572,12 @@ def _signed_rows(
     xi = 0.1 * sign
     ll = _widen_into_support(X, mu, eta, xi)
     started = np.isfinite(ll) & ok_g
-    converged, iterations = _newton_rows(X, mu, eta, xi, ll, started.copy(), sign)
+    mu_e, sigma_e, ll_e = _edge_rows(X)
+    converged, iterations = _newton_rows(X, mu, eta, xi, ll, started.copy(), sign, ll_e)
     ll_g = _gumbel_rows_loglik(X, mu_g, sigma_g)
     # rows that never started keep xi = 0.1 * sign, away from the boundary
     take_gumbel = (sign * xi < _XI_BOUNDARY) | (converged & (ll_g > ll))
     ll = np.where(take_gumbel, ll_g, ll)
-    mu_e, sigma_e, ll_e = _edge_rows(X)
     take_edge = started & (sign < 0) & (ll <= ll_e)
     e = np.flatnonzero(take_edge)
     if e.size and _EDGE_GRID.size:
@@ -578,88 +650,175 @@ def _fit_rows(X: np.ndarray, constraint: str) -> tuple[np.ndarray, ...]:
     return mu, sigma, xi, converged, iterations
 
 
+def _profile_rows(
+    X: np.ndarray, xi: np.ndarray, starts: Sequence[tuple[float, float]]
+) -> list[tuple[float, tuple[float, float]] | FitError]:
+    """Maximize each row's likelihood over (mu, sigma) at its own fixed
+    shape xi[r]: one fixed-shape ``_newton_rows`` call, row r from
+    ``starts[r]``. Near xi = 0 a row takes the Gumbel fit; at xi = -1 the
+    supremum lies on the support edge and has the closed form of
+    ``_edge_rows``. Returns per row its log-likelihood and (mu, sigma), or
+    the FitError of a row with no feasible start or whose iteration does
+    not settle.
+    """
+    solves: list = [None] * xi.size
+    gumbel, edge = np.abs(xi) < XI_EPS, xi == -1.0
+    for r in np.flatnonzero(gumbel):
+        try:
+            mu, sigma, _ = _fit_gumbel_exact(X[r])
+        except FitError as exc:
+            solves[r] = exc
+        else:
+            solves[r] = log_likelihood(GevParams(mu, sigma, 0.0), X[r]), (mu, sigma)
+    e = np.flatnonzero(edge)
+    for r, mu, sigma, ll in zip(e, *_edge_rows(X[e])):
+        solves[r] = float(ll), (float(mu), float(sigma))
+    rows = np.flatnonzero(~gumbel & ~edge)
+    if rows.size:
+        x, k = X[rows], xi[rows]
+        mu = np.array([starts[r][0] for r in rows])
+        eta = np.array([math.log(starts[r][1]) for r in rows])
+        ll = _widen_into_support(x, mu, eta, k)
+        feasible = np.isfinite(ll)
+        converged = _newton_rows(x, mu, eta, k, ll, feasible.copy())[0]
+        for j, r in enumerate(rows):
+            at = f"at xi={float(xi[r])}"
+            if not feasible[j]:
+                solves[r] = FitError(f"no feasible (mu, sigma) start for the profile {at}")
+            elif not converged[j]:
+                solves[r] = FitError(f"profile likelihood did not settle {at}")
+            else:
+                solves[r] = float(ll[j]), (float(mu[j]), math.exp(eta[j]))
+    return solves
+
+
 def _profile_loglik(
     x: np.ndarray, xi: float, start: tuple[float, float]
 ) -> tuple[float, tuple[float, float]]:
-    """Maximize the likelihood over (mu, sigma) at fixed shape: the one-row
-    fixed-shape case of ``_newton_rows``, from ``start``. Near xi = 0 this
-    is the Gumbel fit; at xi = -1 the supremum lies on the support edge and
-    has the closed form of ``_edge_rows``. Raises FitError when no feasible
-    start is found or the iteration does not settle.
+    """The profile log-likelihood of one sample at shape ``xi`` and its
+    (mu, sigma), from ``start``: the one-row case of ``_profile_rows``.
+    Raises its FitError.
     """
-    if abs(xi) < XI_EPS:
-        mu, sigma, _ = _fit_gumbel_exact(x)
-        return log_likelihood(GevParams(mu, sigma, 0.0), x), (mu, sigma)
-    if xi == -1.0:
-        mu, sigma, ll = _edge_rows(x[None, :])
-        return float(ll[0]), (float(mu[0]), float(sigma[0]))
-    X, k = x[None, :], np.array([xi])
-    mu, eta = np.array([start[0]]), np.array([math.log(start[1])])
-    ll = _widen_into_support(X, mu, eta, k)
-    if not np.isfinite(ll[0]):
-        raise FitError(f"no feasible (mu, sigma) start for the profile at xi={xi}")
-    if not _newton_rows(X, mu, eta, k, ll, np.ones(1, dtype=bool))[0][0]:
-        raise FitError(f"profile likelihood did not settle at xi={xi}")
-    return float(ll[0]), (float(mu[0]), float(math.exp(eta[0])))
+    (solve,) = _profile_rows(x[None, :], np.array([xi]), [start])
+    if isinstance(solve, FitError):
+        raise solve
+    return solve
+
+
+def _endpoint_search(xi_hat: float, direction: float) -> Generator[float, float, float]:
+    """One profile-interval endpoint as a generator: it yields each trial
+    shape and receives that shape's deviance less the chi-square threshold.
+
+    It marches from the MLE ``xi_hat`` in steps of 0.1 in ``direction``
+    until the deviance exceeds the threshold, then refines the last step's
+    bracket by ``_brent_search``. The march's values close the bracket, so
+    no shape is yielded twice. Returns the endpoint; raises FitError when
+    the deviance stays below the threshold up to the search bound.
+    """
+    bound = _XI_SEARCH_RANGE[1] if direction > 0 else _XI_SEARCH_RANGE[0]
+    step = 0.1 * direction
+    inner, f_inner = xi_hat, None  # the MLE's deviance is solved only if needed
+    while True:
+        outer = inner + step
+        if (direction > 0 and outer >= bound) or (direction < 0 and outer <= bound):
+            outer = bound
+        f_outer = yield outer
+        if f_outer > 0:
+            break
+        if outer == bound:
+            side = "upper" if direction > 0 else "lower"
+            raise FitError(
+                f"profile deviance stays below the threshold at xi={bound}; "
+                f"{side} endpoint unbounded in {_XI_SEARCH_RANGE}"
+            )
+        inner, f_inner = outer, f_outer
+    if f_inner is None:
+        f_inner = yield inner
+    a, b = sorted([(inner, f_inner), (outer, f_outer)])
+    root, _ = yield from _brent_search(a, b, xtol=1e-6)
+    return float(root)
 
 
 def profile_ci_xi(
     data: object, level: float = 0.95, free: FitResult | None = None
 ) -> ProfileInterval:
-    """Profile-likelihood confidence interval for the shape parameter.
+    """Profile-likelihood confidence interval for the shape parameter: the
+    one-row case of ``profile_ci_xi_rows``. ``free`` is the sample's free
+    ``fit_mle`` result when the caller already has it. Raises FitError
+    when an endpoint does not materialize inside the search range.
+    """
+    (ci,) = profile_ci_xi_rows([data], level, None if free is None else [free])
+    if isinstance(ci, FitError):
+        raise ci
+    return ci
 
-    Endpoints solve 2*(max loglik - profile loglik(xi)) = chi2(1) quantile;
-    they are located by marching outward from the MLE and refined by
-    Brent's method on the bracket the march found, and may be asymmetric.
-    Each shape's profile log-likelihood is ``_profile_loglik``,
-    warm-started from the nearest shape already solved. ``free`` is the
-    sample's free ``fit_mle`` result when the caller already has it.
-    Raises FitError when an endpoint does not materialize inside the search
-    range.
+
+def profile_ci_xi_rows(
+    samples: Sequence[object],
+    level: float = 0.95,
+    frees: Sequence[FitResult] | None = None,
+) -> list[ProfileInterval | FitError]:
+    """Profile-likelihood confidence intervals for the shape of many
+    samples, one entry per sample: its interval, or the FitError that
+    stopped it.
+
+    Endpoints solve 2*(max loglik - profile loglik(xi)) = chi2(1) quantile
+    and may be asymmetric. Each endpoint is an ``_endpoint_search``: a
+    march outward from the MLE, refined by Brent's method. The upper
+    searches of all samples advance in lockstep, then the lower ones; each
+    round solves every pending trial shape with one ``_profile_rows`` call
+    per group of equal-length samples, each row warm-started from its own
+    sample's nearest shape already solved. Upper before lower gives each
+    sample the same warm starts, and so the same bits, as a search of its
+    own. A FitError stops its own sample only. ``frees`` holds each
+    sample's free ``fit_mle`` result when the caller already has them;
+    without it the samples are fitted here, and a failed fit is the
+    sample's entry. Raises ValueError for a level outside (0, 1) or a
+    sample the fit rejects.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    x = _validate_sample(data, min_distinct=5)
-    if free is None:
-        free = fit_mle(x, "free")
-    lmax = free.loglik
-    xi_hat = float(np.clip(free.params.xi, *_XI_SEARCH_RANGE))
+    xs = [_validate_sample(data, min_distinct=5) for data in samples]
+    fits = fit_mle_rows(xs) if frees is None else frees
     threshold = _chi2_1_quantile(level)
-
-    warm: list[tuple[float, tuple[float, float]]] = [
-        (xi_hat, (free.params.mu, free.params.sigma))
+    results: list[ProfileInterval | FitError | None] = [
+        fit if isinstance(fit, FitError) else None for fit in fits
     ]
-
-    def deviance(xi: float) -> float:
-        start = min(warm, key=lambda item: abs(item[0] - xi))[1]
-        ll, opt = _profile_loglik(x, xi, start)
-        warm.append((xi, opt))
-        return 2.0 * (lmax - ll)
-
-    def find_endpoint(direction: float) -> float:
-        bound = _XI_SEARCH_RANGE[1] if direction > 0 else _XI_SEARCH_RANGE[0]
-        step = 0.1 * direction
-        inner, f_inner = xi_hat, None  # the MLE's deviance is solved only if needed
-        while True:
-            outer = inner + step
-            if (direction > 0 and outer >= bound) or (direction < 0 and outer <= bound):
-                outer = bound
-            f_outer = deviance(outer) - threshold
-            if f_outer > 0:
-                break
-            if outer == bound:
-                side = "upper" if direction > 0 else "lower"
-                raise FitError(
-                    f"profile deviance stays below the threshold at xi={bound}; "
-                    f"{side} endpoint unbounded in {_XI_SEARCH_RANGE}"
-                )
-            inner, f_inner = outer, f_outer
-        if f_inner is None:
-            f_inner = deviance(inner) - threshold
-        # the march's values close the bracket, so no shape is solved twice
-        a, b = sorted([(inner, f_inner), (outer, f_outer)])
-        return float(_brent_root(lambda v: deviance(v) - threshold, a, b, xtol=1e-6)[0])
-
-    upper = find_endpoint(+1.0)
-    lower = find_endpoint(-1.0)
-    return ProfileInterval(lower=lower, upper=upper, level=level)
+    # per sample, each shape solved with its (mu, sigma), the MLE's first
+    warm: dict[int, list[tuple[float, tuple[float, float]]]] = {}
+    for i, fit in enumerate(fits):
+        if results[i] is None:
+            xi_hat = float(np.clip(fit.params.xi, *_XI_SEARCH_RANGE))
+            warm[i] = [(xi_hat, (fit.params.mu, fit.params.sigma))]
+    ends: dict[int, list[float]] = {i: [] for i in warm}
+    for direction in (1.0, -1.0):
+        searches = {
+            i: _endpoint_search(warm[i][0][0], direction) for i in warm if results[i] is None
+        }
+        trials = {i: next(search) for i, search in searches.items()}
+        while trials:
+            for group in _length_groups({i: xs[i] for i in trials}):
+                shapes = [trials[i] for i in group]
+                starts = [
+                    min(warm[i], key=lambda item, xi=xi: abs(item[0] - xi))[1]
+                    for i, xi in zip(group, shapes)
+                ]
+                solves = _profile_rows(np.stack([xs[i] for i in group]), np.array(shapes), starts)
+                for i, xi, solve in zip(group, shapes, solves):
+                    try:
+                        if isinstance(solve, FitError):
+                            raise solve
+                        ll, opt = solve
+                        warm[i].append((xi, opt))
+                        trials[i] = searches[i].send(2.0 * (fits[i].loglik - ll) - threshold)
+                    except StopIteration as stop:
+                        ends[i].append(stop.value)
+                        del trials[i]
+                    except FitError as exc:
+                        results[i] = exc
+                        del trials[i]
+    for i in warm:
+        if results[i] is None:
+            upper, lower = ends[i]
+            results[i] = ProfileInterval(lower=lower, upper=upper, level=level)
+    return results

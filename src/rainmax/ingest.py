@@ -221,18 +221,22 @@ def _validate_rows(data: bytes) -> DailyTable:
 
     index: dict[str, int] = {}
     rows: dict[tuple[int, int], float] = {}  # (station index, day ordinal) -> precip, in file order
+    dates: dict[str, tuple[dt.date, int]] = {}  # each valid date text, parsed once, with its ordinal
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 3:
             raise ParseError(lineno, f"expected 3 fields, got {len(row)}")
-        station, date_text, precip_text = (field.strip() for field in row)
+        station, date_text, precip_text = row[0].strip(), row[1].strip(), row[2].strip()
         if not station:
             raise ParseError(lineno, "empty station id")
-        try:  # date.fromisoformat also takes 19900101 and 1990-W01-1 from Python 3.11 on
-            date = dt.date.fromisoformat(date_text if _ISO_DATE.fullmatch(date_text) else "")
-        except ValueError:
-            raise ParseError(lineno, f"invalid ISO date {date_text!r}")
+        if date_text not in dates:
+            try:  # date.fromisoformat also takes 19900101 and 1990-W01-1 from Python 3.11 on
+                date = dt.date.fromisoformat(date_text if _ISO_DATE.fullmatch(date_text) else "")
+            except ValueError:
+                raise ParseError(lineno, f"invalid ISO date {date_text!r}")
+            dates[date_text] = date, date.toordinal()
+        date, ordinal = dates[date_text]
         precip = math.nan
         if precip_text != "":
             try:
@@ -243,7 +247,7 @@ def _validate_rows(data: bytes) -> DailyTable:
                 raise ParseError(lineno, f"invalid precipitation value {precip_text!r}")
             if precip < 0:
                 raise ValidationError(f"line {lineno}: negative precipitation {precip} for {station}")
-        key = (index.setdefault(station, len(index)), date.toordinal())
+        key = (index.setdefault(station, len(index)), ordinal)
         if key in rows:
             raise ValidationError(f"line {lineno}: duplicate record for {station} {date}")
         rows[key] = precip

@@ -5,8 +5,11 @@ This is the estimator that ``rainmax.estimate.fit_mle`` used before every
 fit went through the closed-form Newton kernel. It searches on
 (mu, log sigma, xi), with the sign-constrained fits mapping xi through
 +/-exp(eta), from the PWM start, then a small shape grid, and reseeds the
-free fit from the Gumbel solution when it lands below it. The module name
-starts with an underscore so that pytest does not collect it.
+free fit from the Gumbel solution when it lands below it. It also keeps
+the loop forms that profile intervals had before their searches became
+generators: Brent's method calling its function, and one sample's
+march-plus-Brent search over ``_profile_loglik``. The module name starts
+with an underscore so that pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -17,9 +20,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from rainmax.estimate import (
+    _XI_SEARCH_RANGE,
     CONSTRAINTS,
     FitError,
     FitResult,
+    ProfileInterval,
+    _chi2_1_quantile,
+    _profile_loglik,
     _validate_sample,
     fit_mle,
     fit_pwm,
@@ -228,3 +235,82 @@ def nelder_mead_profile_loglik(x, xi, start):
         nll, theta, method="Nelder-Mead", options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": 2000}
     )
     return -float(res.fun), (float(res.x[0]), float(math.exp(res.x[1])))
+
+
+def brent_root_loop(f, a, b, xtol):
+    """Brent's method as one loop that calls ``f``: scipy's ``brentq``
+    steps, from bracket ends ``a`` and ``b`` given with their values.
+    Returns the root and the iterations taken."""
+    (xpre, fpre), (xcur, fcur) = a, b
+    if fpre == 0:
+        return xpre, 0
+    if fcur == 0:
+        return xcur, 0
+    xblk = fblk = spre = scur = 0.0
+    for iteration in range(1, 101):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 4.0 * np.finfo(float).eps * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, iteration
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise FitError(f"root not bracketed within {xtol} after 100 iterations")
+
+
+def profile_ci_loop(x, level, free):
+    """One sample's profile interval by the march-plus-Brent loop, each
+    shape solved by ``_profile_loglik`` from the nearest shape solved."""
+    lmax, threshold = free.loglik, _chi2_1_quantile(level)
+    xi_hat = float(np.clip(free.params.xi, *_XI_SEARCH_RANGE))
+    warm = [(xi_hat, (free.params.mu, free.params.sigma))]
+
+    def deviance(xi):
+        start = min(warm, key=lambda item: abs(item[0] - xi))[1]
+        ll, opt = _profile_loglik(x, xi, start)
+        warm.append((xi, opt))
+        return 2.0 * (lmax - ll)
+
+    def find_endpoint(direction):
+        bound = _XI_SEARCH_RANGE[1] if direction > 0 else _XI_SEARCH_RANGE[0]
+        inner, f_inner = xi_hat, None
+        while True:
+            outer = inner + 0.1 * direction
+            if (direction > 0 and outer >= bound) or (direction < 0 and outer <= bound):
+                outer = bound
+            f_outer = deviance(outer) - threshold
+            if f_outer > 0:
+                break
+            if outer == bound:
+                side = "upper" if direction > 0 else "lower"
+                raise FitError(
+                    f"profile deviance stays below the threshold at xi={bound}; "
+                    f"{side} endpoint unbounded in {_XI_SEARCH_RANGE}"
+                )
+            inner, f_inner = outer, f_outer
+        if f_inner is None:
+            f_inner = deviance(inner) - threshold
+        a, b = sorted([(inner, f_inner), (outer, f_outer)])
+        return float(brent_root_loop(lambda v: deviance(v) - threshold, a, b, 1e-6)[0])
+
+    upper = find_endpoint(+1.0)
+    return ProfileInterval(lower=find_endpoint(-1.0), upper=upper, level=level)

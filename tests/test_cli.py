@@ -17,7 +17,7 @@ import pytest
 from rainmax import cli, estimate, gof, recurrence
 from rainmax.cli import main, slugify
 from rainmax.demo import URUGUAY_STATION_PARAMS, demo_dataset
-from rainmax.estimate import fit_mle
+from rainmax.estimate import fit_mle, fit_mle_rows
 from rainmax.gev import GevParams
 from rainmax.ingest import synth_dataset, write_series_csv
 
@@ -292,15 +292,21 @@ class TestConfigPrecedence:
 
 @pytest.fixture
 def fit_counts(monkeypatch):
-    """``fit_mle`` calls by constraint, counted in every module that calls it."""
+    """Fits by constraint: ``fit_mle`` calls, counted in every module that
+    calls it, plus the samples of each ``fit_mle_rows`` call the CLI makes."""
     counts = Counter()
 
     def counting_fit_mle(data, constraint="free"):
         counts[constraint] += 1
         return fit_mle(data, constraint)
 
-    for module in (cli, estimate, gof):
+    def counting_fit_mle_rows(samples, constraint="free"):
+        counts[constraint] += len(samples)
+        return fit_mle_rows(samples, constraint)
+
+    for module in (estimate, gof):
         monkeypatch.setattr(module, "fit_mle", counting_fit_mle)
+    monkeypatch.setattr(cli, "fit_mle_rows", counting_fit_mle_rows)
     return counts
 
 

@@ -16,21 +16,31 @@ from rainmax import estimate
 from rainmax.demo import demo_dataset
 from rainmax.estimate import (
     FitError,
+    FitResult,
+    ProfileInterval,
     _brent_root,
     _chi2_1_quantile,
     _fit_rows,
     _gev_rows_derivatives,
     _profile_loglik,
     fit_mle,
+    fit_mle_rows,
     fit_pwm,
     profile_ci_xi,
+    profile_ci_xi_rows,
     sample_pwms,
 )
 from rainmax.gev import XI_EPS, GevParams, _gev_rows_loglik, gev_sample, log_likelihood
 from rainmax.gof import _to_sample
 from rainmax.seeding import derive_seed
 
-from _reference_fits import finite_difference_se, nelder_mead_fit, nelder_mead_profile_loglik
+from _reference_fits import (
+    brent_root_loop,
+    finite_difference_se,
+    nelder_mead_fit,
+    nelder_mead_profile_loglik,
+    profile_ci_loop,
+)
 
 
 class TestSamplePwms:
@@ -111,8 +121,10 @@ class TestBrentRoot:
             c = float(rng.uniform(0.1, 3.0))
             f = lambda v, g=_ROOT_FUNCTIONS[trial % len(_ROOT_FUNCTIONS)], c=c: g(v, c)  # noqa: E731
             a, b = -float(rng.uniform(0.5, 5.0)), float(rng.uniform(3.0, 10.0))
-            root, _ = _brent_root(f, (a, f(a)), (b, f(b)), xtol)
+            root, steps = _brent_root(f, (a, f(a)), (b, f(b)), xtol)
             assert abs(root - brentq(f, a, b, xtol=xtol)) <= xtol
+            # the generator's scalar driver keeps the loop's root and count
+            assert (root, steps) == brent_root_loop(f, (a, f(a)), (b, f(b)), xtol)
 
     def test_root_at_a_bracket_end(self):
         assert _brent_root(math.sin, (0.0, 0.0), (1.0, math.sin(1.0)), 1e-12) == (0.0, 0)
@@ -426,6 +438,19 @@ class TestFitRows:
                 log_likelihood(GevParams(theta[0], math.exp(theta[1]), shape), X[0]), abs=1e-10
             )
 
+    @pytest.mark.parametrize("constraint", ["weibull", "free"])
+    def test_row_on_the_support_edge_stops_early(self, monkeypatch, constraint):
+        # a Weibull-side row that creeps onto xi = -1 below the edge's
+        # supremum used to run all _ROW_MAX_ITER iterations there
+        X = gev_sample(GevParams(80, 25, -0.3), 22, seed=116)[None, :]
+        stopped = _fit_rows(X, constraint)
+        monkeypatch.setattr(estimate, "_EDGE_STOP", 0.0)
+        full = _fit_rows(X, constraint)
+        assert stopped[2][0] == -1.0 and stopped[3][0]
+        for a, b in zip(stopped[:4], full[:4]):
+            assert np.array_equal(a, b)
+        assert stopped[4][0] < full[4][0] - 50
+
     def test_rows_the_scalar_fit_rejects_come_back_unconverged(self):
         X = _sample_matrix(0.1, rows=3)
         X[1, 5] = np.inf
@@ -501,7 +526,11 @@ class TestProfileKernel:
     def test_interval_matches_reference_driven_interval(self, monkeypatch):
         samples = _profile_samples()[:4]
         newton = [profile_ci_xi(x) for x in samples]
-        monkeypatch.setattr(estimate, "_profile_loglik", nelder_mead_profile_loglik)
+
+        def reference_rows(X, xi, starts):
+            return [nelder_mead_profile_loglik(x, float(k), s) for x, k, s in zip(X, xi, starts)]
+
+        monkeypatch.setattr(estimate, "_profile_rows", reference_rows)
         for x, ci in zip(samples, newton):
             ref = profile_ci_xi(x)
             assert ci.lower == pytest.approx(ref.lower, abs=1e-9)
@@ -510,13 +539,13 @@ class TestProfileKernel:
     def test_no_shape_is_solved_twice(self, monkeypatch):
         # the march's deviances close the root finder's bracket
         solved = []
-        solve = estimate._profile_loglik
+        solve = estimate._profile_rows
 
-        def counting(x, xi, start):
-            solved.append(xi)
-            return solve(x, xi, start)
+        def counting(X, xi, starts):
+            solved.extend(xi.tolist())
+            return solve(X, xi, starts)
 
-        monkeypatch.setattr(estimate, "_profile_loglik", counting)
+        monkeypatch.setattr(estimate, "_profile_rows", counting)
         for s in demo_dataset(seed=29):
             solved.clear()
             profile_ci_xi(s.values)
@@ -532,6 +561,76 @@ class TestProfileKernel:
 
         monkeypatch.setattr(estimate, "fit_mle", refit)
         assert profile_ci_xi(x, free=free) == expected
+
+
+FAILING_STATION = [189.3, 72.7, 145.4, 210.8, 85.8, 423.1, 72.2, 87.2, 121.8]  # no free fit
+FEW_DISTINCT = [[61.2, 88.0, 73.5, 95.1], [70.0] * 33]
+
+
+def _mixed_length_stations():
+    """The demo network (33 years) around the 8-year Short station, a
+    9-year station whose free fit fails and two with fewer than 5 distinct
+    values, so the rows split into groups of several lengths."""
+    demo = [s.values for s in demo_dataset(seed=29)]
+    return demo[:10] + [SHORT_STATION, FAILING_STATION, *FEW_DISTINCT] + demo[10:]
+
+
+def _bits(outcome):
+    """A result by its repr (floats round-trip exactly), an error by type and text."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return repr(outcome)
+
+
+class TestRowEntryPoints:
+    """The row entry points against their one-row cases, station by station."""
+
+    @pytest.mark.parametrize("constraint", ["free", "frechet", "weibull"])
+    def test_fits_equal_one_row_fits(self, constraint):
+        samples = _mixed_length_stations()
+        rows = fit_mle_rows(samples, constraint)
+        for x, fit in zip(samples, rows):
+            try:
+                one = fit_mle(x, constraint)
+            except (FitError, ValueError) as exc:
+                one = exc
+            assert _bits(fit) == _bits(one)
+        if constraint == "free":
+            assert [_bits(f) for f in rows[11:14]] == [
+                (FitError, "MLE did not converge under constraint 'free'"),
+                *[(ValueError, "data must contain at least 5 distinct values")] * 2,
+            ]
+        with pytest.raises(ValueError, match="constraint"):
+            fit_mle_rows(samples, "gumbel")
+
+    def test_intervals_equal_one_row_intervals(self):
+        frees = fit_mle_rows(_mixed_length_stations())
+        samples, fits = zip(
+            *((x, f) for x, f in zip(_mixed_length_stations(), frees) if isinstance(f, FitResult))
+        )
+        rows = profile_ci_xi_rows(samples, 0.95, fits)
+        for x, free, ci in zip(samples, fits, rows):
+            for one_row in (profile_ci_xi, profile_ci_loop):
+                try:
+                    one = one_row(np.asarray(x), 0.95, free)
+                except FitError as exc:
+                    one = exc
+                assert _bits(ci) == _bits(one)
+        assert _bits(rows[10]) == (
+            FitError,
+            "profile deviance stays below the threshold at xi=-1.0; "
+            "lower endpoint unbounded in (-1.0, 2.0)",
+        )
+        assert sum(isinstance(ci, ProfileInterval) for ci in rows) == len(rows) - 1
+
+    def test_intervals_without_free_fits(self):
+        x = _profile_samples()[0]
+        rows = profile_ci_xi_rows([x, FAILING_STATION, SHORT_STATION])
+        assert _bits(rows[0]) == _bits(profile_ci_xi(x))
+        assert _bits(rows[1]) == (FitError, "MLE did not converge under constraint 'free'")
+        assert isinstance(rows[2], FitError)
+        with pytest.raises(ValueError, match="distinct"):
+            profile_ci_xi_rows([x, FEW_DISTINCT[0]])
 
 
 class TestProfileCi:
