@@ -492,7 +492,6 @@ def _newton_rows(
     ll: np.ndarray,
     active: np.ndarray,
     sign: np.ndarray | None = None,
-    edge: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Safeguarded Newton ascent on the ``active`` rows of X, in place on
     (mu, eta = log sigma, xi) and the row log-likelihoods ``ll``.
@@ -503,14 +502,14 @@ def _newton_rows(
     log-likelihood. With ``sign`` None the shape stays fixed. Otherwise
     ``sign`` is +1 (Frechet) or -1 (Weibull) per row, xi moves by at most
     ``_XI_STEP_CAP`` and by at most 90 % of its distance to 0 when it would
-    cross, and a row stops within ``_XI_BOUNDARY`` of xi = 0. ``edge``, when
-    given, holds each row's supremum on the support edge xi = -1
-    (``_edge_rows``): a row stops, unconverged, once 1 + xi is below
-    ``_EDGE_STOP`` with its log-likelihood at or below that supremum.
+    cross, and a row stops within ``_XI_BOUNDARY`` of xi = 0 or, unconverged,
+    once 1 + xi is below ``_EDGE_STOP`` with its log-likelihood at or below
+    its supremum on the support edge xi = -1 (``_edge_rows``).
     Returns a converged mask and the iterations per row.
     """
     converged = np.zeros(X.shape[0], dtype=bool)
     iterations = np.zeros(X.shape[0], dtype=int)
+    edge = None if sign is None else _edge_rows(X)[2]
     for _ in range(_ROW_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -550,7 +549,6 @@ def _newton_rows(
         active[idx[settled | pending]] = False
         if sign is not None:
             active[idx[sign[idx] * xi[idx] < _XI_BOUNDARY]] = False
-        if edge is not None:
             active[idx[(1.0 + xi[idx] < _EDGE_STOP) & (ll[idx] <= edge[idx])]] = False
     return converged, iterations
 
@@ -572,12 +570,12 @@ def _signed_rows(
     xi = 0.1 * sign
     ll = _widen_into_support(X, mu, eta, xi)
     started = np.isfinite(ll) & ok_g
-    mu_e, sigma_e, ll_e = _edge_rows(X)
-    converged, iterations = _newton_rows(X, mu, eta, xi, ll, started.copy(), sign, ll_e)
+    converged, iterations = _newton_rows(X, mu, eta, xi, ll, started.copy(), sign)
     ll_g = _gumbel_rows_loglik(X, mu_g, sigma_g)
     # rows that never started keep xi = 0.1 * sign, away from the boundary
     take_gumbel = (sign * xi < _XI_BOUNDARY) | (converged & (ll_g > ll))
     ll = np.where(take_gumbel, ll_g, ll)
+    mu_e, sigma_e, ll_e = _edge_rows(X)
     take_edge = started & (sign < 0) & (ll <= ll_e)
     e = np.flatnonzero(take_edge)
     if e.size and _EDGE_GRID.size:
@@ -690,19 +688,6 @@ def _profile_rows(
             else:
                 solves[r] = float(ll[j]), (float(mu[j]), math.exp(eta[j]))
     return solves
-
-
-def _profile_loglik(
-    x: np.ndarray, xi: float, start: tuple[float, float]
-) -> tuple[float, tuple[float, float]]:
-    """The profile log-likelihood of one sample at shape ``xi`` and its
-    (mu, sigma), from ``start``: the one-row case of ``_profile_rows``.
-    Raises its FitError.
-    """
-    (solve,) = _profile_rows(x[None, :], np.array([xi]), [start])
-    if isinstance(solve, FitError):
-        raise solve
-    return solve
 
 
 def _endpoint_search(xi_hat: float, direction: float) -> Generator[float, float, float]:

@@ -8,8 +8,9 @@ fit went through the closed-form Newton kernel. It searches on
 free fit from the Gumbel solution when it lands below it. It also keeps
 the loop forms that profile intervals had before their searches became
 generators: Brent's method calling its function, and one sample's
-march-plus-Brent search over ``_profile_loglik``. The module name starts
-with an underscore so that pytest does not collect it.
+march-plus-Brent search over ``profile_loglik``, the one-row case of the
+fixed-shape solve. The module name starts with an underscore so that
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from rainmax.estimate import (
     FitResult,
     ProfileInterval,
     _chi2_1_quantile,
-    _profile_loglik,
+    _profile_rows,
     _validate_sample,
     fit_mle,
     fit_pwm,
@@ -277,16 +278,26 @@ def brent_root_loop(f, a, b, xtol):
     raise FitError(f"root not bracketed within {xtol} after 100 iterations")
 
 
+def profile_loglik(x, xi, start):
+    """The profile log-likelihood of one sample at shape ``xi`` and its
+    (mu, sigma), from ``start``: the one-row case of ``_profile_rows``.
+    Raises its FitError."""
+    (solve,) = _profile_rows(x[None, :], np.array([xi]), [start])
+    if isinstance(solve, FitError):
+        raise solve
+    return solve
+
+
 def profile_ci_loop(x, level, free):
     """One sample's profile interval by the march-plus-Brent loop, each
-    shape solved by ``_profile_loglik`` from the nearest shape solved."""
+    shape solved by ``profile_loglik`` from the nearest shape solved."""
     lmax, threshold = free.loglik, _chi2_1_quantile(level)
     xi_hat = float(np.clip(free.params.xi, *_XI_SEARCH_RANGE))
     warm = [(xi_hat, (free.params.mu, free.params.sigma))]
 
     def deviance(xi):
         start = min(warm, key=lambda item: abs(item[0] - xi))[1]
-        ll, opt = _profile_loglik(x, xi, start)
+        ll, opt = profile_loglik(x, xi, start)
         warm.append((xi, opt))
         return 2.0 * (lmax - ll)
 

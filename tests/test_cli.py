@@ -17,7 +17,7 @@ import pytest
 from rainmax import cli, estimate, gof, recurrence
 from rainmax.cli import main, slugify
 from rainmax.demo import URUGUAY_STATION_PARAMS, demo_dataset
-from rainmax.estimate import fit_mle, fit_mle_rows
+from rainmax.estimate import fit_mle, fit_mle_rows, profile_ci_xi_rows
 from rainmax.gev import GevParams
 from rainmax.ingest import synth_dataset, write_series_csv
 
@@ -292,21 +292,25 @@ class TestConfigPrecedence:
 
 @pytest.fixture
 def fit_counts(monkeypatch):
-    """Fits by constraint: ``fit_mle`` calls, counted in every module that
-    calls it, plus the samples of each ``fit_mle_rows`` call the CLI makes."""
+    """Fits by constraint, counted at the rows entry point in every module
+    that calls it (one per sample, so a refit inside ``profile_ci_xi_rows``
+    counts too), plus the scalar Gumbel fits that ``gof`` makes through
+    ``fit_mle``; its other constraints reach the counted
+    ``estimate.fit_mle_rows``."""
     counts = Counter()
 
     def counting_fit_mle(data, constraint="free"):
-        counts[constraint] += 1
+        if constraint == "gumbel":
+            counts[constraint] += 1
         return fit_mle(data, constraint)
 
     def counting_fit_mle_rows(samples, constraint="free"):
         counts[constraint] += len(samples)
         return fit_mle_rows(samples, constraint)
 
-    for module in (estimate, gof):
-        monkeypatch.setattr(module, "fit_mle", counting_fit_mle)
-    monkeypatch.setattr(cli, "fit_mle_rows", counting_fit_mle_rows)
+    monkeypatch.setattr(gof, "fit_mle", counting_fit_mle)
+    for module in (estimate, cli):
+        monkeypatch.setattr(module, "fit_mle_rows", counting_fit_mle_rows)
     return counts
 
 
@@ -366,6 +370,17 @@ class TestSubcommands:
         _write_series(series_csv, n_stations=4)
         assert main([*command, "--input", str(series_csv), "--out", str(tmp_path / "out")]) == 0
         assert fit_counts["free"] == 4
+
+    def test_fit_counts_see_a_refit_in_the_interval_stage(self, tmp_path, fit_counts, monkeypatch):
+        # the count above must catch an interval stage that fits again
+        def without_frees(samples, level, frees=None):
+            return profile_ci_xi_rows(samples, level)
+
+        monkeypatch.setattr(cli, "profile_ci_xi_rows", without_frees)
+        series_csv = tmp_path / "series.csv"
+        _write_series(series_csv, n_stations=4)
+        assert main(["fit", "--input", str(series_csv), "--out", str(tmp_path / "out")]) == 0
+        assert fit_counts["free"] == 8
 
     def test_gof_outputs(self, tmp_path):
         series_csv = tmp_path / "series.csv"

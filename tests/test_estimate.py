@@ -22,7 +22,6 @@ from rainmax.estimate import (
     _chi2_1_quantile,
     _fit_rows,
     _gev_rows_derivatives,
-    _profile_loglik,
     fit_mle,
     fit_mle_rows,
     fit_pwm,
@@ -40,6 +39,7 @@ from _reference_fits import (
     nelder_mead_fit,
     nelder_mead_profile_loglik,
     profile_ci_loop,
+    profile_loglik,
 )
 
 
@@ -482,7 +482,7 @@ class TestProfileKernel:
         for x in _profile_samples():
             free = fit_mle(x, "free").params
             start = (free.mu, free.sigma)
-            ll, (mu, sigma) = _profile_loglik(x, xi, start)
+            ll, (mu, sigma) = profile_loglik(x, xi, start)
             assert ll >= nelder_mead_profile_loglik(x, xi, start)[0] - 1e-9
             assert ll == pytest.approx(log_likelihood(GevParams(mu, sigma, xi), x), abs=1e-9)
 
@@ -497,7 +497,7 @@ class TestProfileKernel:
         converged, _ = estimate._newton_rows(X, mu, eta, xi, ll, np.ones(shapes.size, dtype=bool))
         assert converged.all() and np.array_equal(xi, shapes)
         for row, shape in enumerate(shapes):
-            one, (m, s) = _profile_loglik(x, shape, (free.mu, free.sigma))
+            one, (m, s) = profile_loglik(x, shape, (free.mu, free.sigma))
             assert (ll[row], mu[row], math.exp(eta[row])) == (one, m, s)
 
     def test_closed_form_at_lower_search_bound(self):
@@ -505,23 +505,23 @@ class TestProfileKernel:
         for x in _profile_samples():
             free = fit_mle(x, "free").params
             start = (free.mu, free.sigma)
-            ll, (mu, sigma) = _profile_loglik(x, -1.0, start)
+            ll, (mu, sigma) = profile_loglik(x, -1.0, start)
             assert ll >= nelder_mead_profile_loglik(x, -1.0, start)[0]
             assert mu + sigma == pytest.approx(x.max(), rel=1e-15)
         free = fit_mle(SHORT_STATION, "free")
-        ll, _ = _profile_loglik(SHORT_STATION, -1.0, (free.params.mu, free.params.sigma))
+        ll, _ = profile_loglik(SHORT_STATION, -1.0, (free.params.mu, free.params.sigma))
         assert 2.0 * (free.loglik - ll) == pytest.approx(1.979584541510647, abs=1e-9)
 
     def test_infeasible_start_raises_naming_the_shape(self):
         x = gev_sample(GevParams(80, 25, 0.1), 33, seed=4)
         with pytest.raises(FitError, match="xi=0.5"):
-            _profile_loglik(x, 0.5, (1e20, 1.0))
+            profile_loglik(x, 0.5, (1e20, 1.0))
 
     def test_unsettled_solve_raises(self, monkeypatch):
         x = gev_sample(GevParams(80, 25, 0.1), 33, seed=4)
         monkeypatch.setattr(estimate, "_ROW_MAX_ITER", 1)
         with pytest.raises(FitError, match="did not settle at xi=0.3"):
-            _profile_loglik(x, 0.3, (60.0, 10.0))
+            profile_loglik(x, 0.3, (60.0, 10.0))
 
     def test_interval_matches_reference_driven_interval(self, monkeypatch):
         samples = _profile_samples()[:4]
