@@ -374,8 +374,8 @@ def pam_cluster(dm: DistanceMatrix, k: int) -> Partition:
 def _best_swap(
     columns: np.ndarray, medoids: list[int], current: float, exchanges: int
 ) -> tuple[float, list[int]] | None:
-    """One PAM swap pass: the best replacement of ``exchanges`` medoids by
-    non-medoids, or None when no candidate improves on ``current``.
+    """One PAM swap pass: the best replacement of ``exchanges`` (1 or 2)
+    medoids by non-medoids, or None when no candidate improves on ``current``.
 
     ``columns[c]`` is column c of the distance matrix as a contiguous row.
     Candidates run in combinations order (removed sets outer, added sets
@@ -384,35 +384,70 @@ def _best_swap(
     ``d[:, trial].min(axis=1).sum()``. The first candidate below
     current - 1e-12 is taken, then each later one below best - 1e-12.
     Blocks of candidates keep the temporaries near _PAM_BLOCK_ELEMENTS.
+
+    A double exchange is costed only when a lower bound on its cost lets it
+    pass the threshold. With S = sum(near) and A(c) = sum(min(near, d_c)),
+    the pointwise min(a, b, c) >= min(a, b) + min(a, c) - a gives
+    cost(c1, c2) >= A(c1) + A(c2) - S. Each float sum of n nonnegative terms
+    is off by at most about n*eps/2 of its value, and every term of the
+    bound and the cost is at most S, so the computed bound exceeds the
+    computed cost by less than the margin 8*n*eps*S. A candidate whose
+    bound minus that margin is not below the threshold could never be
+    taken: the threshold only falls.
     """
     n = columns.shape[0]
     outs = list(itertools.combinations(sorted(medoids), exchanges))
-    ins = np.array(
-        list(itertools.combinations([h for h in range(n) if h not in medoids], exchanges)),
-        dtype=np.intp,
-    ).reshape(-1, exchanges)
+    others = np.array([h for h in range(n) if h not in medoids], dtype=np.intp)
+    # positions in others of each added set, in combinations order
+    if exchanges == 1:
+        slots = np.arange(others.size)[:, None]
+    else:
+        slots = np.column_stack(np.triu_indices(others.size, k=1))
     near = np.full((len(outs), n), np.inf)
     for r, removed in enumerate(outs):
         kept = sorted(set(medoids).difference(removed))
         if kept:
             near[r] = columns[kept].min(axis=0)
+    if exchanges == 2:
+        # near rows without a kept medoid are inf, so their bounds are -inf
+        # and nothing under them is pruned
+        totals = near.sum(axis=1)
+        margin = 8 * n * np.finfo(float).eps * totals
+        singles = np.empty((len(outs), others.size))
+        rows = max(1, _PAM_BLOCK_ELEMENTS // n)
+        for r in range(len(outs)):
+            for lo in range(0, others.size, rows):
+                singles[r, lo : lo + rows] = _swap_costs(
+                    near[r], columns[others[lo : lo + rows], None]
+                )
     best: tuple[float, int] | None = None
     threshold = current - 1e-12
-    total = len(outs) * ins.shape[0]
+    total = len(outs) * slots.shape[0]
     block = max(1, _PAM_BLOCK_ELEMENTS // (n * exchanges))
     for start in range(0, total, block):
-        r, a = np.divmod(np.arange(start, min(start + block, total)), ins.shape[0])
-        costs = np.minimum(near[r], columns[ins[a]].min(axis=1)).sum(axis=1)
+        index = np.arange(start, min(start + block, total))
+        r, a = np.divmod(index, slots.shape[0])
+        if exchanges == 2:
+            bound = singles[r, slots[a, 0]] + singles[r, slots[a, 1]] - totals[r]
+            keep = bound - margin[r] < threshold
+            index, r, a = index[keep], r[keep], a[keep]
+        costs = _swap_costs(near[r], columns[others[slots[a]]])
         pos = 0
         while (hits := np.flatnonzero(costs[pos:] < threshold)).size:
             pos += int(hits[0])
-            best = (float(costs[pos]), start + pos)
+            best = (float(costs[pos]), int(index[pos]))
             threshold = best[0] - 1e-12
             pos += 1
     if best is None:
         return None
-    r, a = divmod(best[1], ins.shape[0])
-    return best[0], sorted(set(medoids).difference(outs[r]).union(ins[a].tolist()))
+    r, a = divmod(best[1], slots.shape[0])
+    return best[0], sorted(set(medoids).difference(outs[r]).union(others[slots[a]].tolist()))
+
+
+def _swap_costs(near: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """Exact costs of swap candidates: row i sums min(near[i], added[i, j])
+    over the added columns j, along a contiguous row."""
+    return np.minimum(near, added.min(axis=1)).sum(axis=1)
 
 
 def pam_cost(dm: DistanceMatrix, partition: Partition) -> float:

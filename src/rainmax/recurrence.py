@@ -119,17 +119,12 @@ def _radius_grid(diffs_sample: np.ndarray, quantiles: np.ndarray, label: str) ->
     return np.quantile(nonzero, quantiles)
 
 
-def _deviation_table(counts: np.ndarray, n_pairs: int, g: int) -> np.ndarray:
-    """|joint rate - product of marginals| from (..., g+1, g+1) bin counts.
-
-    Leading axes are independent tables; each is computed with the same
-    float operations as a lone (g+1, g+1) table.
-    """
-    cum = counts.cumsum(axis=-2).cumsum(axis=-1).astype(float) / n_pairs
-    rr_x = cum[..., :g, -1]
-    rr_y = cum[..., -1, :g]
-    joint = cum[..., :g, :g]
-    return np.abs(joint - rr_x[..., :, None] * rr_y[..., None, :])
+def _cumulative_rates(counts: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Cumulative pair rates of (..., rows, g+1) bin counts: entry (r, s)
+    is the share of pairs with x bin <= r and y bin <= s. Leading axes are
+    independent tables, each computed with the same float operations as a
+    lone table."""
+    return counts.cumsum(axis=-2).cumsum(axis=-1).astype(float) / n_pairs
 
 
 def _recurrence_bins(
@@ -140,15 +135,20 @@ def _recurrence_bins(
     Returns the series length, the block size, the grid detail of the
     observed pairing and ``deviation_tables``, which maps an int32 (m, n)
     array of m <= block size permutations of the second series' time index
-    to their m deviation tables. The pair bins are built once; a
-    permutation only reindexes the second series' bins, so the marginal
-    rates are exactly preserved.
+    to their m deviation tables |joint rate - product of marginal rates|.
+    The pair bins are built once; a permutation only reindexes the second
+    series' bins, so the marginal rates are exactly preserved.
 
-    Blocks are sized by pairs, so their buffers hold about
-    ``_PERM_BLOCK_PAIRS`` elements whatever the series length. The buffers
+    The observed pairing counts every pair in a full (g+1, g+1) table. Its
+    marginal rates, and so their product, hold for every permutation, and
+    a joint rate at radii (r, s) counts only pairs within the top x radius.
+    So a permutation gathers and counts only the pairs with x bin < g, into
+    a (g, g+1) table, and its deviations keep the bits a full table gives.
+
+    Blocks are sized by all the pairs, so their buffers hold about
+    ``_PERM_BLOCK_PAIRS`` elements or fewer whatever the series length. The buffers
     are sized to the largest block asked for so far and every block is
-    computed in them: one row for the observed pairing, then the test's
-    first block, which no later block exceeds.
+    computed in them: the test's first block, which no later block exceeds.
     """
     ax, ay = _aligned_pair(x, y)
     n = ax.size
@@ -162,11 +162,19 @@ def _recurrence_bins(
     iu_r, iu_c = np.triu_indices(n, k=1)
     gx = _radius_grid(dx_full[iu_r, iu_c], q, "x")
     gy = _radius_grid(dy_full[iu_r, iu_c], q, "y")
-    ix_bins = (np.searchsorted(gx, dx_full[iu_r, iu_c], side="left") * gbins).astype(np.int32)
+    ix = np.searchsorted(gx, dx_full[iu_r, iu_c], side="left").astype(np.int32)
     iy_flat = np.searchsorted(gy, dy_full, side="left").astype(np.int32).ravel()
     del dx_full, dy_full
-    table = gbins * gbins
 
+    counts = np.bincount(ix * gbins + iy_flat[iu_r * n + iu_c], minlength=gbins * gbins)
+    cum = _cumulative_rates(counts.reshape(gbins, gbins), n_pairs)
+    product = cum[:g, -1][:, None] * cum[-1, :g][None, :]
+    deviations = np.abs(cum[:g, :g] - product)
+    detail = GridDetail(x_radii=gx, y_radii=gy, deviations=deviations)
+
+    inner = np.flatnonzero(ix < g)
+    iu_r, iu_c, ix_bins = iu_r[inner], iu_c[inner], ix[inner] * gbins
+    table = g * gbins
     rows = max(1, _PERM_BLOCK_PAIRS // n_pairs)
     # pair index, keys, and each row's x bins plus that row's table offset
     # in the block's bincount
@@ -180,8 +188,8 @@ def _recurrence_bins(
         m = pi.shape[0]
         if not buffers or buffers[0].shape[0] < m:
             buffers[:] = [
-                np.empty((m, n_pairs), dtype=np.int32),
-                np.empty((m, n_pairs), dtype=np.int32),
+                np.empty((m, inner.size), dtype=np.int32),
+                np.empty((m, inner.size), dtype=np.int32),
                 ix_bins + (np.arange(m, dtype=np.int32) * table)[:, None],
             ]
         index, key, offsets = (b[:m] for b in buffers)
@@ -191,11 +199,9 @@ def _recurrence_bins(
         index += key
         np.take(iy_flat, index, out=key, mode="wrap")
         key += offsets
-        counts = np.bincount(key.ravel(), minlength=m * table)
-        return _deviation_table(counts.reshape(-1, gbins, gbins), n_pairs, g)
+        joint = np.bincount(key.ravel(), minlength=m * table).reshape(m, g, gbins)
+        return np.abs(_cumulative_rates(joint, n_pairs)[..., :g] - product)
 
-    deviations = deviation_tables(np.arange(n, dtype=np.int32)[None, :])[0]
-    detail = GridDetail(x_radii=gx, y_radii=gy, deviations=deviations)
     return n, rows, detail, deviation_tables
 
 

@@ -631,6 +631,158 @@ class TestPamAgainstScalarLoop:
         _assert_same_partition(pam_cluster(dm, k), _reference_pam(dm, k)[0])
 
 
+def _costed_doubles(monkeypatch):
+    """Counts the double-exchange candidates given an exact cost, and checks
+    that every cost temporary stays within the block budget."""
+    counted = [0]
+    swap_costs = cluster_module._swap_costs
+
+    def counting(near, added):
+        limit = max(cluster_module._PAM_BLOCK_ELEMENTS, added.shape[1] * added.shape[2])
+        assert added.size <= limit
+        if added.shape[1] == 2:
+            counted[0] += added.shape[0]
+        return swap_costs(near, added)
+
+    monkeypatch.setattr(cluster_module, "_swap_costs", counting)
+    return counted
+
+
+def _double_costs_and_bounds(d, medoids):
+    """Each double exchange's cost, as the scalar loop computes it, and its
+    lower bound A(c1) + A(c2) - S in the float operations _best_swap uses,
+    in combinations order."""
+    columns = np.ascontiguousarray(d.T)
+    others = [h for h in range(d.shape[0]) if h not in medoids]
+    for removed in itertools.combinations(sorted(medoids), 2):
+        kept = sorted(set(medoids).difference(removed))
+        near = columns[kept].min(axis=0)
+        singles = {c: np.minimum(near, columns[c]).sum() for c in others}
+        for added in itertools.combinations(others, 2):
+            trial = sorted(set(kept).union(added))
+            bound = singles[added[0]] + singles[added[1]] - near.sum()
+            yield float(d[:, trial].min(axis=1).sum()), float(bound)
+
+
+def _current_with_threshold(threshold):
+    """A current cost whose threshold, current - 1e-12, is exactly
+    ``threshold``, or None."""
+    up = down = threshold + 1e-12
+    for _ in range(256):
+        for current in (up, down):
+            if current - 1e-12 == threshold:
+                return float(current)
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+    return None
+
+
+class TestDoubleExchangeBound:
+    """The lower bound only skips double exchanges that could not be taken:
+    every pass matches the scalar loop, at each block budget."""
+
+    budgets = pytest.mark.parametrize("budget", [1, 50, 1 << 20])
+
+    @budgets
+    def test_no_medoid_left_prunes_nothing(self, monkeypatch, budget):
+        # k = 2: removing both medoids leaves near = inf, so every bound is -inf
+        monkeypatch.setattr(cluster_module, "_PAM_BLOCK_ELEMENTS", budget)
+        counted = _costed_doubles(monkeypatch)
+        for trial in range(6):
+            n = 7 + trial
+            d = _oracle_instance(800 + trial, n, integer_valued=trial % 2 == 1).values
+            medoids = [trial % n, (trial + 3) % n]
+            current = float(d[:, medoids].min(axis=1).sum())
+            counted[0] = 0
+            got = cluster_module._best_swap(np.ascontiguousarray(d.T), medoids, current, 2)
+            assert got == _reference_swap(d, medoids, current, 2)
+            assert counted[0] == math.comb(n - 2, 2)
+
+    @budgets
+    def test_two_non_medoids(self, monkeypatch, budget):
+        monkeypatch.setattr(cluster_module, "_PAM_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(810)
+        for trial in range(8):
+            n = int(rng.integers(5, 10))
+            d = _oracle_instance(820 + trial, n, integer_valued=trial % 2 == 1).values
+            medoids = sorted(rng.choice(n, size=n - 2, replace=False).tolist())
+            current = float(d[:, medoids].min(axis=1).sum()) + float(rng.choice([0.0, 2.0]))
+            got = cluster_module._best_swap(np.ascontiguousarray(d.T), medoids, current, 2)
+            assert got == _reference_swap(d, medoids, current, 2)
+
+    @budgets
+    def test_bound_equal_to_the_threshold(self, monkeypatch, budget):
+        # integer distances: bounds and costs are exact, and the threshold is
+        # the lowest cost among the candidates whose bound is tight
+        monkeypatch.setattr(cluster_module, "_PAM_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(830)
+        checked = 0
+        for trial in range(24):
+            n = int(rng.integers(7, 12))
+            d = _oracle_instance(840 + trial, n, integer_valued=True).values
+            medoids = sorted(rng.choice(n, size=int(rng.integers(3, 6)), replace=False).tolist())
+            tight = [cost for cost, bound in _double_costs_and_bounds(d, medoids) if cost == bound]
+            if not tight:
+                continue
+            current = _current_with_threshold(min(tight))
+            assert current is not None
+            checked += 1
+            got = cluster_module._best_swap(np.ascontiguousarray(d.T), medoids, current, 2)
+            assert got == _reference_swap(d, medoids, current, 2)
+        assert checked >= 12
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_rounding_within_the_margin(self, monkeypatch, scale):
+        # instances whose cheapest double exchange has a computed bound above
+        # its computed cost, with the threshold between the two: only the
+        # bound's float-error margin keeps that candidate from being pruned
+        rng = np.random.default_rng(850)
+        checked = 0
+        for trial in range(120):
+            n = int(rng.integers(7, 13))
+            d = _oracle_instance(860 + trial, n, integer_valued=False).values * scale
+            medoids = sorted(rng.choice(n, size=int(rng.integers(3, 6)), replace=False).tolist())
+            pairs = list(_double_costs_and_bounds(d, medoids))
+            cheapest = min(cost for cost, _ in pairs)
+            if not any(cost == cheapest and bound > cost for cost, bound in pairs):
+                continue
+            current = _current_with_threshold(float(np.nextafter(cheapest, np.inf)))
+            if current is None:
+                continue
+            checked += 1
+            for budget in (1, 50, 1 << 20):
+                monkeypatch.setattr(cluster_module, "_PAM_BLOCK_ELEMENTS", budget)
+                got = cluster_module._best_swap(np.ascontiguousarray(d.T), medoids, current, 2)
+                assert got == _reference_swap(d, medoids, current, 2)
+            if checked == 4:
+                break
+        assert checked == 4
+
+    @budgets
+    def test_most_doubles_go_uncosted(self, monkeypatch, budget):
+        # 60 stations in 4 groups of 3 features, as the parameter clustering
+        # sees them: the bound leaves fewer than a quarter of the double
+        # exchanges to be costed, and the partition is the scalar loop's
+        monkeypatch.setattr(cluster_module, "_PAM_BLOCK_ELEMENTS", budget)
+        counted = _costed_doubles(monkeypatch)
+        candidates = [0]
+        best_swap = cluster_module._best_swap
+
+        def counting_swap(columns, medoids, current, exchanges):
+            if exchanges == 2:
+                m = len(medoids)
+                candidates[0] += math.comb(m, 2) * math.comb(columns.shape[0] - m, 2)
+            return best_swap(columns, medoids, current, exchanges)
+
+        monkeypatch.setattr(cluster_module, "_best_swap", counting_swap)
+        rng = np.random.default_rng(870)
+        centres = rng.normal(0.0, 3.0, size=(4, 3))
+        feats = _features(centres[rng.permutation(np.arange(60) % 4)] + rng.normal(size=(60, 3)))
+        dm = euclidean_dm(feats)
+        _assert_same_partition(pam_cluster(dm, 7), _reference_pam(dm, 7)[0])
+        assert candidates[0] > 0
+        assert counted[0] < candidates[0] / 4
+
+
 def _silhouette_bruteforce(dm, assignment_by_index):
     n = dm.n
     values = []

@@ -12,6 +12,7 @@ from rainmax.gev import GevParams
 from rainmax.seeding import derive_seed
 from rainmax.ingest import AnnualMaximaSeries, synth_dataset
 from rainmax.recurrence import (
+    DEFAULT_QUANTILES,
     _PERM_BLOCK_PAIRS,
     GridDetail,
     IndependenceResult,
@@ -274,6 +275,30 @@ class TestIndependenceAgainstPermutationLoop:
             y = x + rng.normal(0.0, 0.5, size=n)
         quantiles = tuple(np.round(np.arange(1, grid + 1) / (grid + 1), 10).tolist())
         config = RecurrenceConfig(radius_quantiles=quantiles, permutations=permutations, seed=n)
+        self._assert_matches(x, y, config)
+
+    @pytest.mark.parametrize("case", ["coarse-grid", "zero-distances"])
+    def test_pairs_beyond_the_top_radius(self, case):
+        # permutations count only the pairs within the top x radius: on a
+        # coarse grid most pairs lie beyond it, and integer series with three
+        # values put most pairs at distance zero
+        rng = np.random.default_rng(37)
+        n = 60
+        if case == "coarse-grid":
+            x = rng.random(n)
+            y = x + rng.normal(0.0, 0.5, size=n)
+            quantiles = (0.1, 0.2, 0.3)
+        else:
+            x = rng.integers(0, 3, size=n).astype(float)
+            y = np.where(rng.random(n) < 0.7, x, rng.integers(0, 3, size=n))
+            quantiles = DEFAULT_QUANTILES
+        dx = np.abs(x[:, None] - x[None, :])[np.triu_indices(n, k=1)]
+        beyond = dx > np.quantile(dx[dx > 0], quantiles[-1])
+        if case == "coarse-grid":
+            assert beyond.mean() > 0.5
+        else:
+            assert (dx == 0).mean() > 0.25
+        config = RecurrenceConfig(radius_quantiles=quantiles, permutations=999, seed=4)
         self._assert_matches(x, y, config)
 
     def test_edge_cases_reach_the_block_edges(self):
