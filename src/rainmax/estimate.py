@@ -5,33 +5,33 @@ Every likelihood maximization over (mu, log sigma, xi) runs through one
 safeguarded Newton loop on the rows of a sample matrix, ``_newton_rows``,
 with the closed-form score and observed information (Prescott & Walden
 1980). With a free shape it gives the sign-constrained fits of the row
-kernel ``_fit_rows``, from each row's Gumbel solution; the Gumbel fit
-itself profiles mu out in closed form and solves the remaining scalar
-score equation by Newton. A row whose constrained supremum lies on the
-boundary xi = 0 takes its Gumbel solution. A Weibull row that ends on the
-support edge xi = -1 takes that edge's closed form, unless its profile on
-a grid of fixed shapes, one batched fixed-shape call, leads to an interior
+kernel ``_fit_rows``, from each row's Gumbel solution. The Gumbel fit,
+``_gumbel_rows``, profiles mu out in closed form and solves the remaining
+scale equation by Newton on the row less its minimum, so that no location
+cancels in it. A row whose constrained supremum lies on the boundary
+xi = 0 takes its Gumbel solution. A Weibull row that ends on the support
+edge xi = -1 takes that edge's closed form, unless its profile on a grid
+of fixed shapes, one batched fixed-shape call, leads to an interior
 maximum above it. The free fit is the better of the Frechet and Weibull
 solves. ``fit_mle_rows`` fits many samples, one ``_fit_rows`` call per
 group of equal length, with standard errors from the same closed-form
-observed information; ``fit_mle`` is its one-row case. With the shape
-fixed the loop solves over (mu, log sigma) alone: ``_profile_rows`` solves
-the trial shapes of many profile-interval searches at once, which
-``profile_ci_xi_rows`` advances in lockstep; ``profile_ci_xi`` is its
-one-row case.
+observed information; ``fit_mle`` is its one-row case for every
+constraint. With the shape fixed the loop solves over (mu, log sigma)
+alone: ``_profile_rows`` solves the trial shapes of many profile-interval
+searches at once, which ``profile_ci_xi_rows`` advances in lockstep;
+``profile_ci_xi`` is its one-row case.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Mapping, Sequence
+from typing import Generator, Mapping, Sequence
 
 import numpy as np
 
 from .gev import XI_EPS, GevParams, _gev_rows_loglik, _gumbel_rows_loglik, log_likelihood
 
 CONSTRAINTS = ("free", "gumbel", "frechet", "weibull")
-_ROW_CONSTRAINTS = ("free", "frechet", "weibull")  # the Gumbel fit is one row at a time
 
 _XI_SEARCH_RANGE = (-1.0, 2.0)  # profile CI endpoints must fall inside
 
@@ -186,25 +186,6 @@ def _brent_search(
     raise FitError(f"root not bracketed within {xtol} after {_ROOT_MAX_ITER} iterations")
 
 
-def _brent_root(
-    f: Callable[[float], float],
-    a: tuple[float, float],
-    b: tuple[float, float],
-    xtol: float,
-) -> tuple[float, int]:
-    """Root of ``f`` bracketed by ``a`` and ``b``: the scalar driver of
-    ``_brent_search``, which evaluates ``f`` at each point the search
-    yields. Returns the root and the iterations taken.
-    """
-    search = _brent_search(a, b, xtol)
-    try:
-        x = next(search)
-        while True:
-            x = search.send(f(x))
-    except StopIteration as stop:
-        return stop.value
-
-
 def _chi2_1_quantile(level: float) -> float:
     """Quantile of the chi-square distribution with one degree of freedom.
 
@@ -224,43 +205,6 @@ def _chi2_1_quantile(level: float) -> float:
             lo = mid
         else:
             hi = mid
-
-
-def _fit_gumbel_exact(x: np.ndarray) -> tuple[float, float, int]:
-    """Gumbel MLE via the profiled scalar score equation in sigma.
-
-    With mu profiled out in closed form, the remaining equation
-    g(s) = s - mean(x) + sum(x w)/sum(w) = 0 (w = exp(-x/s)) has a unique
-    root; the safeguarded Newton iteration of ``_gumbel_rows`` converges
-    in a handful of iterations and a bracketing fallback covers the rest.
-    Returns mu, sigma and the iterations taken.
-    """
-    mu, s, ok, iterations = (v[0] for v in _gumbel_rows(x[None, :]))
-    if not ok:
-        # Newton stalled; bracket the root and bisect
-        xbar = float(x.mean())
-        xmin = float(x.min())
-
-        def g(s: float) -> float:
-            w = np.exp(-(x - xmin) / s)
-            return s - xbar + float((x * w).sum() / w.sum())
-
-        lo = hi = float(x.std()) * math.sqrt(6.0) / math.pi
-        for _ in range(200):
-            if g(lo) < 0:
-                break
-            lo /= 2.0
-        for _ in range(200):
-            if g(hi) > 0:
-                break
-            hi *= 2.0
-        g_lo, g_hi = g(lo), g(hi)
-        if not g_lo < 0 < g_hi:
-            raise FitError("could not bracket the Gumbel scale equation")
-        s, steps = _brent_root(g, (lo, g_lo), (hi, g_hi), xtol=1e-12)
-        iterations += steps
-        mu = xmin - s * math.log(float(np.exp(-(x - xmin) / s).mean()))
-    return float(mu), float(s), int(iterations)
 
 
 def _std_errors(params: GevParams, x: np.ndarray) -> tuple[float, float, float] | None:
@@ -297,25 +241,16 @@ def _std_errors(params: GevParams, x: np.ndarray) -> tuple[float, float, float] 
 
 
 def fit_mle(data: object, constraint: str = "free") -> FitResult:
-    """Maximum-likelihood GEV fit under a family constraint.
-
-    The Gumbel fit solves its profiled scale equation
-    (``_fit_gumbel_exact``); every other fit is the one-row case of
-    ``fit_mle_rows``. ``iterations`` counts the Newton iterations (both
-    sides summed for a free fit). Standard errors come from the
-    closed-form observed information (``_std_errors``). Raises FitError
-    when the kernel cannot settle the sample.
+    """Maximum-likelihood GEV fit under a family constraint: the one-row
+    case of ``fit_mle_rows``. ``iterations`` counts the Newton iterations
+    (both sides summed for a free fit). Standard errors come from the
+    closed-form observed information (``_std_errors``). Raises ValueError
+    for a rejected sample and FitError when the kernel cannot settle it.
     """
-    if constraint not in CONSTRAINTS:
-        raise ValueError(f"constraint must be one of {CONSTRAINTS}, got {constraint!r}")
-    if constraint != "gumbel":
-        (fit,) = fit_mle_rows([data], constraint)
-        if isinstance(fit, Exception):
-            raise fit
-        return fit
-    x = _validate_sample(data, min_distinct=5)
-    mu, sigma, iterations = _fit_gumbel_exact(x)
-    return _mle_result(x, GevParams(mu, sigma, 0.0), constraint, iterations)
+    (fit,) = fit_mle_rows([data], constraint)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def fit_mle_rows(
@@ -328,10 +263,10 @@ def fit_mle_rows(
     ValueError. The rest are fitted by one ``_fit_rows`` call per group of
     equal length, and each FitResult, with its log-likelihood and standard
     errors, is built from its own row; a row the kernel cannot settle gets
-    a FitError. ``constraint`` is "free", "frechet" or "weibull".
+    a FitError. ``constraint`` is one of CONSTRAINTS.
     """
-    if constraint not in _ROW_CONSTRAINTS:
-        raise ValueError(f"constraint must be one of {_ROW_CONSTRAINTS}, got {constraint!r}")
+    if constraint not in CONSTRAINTS:
+        raise ValueError(f"constraint must be one of {CONSTRAINTS}, got {constraint!r}")
     results: list[FitResult | FitError | ValueError | None] = [None] * len(samples)
     valid: dict[int, np.ndarray] = {}
     for i, data in enumerate(samples):
@@ -382,13 +317,29 @@ _EDGE_STOP = 1e-12  # a Weibull row this close to xi = -1, at or below the edge'
 
 def _gumbel_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Gumbel MLE of every row by safeguarded Newton on the profiled
-    scale equation of ``_fit_gumbel_exact``, from the moment estimate of
-    sigma. Returns mu, sigma, a converged mask and the Newton iterations;
-    rows that need the scalar fit's bracketing fallback are reported as
-    not converged."""
-    xbar = X.mean(axis=1)
+    scale equation, from the moment estimate of sigma.
+
+    With mu profiled out in closed form, the scale s solves
+    g(s) = s - mean(y) + sum(y w)/sum(w) = 0 on y = x - min x, with
+    w = exp(-y/s); g'(s) = 1 + v/s^2 > 0 (v the w-weighted variance of y),
+    so the root is unique. The equation is solved on y rather than x, whose
+    mean would cancel against sum(x w)/sum(w) and leave an error of about
+    |mean x| eps, above the stop test once the location is thousands of
+    scales from 0. Then mu = min x - s log mean(w).
+
+    Why a sweep at mu = 0, sigma = 1 covers every input: y, and so every
+    Newton iterate, is free of the location, and each iterate is
+    proportional to the scale (bit for bit when the scale is a power of
+    two), while the stop test |step| < 1e-12 s is relative. So, up to
+    rounding, the iterations a row takes depend only on its standardized
+    sample (x - mu)/sigma. Returns mu, sigma, a converged mask and the
+    Newton iterations; a row whose iteration does not settle is reported
+    as not converged.
+    """
     xmin = X.min(axis=1)
-    s = X.std(axis=1) * math.sqrt(6.0) / math.pi
+    Y = X - xmin[:, None]
+    ybar = Y.mean(axis=1)
+    s = Y.std(axis=1) * math.sqrt(6.0) / math.pi
     active = np.ones(X.shape[0], dtype=bool)
     iterations = np.zeros(X.shape[0], dtype=int)
     for _ in range(200):
@@ -396,17 +347,17 @@ def _gumbel_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         if idx.size == 0:
             break
         iterations[idx] += 1
-        x, si = X[idx], s[idx]
-        w = np.exp(-(x - xmin[idx, None]) / si[:, None])
+        y, si = Y[idx], s[idx]
+        w = np.exp(-y / si[:, None])
         sw = w.sum(axis=1)
-        m = (x * w).sum(axis=1) / sw
-        v = ((x - m[:, None]) ** 2 * w).sum(axis=1) / sw
-        s_new = si - (si - xbar[idx] + m) / (1.0 + v / (si * si))
+        m = (y * w).sum(axis=1) / sw
+        v = ((y - m[:, None]) ** 2 * w).sum(axis=1) / sw
+        s_new = si - (si - ybar[idx] + m) / (1.0 + v / (si * si))
         s_new = np.where(s_new <= 0, si / 2.0, s_new)
-        done = np.abs(s_new - si) < 1e-12 * np.maximum(1.0, si)
+        done = np.abs(s_new - si) < 1e-12 * si
         s[idx] = s_new
         active[idx[done]] = False
-    mu = xmin - s * np.log(np.exp(-(X - xmin[:, None]) / s[:, None]).mean(axis=1))
+    mu = xmin - s * np.log(np.exp(-Y / s[:, None]).mean(axis=1))
     return mu, s, ~active, iterations
 
 
@@ -653,21 +604,22 @@ def _profile_rows(
 ) -> list[tuple[float, tuple[float, float]] | FitError]:
     """Maximize each row's likelihood over (mu, sigma) at its own fixed
     shape xi[r]: one fixed-shape ``_newton_rows`` call, row r from
-    ``starts[r]``. Near xi = 0 a row takes the Gumbel fit; at xi = -1 the
-    supremum lies on the support edge and has the closed form of
-    ``_edge_rows``. Returns per row its log-likelihood and (mu, sigma), or
-    the FitError of a row with no feasible start or whose iteration does
-    not settle.
+    ``starts[r]``. The rows near xi = 0 take their Gumbel fits, one
+    ``_gumbel_rows`` call; at xi = -1 the supremum lies on the support edge
+    and has the closed form of ``_edge_rows``. Returns per row its
+    log-likelihood and (mu, sigma), or the FitError of a row with no
+    feasible start or whose iteration does not settle.
     """
     solves: list = [None] * xi.size
     gumbel, edge = np.abs(xi) < XI_EPS, xi == -1.0
-    for r in np.flatnonzero(gumbel):
-        try:
-            mu, sigma, _ = _fit_gumbel_exact(X[r])
-        except FitError as exc:
-            solves[r] = exc
+    g = np.flatnonzero(gumbel)
+    mu_g, sigma_g, ok_g, _ = _gumbel_rows(X[g])
+    ll_g = _gumbel_rows_loglik(X[g], mu_g, sigma_g)
+    for r, mu, sigma, ll, ok in zip(g, mu_g, sigma_g, ll_g, ok_g):
+        if ok:
+            solves[r] = float(ll), (float(mu), float(sigma))
         else:
-            solves[r] = log_likelihood(GevParams(mu, sigma, 0.0), X[r]), (mu, sigma)
+            solves[r] = FitError(f"profile likelihood did not settle at xi={float(xi[r])}")
     e = np.flatnonzero(edge)
     for r, mu, sigma, ll in zip(e, *_edge_rows(X[e])):
         solves[r] = float(ll), (float(mu), float(sigma))

@@ -1,13 +1,17 @@
 """Reference maximum-likelihood fits for the tests: a derivative-free
-Nelder-Mead simplex and finite-difference standard errors.
+Nelder-Mead simplex, scipy's Gumbel fit and finite-difference standard
+errors.
 
 This is the estimator that ``rainmax.estimate.fit_mle`` used before every
 fit went through the closed-form Newton kernel. It searches on
 (mu, log sigma, xi), with the sign-constrained fits mapping xi through
 +/-exp(eta), from the PWM start, then a small shape grid, and reseeds the
-free fit from the Gumbel solution when it lands below it. It also keeps
+free fit from the Gumbel solution when it lands below it. The Gumbel
+solution is ``scipy.stats.gumbel_r.fit``, a bracketed root of the same
+profiled scale equation that the kernel solves by Newton. It also keeps
 the loop forms that profile intervals had before their searches became
-generators: Brent's method calling its function, and one sample's
+generators: Brent's method calling its function, a driver that feeds a
+function to the generator ``_brent_search``, and one sample's
 march-plus-Brent search over ``profile_loglik``, the one-row case of the
 fixed-shape solve. The module name starts with an underscore so that
 pytest does not collect it.
@@ -19,6 +23,7 @@ import math
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.stats import gumbel_r
 
 from rainmax.estimate import (
     _XI_SEARCH_RANGE,
@@ -26,10 +31,10 @@ from rainmax.estimate import (
     FitError,
     FitResult,
     ProfileInterval,
+    _brent_search,
     _chi2_1_quantile,
     _profile_rows,
     _validate_sample,
-    fit_mle,
     fit_pwm,
 )
 from rainmax.gev import XI_EPS, GevParams, log_likelihood
@@ -148,16 +153,23 @@ def _run_simplex(
     return params, -float(res.fun), ok, nit
 
 
+def scipy_gumbel_fit(x: np.ndarray) -> FitResult:
+    """The Gumbel fit of ``scipy.stats.gumbel_r.fit``, with finite-difference
+    standard errors (0 for the shape) and no iteration count."""
+    loc, scale = gumbel_r.fit(x)
+    params = GevParams(float(loc), float(scale), 0.0)
+    se = finite_difference_se(params, x, free=(True, True, False))
+    return FitResult(params, "mle", "gumbel", log_likelihood(params, x), se, True, 0)
+
+
 def nelder_mead_fit(data: object, constraint: str = "free") -> FitResult:
     """The simplex fit under a family constraint, with finite-difference
-    standard errors; the Gumbel fit is ``fit_mle``'s."""
+    standard errors; the Gumbel fit is ``scipy_gumbel_fit``."""
     if constraint not in CONSTRAINTS:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}, got {constraint!r}")
     x = _validate_sample(data, min_distinct=5)
     if constraint == "gumbel":
-        gum = fit_mle(x, "gumbel")
-        se = finite_difference_se(gum.params, x, free=(True, True, False))
-        return FitResult(gum.params, "mle", "gumbel", gum.loglik, se, True, gum.iterations)
+        return scipy_gumbel_fit(x)
 
     try:
         pwm = fit_pwm(x).params
@@ -189,7 +201,7 @@ def nelder_mead_fit(data: object, constraint: str = "free") -> FitResult:
     if constraint == "free":
         # the free optimum can never score below the nested Gumbel one; when
         # the simplex lands under it, reseed from the exact Gumbel solution
-        gum = fit_mle(x, "gumbel")
+        gum = scipy_gumbel_fit(x)
         if not attempts or max(ll for _, ll, _ in attempts) < gum.loglik:
             start = np.array([gum.params.mu, math.log(gum.params.sigma), 0.0])
             params, ll, ok, nit = _run_simplex(x, start, constraint)
@@ -216,7 +228,7 @@ def nelder_mead_profile_loglik(x, xi, start):
     """Reference fixed-shape maximization: a Nelder-Mead simplex on
     (mu, log sigma) from a start widened into the support."""
     if abs(xi) < XI_EPS:
-        fit = fit_mle(x, "gumbel")
+        fit = scipy_gumbel_fit(x)
         return fit.loglik, (fit.params.mu, fit.params.sigma)
 
     def nll(theta):
@@ -276,6 +288,19 @@ def brent_root_loop(f, a, b, xtol):
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
     raise FitError(f"root not bracketed within {xtol} after 100 iterations")
+
+
+def brent_root(f, a, b, xtol):
+    """Root of ``f`` bracketed by ``a`` and ``b``: ``_brent_search`` driven by
+    evaluating ``f`` at each point it yields. Returns the root and the
+    iterations taken."""
+    search = _brent_search(a, b, xtol)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def profile_loglik(x, xi, start):

@@ -17,7 +17,7 @@ import pytest
 from rainmax import cli, estimate, gof, recurrence
 from rainmax.cli import main, slugify
 from rainmax.demo import URUGUAY_STATION_PARAMS, demo_dataset
-from rainmax.estimate import fit_mle, fit_mle_rows, profile_ci_xi_rows
+from rainmax.estimate import fit_mle_rows, profile_ci_xi_rows
 from rainmax.gev import GevParams
 from rainmax.ingest import synth_dataset, write_series_csv
 
@@ -294,21 +294,14 @@ class TestConfigPrecedence:
 def fit_counts(monkeypatch):
     """Fits by constraint, counted at the rows entry point in every module
     that calls it (one per sample, so a refit inside ``profile_ci_xi_rows``
-    counts too), plus the scalar Gumbel fits that ``gof`` makes through
-    ``fit_mle``; its other constraints reach the counted
-    ``estimate.fit_mle_rows``."""
+    counts too); ``fit_mle``, through which ``gof`` fits, is its one-row
+    case."""
     counts = Counter()
-
-    def counting_fit_mle(data, constraint="free"):
-        if constraint == "gumbel":
-            counts[constraint] += 1
-        return fit_mle(data, constraint)
 
     def counting_fit_mle_rows(samples, constraint="free"):
         counts[constraint] += len(samples)
         return fit_mle_rows(samples, constraint)
 
-    monkeypatch.setattr(gof, "fit_mle", counting_fit_mle)
     for module in (estimate, cli):
         monkeypatch.setattr(module, "fit_mle_rows", counting_fit_mle_rows)
     return counts
@@ -360,6 +353,23 @@ class TestSubcommands:
         assert all("ci_error" not in r for sid, r in fits.items() if sid != "Short")
         table = (out / "station_params.csv").read_text().strip().splitlines()
         assert table[-1].startswith("Short,") and table[-1].endswith(",,")
+
+    def test_fit_settles_stations_far_from_zero(self, tmp_path):
+        # the demo series mapped to v/25 + 1e4, thousands of scales from 0:
+        # every station's free fit starts from its Gumbel fit, which must
+        # settle there too
+        assert main(["ingest", "--demo", "--seed", "29", "--out", str(tmp_path / "demo")]) == 0
+        with (tmp_path / "demo" / "series.csv").open(encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        shifted = tmp_path / "shifted.csv"
+        with shifted.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([s, y, repr(float(v) / 25 + 1e4)] for s, y, v in rows)
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(shifted), "--out", str(out)]) == 0
+        assert not (out / "fit_errors.json").exists()
+        assert len(json.loads((out / "fits.json").read_text())) == 20
 
     @pytest.mark.parametrize(
         "command",

@@ -15,10 +15,10 @@ from scipy.stats import chi2
 from rainmax import estimate
 from rainmax.demo import demo_dataset
 from rainmax.estimate import (
+    CONSTRAINTS,
     FitError,
     FitResult,
     ProfileInterval,
-    _brent_root,
     _chi2_1_quantile,
     _fit_rows,
     _gev_rows_derivatives,
@@ -29,11 +29,19 @@ from rainmax.estimate import (
     profile_ci_xi_rows,
     sample_pwms,
 )
-from rainmax.gev import XI_EPS, GevParams, _gev_rows_loglik, gev_sample, log_likelihood
+from rainmax.gev import (
+    XI_EPS,
+    GevParams,
+    _gev_rows_loglik,
+    gev_quantile,
+    gev_sample,
+    log_likelihood,
+)
 from rainmax.gof import _to_sample
 from rainmax.seeding import derive_seed
 
 from _reference_fits import (
+    brent_root,
     brent_root_loop,
     finite_difference_se,
     nelder_mead_fit,
@@ -112,7 +120,8 @@ _ROOT_FUNCTIONS = (
 
 
 class TestBrentRoot:
-    """The bracketed root finder against scipy's brentq."""
+    """The bracketed root finder ``_brent_search``, driven by evaluating a
+    function at each point it yields, against scipy's brentq."""
 
     @pytest.mark.parametrize("xtol", [1e-12, 1e-6, 1e-3])
     def test_lands_within_xtol_of_brentq(self, xtol):
@@ -121,13 +130,13 @@ class TestBrentRoot:
             c = float(rng.uniform(0.1, 3.0))
             f = lambda v, g=_ROOT_FUNCTIONS[trial % len(_ROOT_FUNCTIONS)], c=c: g(v, c)  # noqa: E731
             a, b = -float(rng.uniform(0.5, 5.0)), float(rng.uniform(3.0, 10.0))
-            root, steps = _brent_root(f, (a, f(a)), (b, f(b)), xtol)
+            root, steps = brent_root(f, (a, f(a)), (b, f(b)), xtol)
             assert abs(root - brentq(f, a, b, xtol=xtol)) <= xtol
-            # the generator's scalar driver keeps the loop's root and count
+            # the generator keeps the loop's root and count
             assert (root, steps) == brent_root_loop(f, (a, f(a)), (b, f(b)), xtol)
 
     def test_root_at_a_bracket_end(self):
-        assert _brent_root(math.sin, (0.0, 0.0), (1.0, math.sin(1.0)), 1e-12) == (0.0, 0)
+        assert brent_root(math.sin, (0.0, 0.0), (1.0, math.sin(1.0)), 1e-12) == (0.0, 0)
 
 
 class TestFitMle:
@@ -204,32 +213,31 @@ class TestFitMle:
         assert np.isfinite(fit.loglik)
         assert fit.loglik >= nelder_mead_fit(sample, "weibull").loglik
 
-    def test_gumbel_bracketing_fallback_finds_the_same_root(self, monkeypatch):
-        x = gev_sample(GevParams(80, 25, 0.1), 40, seed=12)
-        newton = fit_mle(x, "gumbel")
-        rows = estimate._gumbel_rows
-
-        def stalled(X):
-            mu, sigma, ok, iterations = rows(X)
-            return mu, sigma, np.zeros_like(ok), iterations
-
-        solves = []
-        brent = estimate._brent_root
-
-        def recording(f, a, b, xtol):
-            root, steps = brent(f, a, b, xtol)
-            solves.append((f, a[0], b[0], xtol, root))
-            return root, steps
-
-        monkeypatch.setattr(estimate, "_gumbel_rows", stalled)
-        monkeypatch.setattr(estimate, "_brent_root", recording)
-        bracketed = fit_mle(x, "gumbel")
-        assert bracketed.params.mu == pytest.approx(newton.params.mu, rel=1e-10)
-        assert bracketed.params.sigma == pytest.approx(newton.params.sigma, rel=1e-10)
-        assert bracketed.iterations > newton.iterations
-        ((g, lo, hi, xtol, root),) = solves
-        assert bracketed.params.sigma == root
-        assert abs(root - brentq(g, lo, hi, xtol=xtol)) <= xtol
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+    def test_fits_far_from_zero_match_the_unshifted_fits(self, offset, constraint):
+        # samples of scale about 1 moved thousands of scales from 0, where a
+        # Gumbel scale equation solved on x itself loses about offset * eps
+        # to cancellation, more than its stop test allows, and every fit
+        # starts from the Gumbel one. Tolerance 16 offset eps + 1e-8: the
+        # shift rounds each point by up to offset eps / 2, and the Newton
+        # stop test leaves either fit up to about 6e-9 from the exact
+        # optimum along the likelihood's flat directions (in units of
+        # sigma). The log-likelihoods agree to n offset eps.
+        eps = np.finfo(float).eps
+        tol = 16.0 * offset * eps + 1e-8
+        samples = [s.values / 25.0 for s in demo_dataset(seed=29)]
+        samples += [x / 25.0 for x in _seeded_samples()[:10]]
+        for x in samples:
+            base = fit_mle(x, constraint)
+            moved = fit_mle(x + offset, constraint)
+            assert abs((moved.params.mu - offset) - base.params.mu) <= tol
+            assert abs(moved.params.sigma - base.params.sigma) <= tol
+            assert abs(moved.params.xi - base.params.xi) <= tol
+            assert abs(moved.loglik - base.loglik) <= x.size * offset * eps
+            if constraint == "gumbel":
+                # Newton settles on its own, as on the standardized sweep
+                assert moved.iterations <= 20
 
     def test_pwm_and_mle_agree_large_sample(self):
         x = gev_sample(GevParams(0, 1, 0.0), 100_000, seed=10)
@@ -274,14 +282,15 @@ def _assert_reaches_oracle(x, constraint, check_se=True):
 
 class TestKernelAgainstOracle:
     """Every fit_mle fit is the row kernel's; the Nelder-Mead simplex and
-    finite-difference standard errors it replaced are the reference."""
+    finite-difference standard errors it replaced are the reference, and
+    scipy's ``gumbel_r.fit`` is the Gumbel one."""
 
-    @pytest.mark.parametrize("constraint", ["free", "frechet", "weibull"])
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
     def test_demo_stations(self, constraint):
         for s in demo_dataset(seed=29):
             _assert_reaches_oracle(s.values, constraint)
 
-    @pytest.mark.parametrize("constraint", ["free", "frechet", "weibull"])
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
     def test_seeded_samples(self, constraint):
         for x in _seeded_samples():
             _assert_reaches_oracle(x, constraint)
@@ -383,14 +392,34 @@ class TestFitRows:
 
     @pytest.mark.parametrize("xi", [-0.2, 0.0, 0.2])
     def test_gumbel_rows_match_exact_scalar_fit(self, xi):
+        # the scalar fit is scipy's bracketed root of the scale equation
         X = _sample_matrix(xi)
         mu, sigma, shape, converged, _ = _fit_rows(X, "gumbel")
         assert converged.all()
         assert np.all(shape == 0.0)
         for row, x in enumerate(X):
-            ref = fit_mle(x, "gumbel").params
+            ref = nelder_mead_fit(x, "gumbel").params
             assert mu[row] == pytest.approx(ref.mu, rel=1e-12)
             assert sigma[row] == pytest.approx(ref.sigma, rel=1e-12)
+
+    def test_gumbel_rows_settle_on_the_standardized_sweep(self):
+        # _gumbel_rows' iterations depend only on the standardized sample
+        # (see its docstring), so this grid at mu = 0, sigma = 1 stands for
+        # every location and scale; the power-of-two scalings check that
+        # the iterates scale bit for bit
+        for n in (5, 8, 15, 33, 60, 200):
+            for xi in np.round(np.linspace(-0.9, 1.5, 25), 10):
+                rng = np.random.default_rng([n, int(round(10 * xi)) + 9])
+                u = rng.random((300, n))
+                u[u == 0.0] = np.nextafter(0.0, 1.0)
+                X = np.asarray(gev_quantile(u, GevParams(0.0, 1.0, float(xi))))
+                mu, sigma, ok, iterations = estimate._gumbel_rows(X)
+                assert ok.all() and iterations.max() <= 20, (n, xi)
+                for scale in (2.0**-30, 2.0**30):
+                    scaled = estimate._gumbel_rows(X * scale)
+                    assert np.array_equal(scaled[0], mu * scale)
+                    assert np.array_equal(scaled[1], sigma * scale)
+                    assert np.array_equal(scaled[3], iterations)
 
     @pytest.mark.parametrize("family", ["frechet", "weibull"])
     def test_signed_rows_reach_scalar_loglik(self, family):
@@ -477,7 +506,9 @@ def _profile_samples():
 class TestProfileKernel:
     """The fixed-shape Newton solve against the Nelder-Mead reference."""
 
-    @pytest.mark.parametrize("xi", [-0.99, -0.5, -1e-7, 1e-7, 0.05, 0.5, 1.5, 2.0])
+    @pytest.mark.parametrize(
+        "xi", [-0.99, -0.5, -1e-7, -1e-9, 0.0, 1e-9, 1e-7, 0.05, 0.5, 1.5, 2.0]
+    )
     def test_reaches_reference_loglik(self, xi):
         for x in _profile_samples():
             free = fit_mle(x, "free").params
@@ -499,6 +530,23 @@ class TestProfileKernel:
         for row, shape in enumerate(shapes):
             one, (m, s) = profile_loglik(x, shape, (free.mu, free.sigma))
             assert (ll[row], mu[row], math.exp(eta[row])) == (one, m, s)
+
+    def test_batched_gumbel_edge_and_interior_rows_match_one_row_solves(self):
+        # |xi| < XI_EPS takes the Gumbel fit, xi = -1 the support edge and
+        # the rest the fixed-shape Newton solve, all in one call
+        samples = [
+            gev_sample(GevParams(80, 25, xi), 33, seed=s) for s, xi in enumerate((-0.3, 0.0, 0.3))
+        ]
+        shapes = (0.0, -1.0, 0.4, -1e-9, -0.5, 1e-9, 0.1)
+        rows = [(x, xi) for x in samples for xi in shapes]
+        frees = {id(x): fit_mle(x, "free").params for x in samples}
+        starts = [(frees[id(x)].mu, frees[id(x)].sigma) for x, _ in rows]
+        X = np.stack([x for x, _ in rows])
+        xi = np.array([k for _, k in rows])
+        assert 0 < (np.abs(xi) < XI_EPS).sum() < xi.size and (xi == -1.0).any()
+        solves = estimate._profile_rows(X, xi, starts)
+        for (x, k), start, solve in zip(rows, starts, solves):
+            assert solve == profile_loglik(x, k, start)
 
     def test_closed_form_at_lower_search_bound(self):
         # the supremum lies on the support edge mu + sigma = max x
@@ -585,7 +633,7 @@ def _bits(outcome):
 class TestRowEntryPoints:
     """The row entry points against their one-row cases, station by station."""
 
-    @pytest.mark.parametrize("constraint", ["free", "frechet", "weibull"])
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
     def test_fits_equal_one_row_fits(self, constraint):
         samples = _mixed_length_stations()
         rows = fit_mle_rows(samples, constraint)
@@ -601,7 +649,28 @@ class TestRowEntryPoints:
                 *[(ValueError, "data must contain at least 5 distinct values")] * 2,
             ]
         with pytest.raises(ValueError, match="constraint"):
-            fit_mle_rows(samples, "gumbel")
+            fit_mle_rows(samples, "cauchy")
+
+    def test_stalled_gumbel_row_gets_the_fit_error(self, monkeypatch):
+        # one row of a block whose Gumbel iteration does not settle fails
+        # alone; the other rows keep their fits bit for bit
+        samples = [s.values for s in demo_dataset(seed=29)]
+        settled = fit_mle_rows(samples, "gumbel")
+        rows = estimate._gumbel_rows
+
+        def stall_one(X):
+            mu, sigma, ok, iterations = rows(X)
+            ok[np.all(X == samples[3], axis=1)] = False
+            return mu, sigma, ok, iterations
+
+        monkeypatch.setattr(estimate, "_gumbel_rows", stall_one)
+        stalled = fit_mle_rows(samples, "gumbel")
+        assert _bits(stalled[3]) == (FitError, "MLE did not converge under constraint 'gumbel'")
+        for i, (fit, ref) in enumerate(zip(stalled, settled)):
+            if i != 3:
+                assert _bits(fit) == _bits(ref)
+        with pytest.raises(FitError, match="'gumbel'"):
+            fit_mle(samples[3], "gumbel")
 
     def test_intervals_equal_one_row_intervals(self):
         frees = fit_mle_rows(_mixed_length_stations())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rainmax import gof
+from rainmax.demo import demo_dataset
 from rainmax.estimate import FitError, fit_mle
 from rainmax.gev import GevParams, gev_cdf, gev_quantile, gev_sample
 from rainmax.gof import (
@@ -168,6 +169,16 @@ class TestBatchedBootstrap:
 
     def test_unconverged_row_in_last_partial_block_draws_again(self, monkeypatch):
         self._check_redraws(monkeypatch, B=300, replicate=290)
+
+    def test_gumbel_bootstrap_far_from_zero_draws_once(self):
+        # demo stations mapped to v/25 + 1e4, thousands of scales from 0: a
+        # replicate whose Gumbel refit stalls draws again and moves the
+        # p-value, so none may stall
+        for s in demo_dataset(seed=29)[:6]:
+            x = s.values / 25
+            shifted = tcvm_test(x + 1e4, "gumbel", B=199, seed=3)
+            assert shifted.redraws == 0, s.station_id
+            assert shifted.p_value == tcvm_test(x, "gumbel", B=199, seed=3).p_value, s.station_id
 
     @staticmethod
     def _check_redraws(monkeypatch, B, replicate):
