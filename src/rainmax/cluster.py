@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .estimate import FitResult
-from .ingest import AnnualMaximaSeries, year_matrix
+from .ingest import AnnualMaximaSeries, _sorted_distinct, year_matrix
 
 DEFAULT_MIN_OVERLAP = 10
 _PAM_BLOCK_ELEMENTS = 1 << 20  # bounds each swap pass's cost temporaries
@@ -463,6 +463,7 @@ def silhouette(dm: DistanceMatrix, partition: Partition) -> SilhouetteResult:
         raise ValueError("silhouette requires at least 2 clusters")
     labels = dm.labels
     member = partition.labels_for(labels)
+    clusters = _sorted_distinct(member)
     d = dm.values
     values: dict[str, float] = {}
     for i, label in enumerate(labels):
@@ -472,7 +473,7 @@ def silhouette(dm: DistanceMatrix, partition: Partition) -> SilhouetteResult:
             continue
         a = float(d[i, own[own != i]].mean())
         b = math.inf
-        for other in np.unique(member[member != member[i]]):
+        for other in clusters[clusters != member[i]]:
             b = min(b, float(d[i, member == other].mean()))
         denom = max(a, b)
         values[label] = 0.0 if denom == 0 else (b - a) / denom
@@ -496,7 +497,7 @@ def pseudo_f(features: FeatureMatrix, partition: Partition) -> float:
     if sst == 0:
         raise ValueError("zero total variance; scores undefined")
     ssb = 0.0
-    for cluster in np.unique(member):
+    for cluster in _sorted_distinct(member):
         rows = x[member == cluster]
         ssb += rows.shape[0] * float(((rows.mean(axis=0) - grand) ** 2).sum())
     r2 = ssb / sst

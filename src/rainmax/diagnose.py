@@ -15,6 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from .gev import GevParams, gev_cdf, gev_pdf, gev_quantile
+from .ingest import _quantiles
 
 PLOT_KINDS = (
     "pp",
@@ -67,7 +68,8 @@ def qq_points(data: object, params: GevParams) -> PlotSeries:
 def silverman_bandwidth(data: object) -> float:
     x = np.asarray(data, dtype=float).ravel()
     sd = float(x.std())
-    iqr = float(np.subtract(*np.percentile(x, [75, 25])))
+    q1, q3 = _quantiles(x, [0.25, 0.75])
+    iqr = float(q3 - q1)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     return 0.9 * spread * x.size ** (-0.2)
 

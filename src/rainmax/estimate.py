@@ -30,6 +30,7 @@ from typing import Generator, Mapping, Sequence
 import numpy as np
 
 from .gev import XI_EPS, GevParams, _gev_rows_loglik, _gumbel_rows_loglik, log_likelihood
+from .ingest import _sorted_distinct
 
 CONSTRAINTS = ("free", "gumbel", "frechet", "weibull")
 
@@ -73,7 +74,7 @@ def _validate_sample(data: object, min_distinct: int) -> np.ndarray:
         raise ValueError("data must be nonempty")
     if not np.all(np.isfinite(x)):
         raise ValueError("data must be finite")
-    if np.unique(x).size < min_distinct:
+    if _sorted_distinct(x).size < min_distinct:
         raise ValueError(f"data must contain at least {min_distinct} distinct values")
     return x
 

@@ -22,7 +22,10 @@ FAMILIES = ("gumbel", "frechet", "weibull")
 DEFAULT_DELTA = 0.05
 DEFAULT_BOOTSTRAP = 999
 _MIN_BOOTSTRAP = 99
-_BLOCK_ROWS = 128  # replicates refitted per kernel call; bounds the kernel's temporaries
+# Replicates refitted per kernel call: the default B = 999 is one call.
+# It bounds the kernel's temporaries: at B = 999 a test's tracemalloc
+# peak is 3.4-5.7 MB at n = 33 and 15-24 MB at n = 150.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,12 @@ def _tcvm_rows(
     a = np.clip(knots[:, :-1], delta, 1.0 - delta)
     b = np.clip(knots[:, 1:], delta, 1.0 - delta)
     c = np.arange(n + 1) / n
-    # intervals clipped to a point (a == b) add exactly zero
-    return n * ((c - a) ** 3 - (c - b) ** 3).sum(axis=1) / 3.0
+    # (c - a)^3 - (c - b)^3 as (b - a)(A^2 + AB + B^2): a cube of a negative
+    # base takes numpy's scalar pow path, about 30 times slower than
+    # multiplies; an interval clipped to a point (a == b) adds exactly zero
+    A = c - a
+    B = c - b
+    return n * ((b - a) * (A * A + A * B + B * B)).sum(axis=1) / 3.0
 
 
 def tcvm_statistic(data: object, params: GevParams, delta: float = DEFAULT_DELTA) -> float:
@@ -103,9 +110,10 @@ def tcvm_test(
     family, b)])``; all B streams are derived and stepped together in one
     array pass (``derive_seeds``, ``stream_uniforms``), which the tests
     check bit for bit against numpy's generators. Replicates are refitted
-    by the row kernel, a block of rows per call; a row it cannot settle
-    draws again from its stream (counted in ``redraws``), up to 10 draws
-    per replicate.
+    by the row kernel and scored by ``_tcvm_rows``, up to ``_BLOCK_ROWS``
+    rows per call, so B <= 1024 is one call of each; a row the kernel
+    cannot settle draws again from its stream (counted in ``redraws``), up
+    to 10 draws per replicate.
     """
     if B < _MIN_BOOTSTRAP:
         raise ValueError(f"bootstrap count must be at least {_MIN_BOOTSTRAP}, got {B}")

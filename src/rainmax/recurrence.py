@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .ingest import AnnualMaximaSeries, year_matrix
+from .ingest import AnnualMaximaSeries, _quantiles, year_matrix
 from .seeding import derive_seed
 
 DEFAULT_QUANTILES = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10).tolist())
@@ -116,7 +116,7 @@ def _radius_grid(diffs_sample: np.ndarray, quantiles: np.ndarray, label: str) ->
     nonzero = diffs_sample[diffs_sample > 0]
     if nonzero.size == 0:
         raise ValueError(f"series {label} has fewer than 2 distinct values")
-    return np.quantile(nonzero, quantiles)
+    return _quantiles(nonzero, quantiles)
 
 
 def _cumulative_rates(counts: np.ndarray, n_pairs: int) -> np.ndarray:

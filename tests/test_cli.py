@@ -102,6 +102,74 @@ def test_report_runs_without_scipy(tmp_path):
     assert "fits.json" in trees[0] and "run_config.json" in trees[0]
 
 
+# runs one CLI command, then reports whether numpy.ma was ever imported
+NUMPY_MA_PROBE = """
+import sys
+from rainmax.cli import main
+code = main(sys.argv[1:])
+print("numpy.ma" in sys.modules)
+raise SystemExit(code)
+"""
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    # a bare np.unique, np.quantile or np.percentile imports numpy.ma, about
+    # 13 ms of every launch; sorted distinct values and rainmax's own
+    # quantiles stand in for them
+    series = tmp_path / "series.csv"
+    _write_series(series, n_stations=8)
+    commands = [
+        ["fit", "--input", str(series)],
+        ["cluster", "--method", "params", "--input", str(series)],
+        ["cluster", "--method", "fmadogram", "--input", str(series)],
+        ["indep", "--target", "Rocha", "--input", str(series), "--permutations", "99"],
+        ["report", "--demo", "--seed", "29", *FAST],
+    ]
+    for k, command in enumerate(commands):
+        done = subprocess.run(
+            [sys.executable, "-c", NUMPY_MA_PROBE, *command, "--out", str(tmp_path / f"out{k}")],
+            env=_child_env(),
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False", command
+
+
+# families.csv of report --demo --seed 29 at the default B = 999. Rivera's
+# p_gumbel is exactly alpha = 0.05, so one bootstrap comparison that flips
+# changes its family.
+DEMO_FAMILIES = """\
+station,family,p_gumbel,p_second
+Punta del Este,gumbel,0.697,
+Aeropuerto Carrasco,gumbel,0.266,
+Mercedes,gumbel,0.209,
+Colonia,gumbel,0.435,
+Aeropuerto Melilla,gumbel,0.114,
+Rocha,gumbel,0.215,
+Prado,gumbel,0.135,
+Paso de los Toros,gumbel,0.589,
+Palmitas,gumbel,0.11,
+Melo,gumbel,0.788,
+Durazno,gumbel,0.072,
+Trinidad,gumbel,0.55,
+Paysandú,gumbel,0.514,
+Salto,gumbel,0.517,
+Rivera,gumbel,0.05,
+Young,gumbel,0.522,
+Treinta y Tres,gumbel,0.098,
+Bella Unión,gumbel,0.937,
+Tacuarembó,weibull,0.02,0.35
+Artigas,gumbel,0.051,
+"""
+
+
+def test_demo_report_families(tmp_path):
+    assert main(["report", "--demo", "--seed", "29", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "families.csv").read_text(encoding="utf-8") == DEMO_FAMILIES
+
+
 class TestSlugify:
     def test_accents_and_spaces(self):
         assert slugify("Paysandú") == "paysandu"

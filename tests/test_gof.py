@@ -9,8 +9,8 @@ import pytest
 
 from rainmax import gof
 from rainmax.demo import demo_dataset
-from rainmax.estimate import FitError, fit_mle
-from rainmax.gev import GevParams, gev_cdf, gev_quantile, gev_sample
+from rainmax.estimate import FitError, _fit_rows, fit_mle
+from rainmax.gev import GevParams, _gev_rows_cdf, gev_cdf, gev_quantile, gev_sample
 from rainmax.gof import (
     fit_family,
     lrt_gumbel_vs_gev,
@@ -33,6 +33,82 @@ def _tcvm_by_quadrature(data, params, delta, m=10**6):
     u = lo + (np.arange(m) + 0.5) * (hi - lo) / m
     empirical = np.searchsorted(u_sorted, u, side="right") / n
     return n * np.sum((empirical - u) ** 2) * (hi - lo) / m
+
+
+def _tcvm_rows_cubes(X, mu, sigma, xi, delta):
+    """``gof._tcvm_rows`` with each interval's (c - a)**3 - (c - b)**3 taken
+    by numpy's power, the form the kernel had before its factored cube
+    difference: the reference it must match."""
+    u = np.sort(_gev_rows_cdf(X, mu, sigma, xi), axis=1)
+    n = X.shape[1]
+    knots = np.concatenate([np.zeros((X.shape[0], 1)), u, np.ones((X.shape[0], 1))], axis=1)
+    a = np.clip(knots[:, :-1], delta, 1.0 - delta)
+    b = np.clip(knots[:, 1:], delta, 1.0 - delta)
+    c = np.arange(n + 1) / n
+    return n * ((c - a) ** 3 - (c - b) ** 3).sum(axis=1) / 3.0
+
+
+@pytest.fixture(scope="module")
+def kernel_rows():
+    """12 000 bootstrap-like rows at n = 33, each with the parameters of its
+    own refit of the family that made it, and again with the generating
+    parameters: 24 000 (X, mu, sigma, xi) rows in all."""
+    rng = np.random.default_rng(19)
+    parts = []
+    for family, shape in (("gumbel", 0.0), ("frechet", 0.25), ("weibull", -0.25)):
+        X = gev_quantile(1.0 - rng.random((4000, 33)), GevParams(80.0, 25.0, shape))
+        mu, sigma, xi, ok, _ = _fit_rows(X, family)
+        parts.append((X[ok], mu[ok], sigma[ok], xi[ok]))
+        true = np.ones(X.shape[0])
+        parts.append((X, 80.0 * true, 25.0 * true, shape * true))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+class TestTcvmKernel:
+    # the tolerance was fixed before the two forms were compared
+    RTOL = 1e-13
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.2, 0.49])
+    def test_matches_cube_reference(self, kernel_rows, delta):
+        X = kernel_rows[0]
+        assert X.shape[0] >= 20_000
+        got = gof._tcvm_rows(*kernel_rows, delta)
+        want = _tcvm_rows_cubes(*kernel_rows, delta)
+        np.testing.assert_allclose(got, want, rtol=self.RTOL, atol=0)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.2, 0.49])
+    def test_clipped_intervals_add_exactly_zero(self, delta):
+        # every point of a row far below (above) the band: every interval is
+        # clipped to a point but the one that spans [delta, 1 - delta]
+        n = 20
+        X = np.stack([np.linspace(-9.0, -5.0, n), np.linspace(60.0, 70.0, n)])
+        ones = np.ones(2)
+        got = gof._tcvm_rows(X, 0.0 * ones, ones, 0.0 * ones, delta)
+        np.testing.assert_allclose(
+            got, _tcvm_rows_cubes(X, 0.0 * ones, ones, 0.0 * ones, delta), rtol=self.RTOL, atol=0
+        )
+        lo, hi = delta, 1.0 - delta
+        for row, c in zip(got, (1.0, 0.0)):
+            A, B = c - lo, c - hi
+            assert row == n * ((hi - lo) * (A * A + A * B + B * B)) / 3.0
+        # the same value as F_n - F integrated in closed form
+        np.testing.assert_allclose(got, n * (hi**3 - lo**3) / 3.0, rtol=self.RTOL)
+
+    def test_demo_p_values_equal_cube_reference(self, monkeypatch):
+        # every demo station's family choice at B = 999, as report makes it
+        # (Tacuarembo's second stage included), with either kernel
+        def decisions():
+            out = []
+            for s in demo_dataset(seed=29):
+                seed = derive_seed(29, "gof", s.station_id)
+                decision = select_family(s.values, fit_mle(s.values, "free"), seed=seed)
+                out.append((s.station_id, decision.chosen, decision.gumbel_p, decision.second_p))
+            return out
+
+        new = decisions()
+        monkeypatch.setattr(gof, "_tcvm_rows", _tcvm_rows_cubes)
+        assert decisions() == new
+        assert sum(chosen != "gumbel" for _, chosen, _, _ in new) == 1
 
 
 class TestTcvmStatistic:
@@ -146,7 +222,8 @@ class TestBatchedBootstrap:
         assert res.p_value == _scalar_tcvm_p_value(x, family, 0.05, 99, seed)
 
     def test_blocks_equal_per_replicate_loop(self, monkeypatch):
-        # B = 300 is three refit blocks, the last one partial
+        # B = 300 is three refit blocks of 128, the last one partial
+        monkeypatch.setattr(gof, "_BLOCK_ROWS", 128)
         x = gev_sample(GUMBEL, 33, seed=22)
         kernel = gof._tcvm_rows
         statistics = []
@@ -168,7 +245,21 @@ class TestBatchedBootstrap:
         self._check_redraws(monkeypatch, B=99, replicate=7)
 
     def test_unconverged_row_in_last_partial_block_draws_again(self, monkeypatch):
+        monkeypatch.setattr(gof, "_BLOCK_ROWS", 128)  # replicate 290 is in the third block
         self._check_redraws(monkeypatch, B=300, replicate=290)
+
+    @pytest.mark.parametrize("family", ["gumbel", "frechet", "weibull"])
+    def test_p_value_independent_of_block_size(self, monkeypatch, family):
+        # B = 999 is one block of 1024 rows, or eight of 128
+        x = gev_sample(GevParams(80, 25, 0.1), 33, seed=23)
+        one = tcvm_test(x, family, B=999, seed=8)
+        monkeypatch.setattr(gof, "_BLOCK_ROWS", 128)
+        eight = tcvm_test(x, family, B=999, seed=8)
+        assert (eight.statistic, eight.p_value, eight.redraws) == (
+            one.statistic,
+            one.p_value,
+            one.redraws,
+        )
 
     def test_gumbel_bootstrap_far_from_zero_draws_once(self):
         # demo stations mapped to v/25 + 1e4, thousands of scales from 0: a

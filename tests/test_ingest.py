@@ -20,6 +20,8 @@ from rainmax.ingest import (
     ParseError,
     SkipEntry,
     ValidationError,
+    _quantiles,
+    _sorted_distinct,
     block_maxima,
     parse_daily_csv,
     read_series_csv,
@@ -317,6 +319,42 @@ class TestSummaryStats:
             rng_seed += 1
         s = AnnualMaximaSeries("melo_like", np.arange(1981, 2014), np.array(values[:33]), np.ones(33))
         assert summary_stats(s).maximum < 150.0
+
+
+class TestNumpyStandIns:
+    """``_quantiles`` and ``_sorted_distinct`` replace ``np.quantile``,
+    ``np.percentile`` and ``np.unique``, which import numpy.ma; numpy's own
+    functions are the oracle, bit for bit."""
+
+    QS = (
+        [0.25, 0.5, 0.75],
+        [0.75, 0.25],
+        np.round(np.arange(0.1, 0.91, 0.1), 10).tolist(),
+        [0.0, 1e-9, 0.999, 1.0],
+    )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_quantiles_equal_numpy_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        for trial in range(500):
+            n = int(rng.integers(1, 400))
+            v = [
+                rng.gumbel(80, 25, n),
+                np.round(rng.random(n) * 10),  # ties
+                np.exp(rng.normal(0, 30, n)),  # widely spread magnitudes
+                rng.random(n) * 1e-300,
+            ][trial % 4]
+            for q in (*self.QS, rng.random(5)):
+                want = np.quantile(v, q)
+                assert _quantiles(v, q).view(np.int64).tolist() == want.view(np.int64).tolist()
+            want = np.percentile(v, [25, 50, 75])
+            assert _quantiles(v, [0.25, 0.5, 0.75]).tolist() == want.tolist()
+
+    def test_sorted_distinct_equals_unique(self):
+        rng = np.random.default_rng(7)
+        for n in (0, 1, 2, 50):
+            for v in (rng.integers(0, 6, n), np.round(rng.random(n) * 4), rng.random(n)):
+                assert _sorted_distinct(v).tolist() == np.unique(v).tolist()
 
 
 class TestSeriesInvariants:
