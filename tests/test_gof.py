@@ -82,11 +82,9 @@ class TestTcvmKernel:
         # clipped to a point but the one that spans [delta, 1 - delta]
         n = 20
         X = np.stack([np.linspace(-9.0, -5.0, n), np.linspace(60.0, 70.0, n)])
-        ones = np.ones(2)
-        got = gof._tcvm_rows(X, 0.0 * ones, ones, 0.0 * ones, delta)
-        np.testing.assert_allclose(
-            got, _tcvm_rows_cubes(X, 0.0 * ones, ones, 0.0 * ones, delta), rtol=self.RTOL, atol=0
-        )
+        params = (np.zeros(2), np.ones(2), np.zeros(2))  # the standard Gumbel
+        got = gof._tcvm_rows(X, *params, delta)
+        np.testing.assert_allclose(got, _tcvm_rows_cubes(X, *params, delta), rtol=self.RTOL, atol=0)
         lo, hi = delta, 1.0 - delta
         for row, c in zip(got, (1.0, 0.0)):
             A, B = c - lo, c - hi
