@@ -317,7 +317,7 @@ def _cluster_params(fits: dict[str, FitResult], cfg: RunConfig, out: Path) -> cl
     features = cl.param_features(fits, standardize=cfg.standardize)
     dm = cl.euclidean_dm(features)
     # select_k checks kmax before any Ward cut is taken or file written
-    chosen = cl.select_k(dm=dm, method="silhouette", kmax=cfg.kmax)
+    chosen = cl.select_k(dm, kmax=cfg.kmax)
     with (cluster_dir / "params_distance.tsv").open("w", encoding="utf-8", newline="") as fh:
         cl.write_distance_tsv(dm, fh)
 
@@ -351,9 +351,9 @@ def _cluster_fmadogram(
     """F-madogram clustering outputs. Stations that share fewer than
     ``min_overlap`` years with others are left out and listed, with their
     short pairs, in ``fmadogram_excluded.json``."""
-    dm, excluded = cl.fmadogram_excluding_short(series, min_overlap=cfg.min_overlap)
+    dm, excluded = cl.fmadogram_dm(series, min_overlap=cfg.min_overlap)
     # select_k checks kmax before any file is written
-    chosen = cl.select_k(dm=dm, method="silhouette", kmax=cfg.kmax)
+    chosen = cl.select_k(dm, kmax=cfg.kmax)
     cluster_dir = out / "cluster"
     cluster_dir.mkdir(parents=True, exist_ok=True)
     payload = {"min_overlap": cfg.min_overlap, "excluded": excluded} if excluded else {}

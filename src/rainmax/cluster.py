@@ -12,7 +12,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -142,87 +142,34 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _year_overlap(
-    series: Sequence[AnnualMaximaSeries],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stations aligned once by :func:`~rainmax.ingest.year_matrix`:
-    the stations x years maxima, the mask of years present, and the years
-    each pair of stations shares (each station's own years on the diagonal)."""
-    _, values = year_matrix(series)
-    present = ~np.isnan(values)
-    counts = present.astype(np.int64)
-    return values, present, counts @ counts.T
-
-
-def _madogram_distances(
-    labels: tuple[str, ...], values: np.ndarray, present: np.ndarray
-) -> DistanceMatrix:
-    """A station ranked over all of its own years gives the same scaled
-    ranks in every such pair, so those are computed once per station and
-    kept (at most one array per station): every pair of a network whose
-    stations fill the same years. A pair whose common years leave out some
-    of a station's years ranks that station over the common years alone."""
-    n = len(labels)
-    d = np.zeros((n, n))
-    own_years = present.sum(axis=1)
-    own_ranks: dict[int, np.ndarray] = {}
-
-    def scaled_ranks(k: int, both: np.ndarray, m: int) -> np.ndarray:
-        if m < own_years[k]:
-            return _average_ranks(values[k, both]) / (m + 1)
-        if k not in own_ranks:
-            own_ranks[k] = _average_ranks(values[k, both]) / (m + 1)
-        return own_ranks[k]
-
-    for i, j in itertools.combinations(range(n), 2):
-        both = present[i] & present[j]
-        m = int(both.sum())
-        fi, fj = scaled_ranks(i, both, m), scaled_ranks(j, both, m)
-        d[i, j] = d[j, i] = 0.5 * float(np.abs(fi - fj).mean())
-    return DistanceMatrix(labels, d)
-
-
 def fmadogram_dm(
     series: Sequence[AnnualMaximaSeries],
     min_overlap: int = DEFAULT_MIN_OVERLAP,
-) -> DistanceMatrix:
-    """Pairwise F-madogram distances on common years.
-
-    A pair's common years are the years both stations fill
-    (``_year_overlap``). Each series is reduced to average ranks over the
-    shared years, scaled by 1/(n+1); the distance is half the mean absolute
-    difference of the two rank transforms, hence invariant under strictly
-    increasing maps. Pairs sharing fewer than ``min_overlap`` years have no
-    distance: one ValueError names every such pair with its overlap.
-    """
-    labels = tuple(s.station_id for s in series)
-    values, present, overlap = _year_overlap(series)
-    short = [
-        f"{labels[i]!r} and {labels[j]!r} share only {overlap[i, j]}"
-        for i, j in zip(*np.nonzero(np.triu(overlap < min_overlap, k=1)))
-    ]
-    if short:
-        raise ValueError(
-            f"{len(short)} station pair(s) share fewer than {min_overlap} years: "
-            + "; ".join(short)
-        )
-    return _madogram_distances(labels, values, present)
-
-
-def fmadogram_excluding_short(
-    series: Sequence[AnnualMaximaSeries],
-    min_overlap: int = DEFAULT_MIN_OVERLAP,
 ) -> tuple[DistanceMatrix, dict[str, dict[str, int]]]:
-    """F-madogram distances among the stations left once every pair shares
-    at least ``min_overlap`` years, and the stations left out, each with
-    its short pairs and their overlaps.
+    """Pairwise F-madogram distances on common years among the stations
+    left once every pair shares at least ``min_overlap`` years, and the
+    stations left out, each with its short pairs and their overlaps.
 
-    Each round leaves out the kept station in the most short pairs among
-    the kept stations; ties go to the station with fewer years, then to the
-    later one in input order. One alignment serves both steps.
+    The stations are aligned once by :func:`~rainmax.ingest.year_matrix`;
+    a pair's common years are the years both stations fill. Each round
+    leaves out the kept station in the most short pairs among the kept
+    stations; ties go to the station with fewer years, then to the later
+    one in input order.
+
+    Each series is reduced to average ranks over the shared years, scaled
+    by 1/(m+1); the distance is half the mean absolute difference of the
+    two rank transforms, hence invariant under strictly increasing maps.
+    A station ranked over all of its own years gives the same scaled ranks
+    in every such pair, so those are computed once per station and kept
+    (at most one array per station). A pair whose common years leave out
+    some of a station's years ranks that station over the common years
+    alone.
     """
     labels = [s.station_id for s in series]
-    values, present, overlap = _year_overlap(series)
+    _, values = year_matrix(series)
+    present = ~np.isnan(values)
+    filled = present.astype(np.int64)
+    overlap = filled @ filled.T  # each station's own years on the diagonal
     short = overlap < min_overlap
     np.fill_diagonal(short, False)
     kept = np.ones(len(labels), dtype=bool)
@@ -232,8 +179,25 @@ def fmadogram_excluding_short(
         pairs = np.flatnonzero(short[worst] & kept)
         excluded[labels[worst]] = {labels[j]: int(overlap[worst, j]) for j in pairs}
         kept[worst] = False
-    names = tuple(label for label, k in zip(labels, kept) if k)
-    return _madogram_distances(names, values[kept], present[kept]), excluded
+
+    stations = np.flatnonzero(kept)
+    d = np.zeros((stations.size, stations.size))
+    own_ranks: dict[int, np.ndarray] = {}
+
+    def scaled_ranks(k: int, both: np.ndarray, m: int) -> np.ndarray:
+        if m < overlap[k, k]:
+            return _average_ranks(values[k, both]) / (m + 1)
+        if k not in own_ranks:
+            own_ranks[k] = _average_ranks(values[k, both]) / (m + 1)
+        return own_ranks[k]
+
+    for a, b in itertools.combinations(range(stations.size), 2):
+        i, j = stations[a], stations[b]
+        both = present[i] & present[j]
+        m = int(overlap[i, j])
+        fi, fj = scaled_ranks(i, both, m), scaled_ranks(j, both, m)
+        d[a, b] = d[b, a] = 0.5 * float(np.abs(fi - fj).mean())
+    return DistanceMatrix(tuple(labels[i] for i in stations), d), excluded
 
 
 def extremal_coefficient(nu: float) -> ExtremalCoefficient:
@@ -506,50 +470,15 @@ def pseudo_f(features: FeatureMatrix, partition: Partition) -> float:
     return (r2 / (k - 1)) / ((1.0 - r2) / (n - k))
 
 
-def select_k(
-    *,
-    dm: DistanceMatrix | None = None,
-    features: FeatureMatrix | None = None,
-    method: str = "silhouette",
-    kmax: int = 7,
-) -> SelectKResult:
-    """Score K = 2..kmax and return the argmax with the full score table.
-
-    'silhouette' scores PAM partitions of the distance matrix (derived
-    from the features when only those are given); 'pseudo_f' scores Ward
-    cuts and requires features. Ties break toward the smallest K.
-    """
-    if method not in ("silhouette", "pseudo_f"):
-        raise ValueError(f"method must be 'silhouette' or 'pseudo_f', got {method!r}")
-    if method == "pseudo_f":
-        if features is None:
-            raise ValueError("pseudo_f scoring needs the feature matrix")
-        n = len(features.labels)
-    else:
-        if dm is None:
-            if features is None:
-                raise ValueError("need a distance matrix or features")
-            dm = euclidean_dm(features)
-        n = dm.n
-    if not 2 <= kmax <= n - 1:
-        raise ValueError(f"kmax must lie in [2, {n - 1}], got {kmax}")
-
-    scores: dict[int, float] = {}
-    partitions: dict[int, Partition] = {}
-    dendrogram = ward_cluster(features) if method == "pseudo_f" else None
-    for k in range(2, kmax + 1):
-        if method == "silhouette":
-            part = pam_cluster(dm, k)
-            scores[k] = float(part.mean_silhouette)
-        else:
-            part = dendrogram.cut(k)
-            scores[k] = pseudo_f(features, part)
-        partitions[k] = part
-    chosen = 2
-    for k in range(3, kmax + 1):
-        if scores[k] > scores[chosen]:
-            chosen = k
-    return SelectKResult(chosen_k=chosen, scores=scores, partitions=partitions)
+def select_k(dm: DistanceMatrix, kmax: int = 7) -> SelectKResult:
+    """Score the PAM partitions of ``dm`` for K = 2..kmax by mean
+    silhouette width and return the argmax, ties toward the smallest K,
+    with the full score table."""
+    if not 2 <= kmax <= dm.n - 1:
+        raise ValueError(f"kmax must lie in [2, {dm.n - 1}], got {kmax}")
+    partitions = {k: pam_cluster(dm, k) for k in range(2, kmax + 1)}
+    scores = {k: float(p.mean_silhouette) for k, p in partitions.items()}
+    return SelectKResult(chosen_k=max(scores, key=scores.get), scores=scores, partitions=partitions)
 
 
 def write_distance_tsv(dm: DistanceMatrix, stream: TextIO) -> None:
@@ -580,16 +509,3 @@ def singleton_stations(partition: Partition) -> list[str]:
     for cluster in partition.assignment.values():
         counts[cluster] = counts.get(cluster, 0) + 1
     return sorted(s for s, c in partition.assignment.items() if counts[c] == 1)
-
-
-def features_from_iterable(
-    labeled_rows: Iterable[tuple[str, Sequence[float]]],
-    standardize: bool = False,
-) -> FeatureMatrix:
-    """Build a FeatureMatrix from raw (station, (mu, sigma, xi)) rows."""
-    labels, rows = [], []
-    for label, row in labeled_rows:
-        labels.append(label)
-        rows.append(tuple(float(v) for v in row))
-    x = np.array(rows)
-    return FeatureMatrix(tuple(labels), _standardize(x) if standardize else x)

@@ -145,9 +145,13 @@ def gev_sample(params: GevParams, n: int, seed: int) -> np.ndarray:
     """``n`` inverse-transform draws, reproducible for a given seed."""
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    # rng.random can emit exactly 0.0, which the quantile rejects
+    return _quantile_sample(np.random.default_rng(seed).random(n), params)
+
+
+def _quantile_sample(u: np.ndarray, params: GevParams) -> np.ndarray:
+    """Inverse-transform draws from uniforms ``u``. ``Generator.random`` can
+    emit exactly 0.0, which the quantile rejects: it is raised, in place,
+    to the least positive double."""
     u[u == 0.0] = np.nextafter(0.0, 1.0)
     return np.asarray(gev_quantile(u, params))
 

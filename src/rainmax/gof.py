@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import FitError, FitResult, _fit_rows, fit_mle
-from .gev import GevParams, _gev_rows_cdf, _one_row, gev_quantile
+from .gev import GevParams, _gev_rows_cdf, _one_row, _quantile_sample
 from .seeding import derive_seed, derive_seeds, stream_uniforms
 
 FAMILIES = ("gumbel", "frechet", "weibull")
@@ -89,11 +89,6 @@ def tcvm_statistic(data: object, params: GevParams, delta: float = DEFAULT_DELTA
     return float(_tcvm_rows(x[None, :], *_one_row(params), delta)[0])
 
 
-def _to_sample(u: np.ndarray, params: GevParams) -> np.ndarray:
-    u[u == 0.0] = np.nextafter(0.0, 1.0)  # rng.random can emit exactly 0.0
-    return np.asarray(gev_quantile(u, params))
-
-
 def tcvm_test(
     data: object,
     family: str,
@@ -111,9 +106,10 @@ def tcvm_test(
     array pass (``derive_seeds``, ``stream_uniforms``), which the tests
     check bit for bit against numpy's generators. Replicates are refitted
     by the row kernel and scored by ``_tcvm_rows``, up to ``_BLOCK_ROWS``
-    rows per call, so B <= 1024 is one call of each; a row the kernel
-    cannot settle draws again from its stream (counted in ``redraws``), up
-    to 10 draws per replicate.
+    rows per call, so B <= 1024 is one call of each. The rows of a block
+    that the kernel cannot settle draw again together, each the next n
+    uniforms of its own stream (counted in ``redraws``), up to 10 draws per
+    replicate.
     """
     if B < _MIN_BOOTSTRAP:
         raise ValueError(f"bootstrap count must be at least {_MIN_BOOTSTRAP}, got {B}")
@@ -127,15 +123,22 @@ def tcvm_test(
     boot = np.empty(B)
     redraws = 0
     for start in range(0, B, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, B)
-        samples = _to_sample(uniforms[start:stop], fitted.params)
-        mu, sigma, xi, ok, _ = _fit_rows(samples, family)
-        boot[start:stop][ok] = _tcvm_rows(samples[ok], mu[ok], sigma[ok], xi[ok], delta)
-        for b in (start + np.flatnonzero(~ok)).tolist():
-            rng = np.random.default_rng([seeds[b]])
-            rng.random(n)  # step past the draw the block used
-            boot[b], extra = _redraw(rng, n, family, fitted.params, delta, b)
-            redraws += extra
+        rows = np.arange(start, min(start + _BLOCK_ROWS, B))
+        u = uniforms[rows]
+        for draw in range(1, 11):
+            samples = _quantile_sample(u, fitted.params)
+            mu, sigma, xi, ok, _ = _fit_rows(samples, family)
+            boot[rows[ok]] = _tcvm_rows(samples[ok], mu[ok], sigma[ok], xi[ok], delta)
+            rows = rows[~ok]
+            if not rows.size:
+                break
+            if draw == 10:
+                raise FitError(
+                    f"bootstrap replicate {rows[0]} failed to refit {family} after 10 draws"
+                )
+            # the next n uniforms of each unsettled row's own stream
+            redraws += rows.size
+            u = stream_uniforms([seeds[b] for b in rows], (draw + 1) * n)[:, draw * n :]
     p = (1.0 + float((boot >= observed).sum())) / (B + 1.0)
     return TestResult(
         statistic=observed,
@@ -146,25 +149,6 @@ def tcvm_test(
         redraws=redraws,
         fit=fitted,
     )
-
-
-def _redraw(
-    rng: np.random.Generator,
-    n: int,
-    family: str,
-    params: GevParams,
-    delta: float,
-    replicate: int,
-) -> tuple[float, int]:
-    """Draw again from a replicate's stream until the row kernel settles the
-    sample, up to 10 draws in all. Returns the statistic and the number of
-    extra draws."""
-    for extra in range(1, 10):
-        sample = _to_sample(rng.random((1, n)), params)
-        mu, sigma, xi, ok, _ = _fit_rows(sample, family)
-        if ok[0]:
-            return float(_tcvm_rows(sample, mu, sigma, xi, delta)[0]), extra
-    raise FitError(f"bootstrap replicate {replicate} failed to refit {family} after 10 draws")
 
 
 def lrt_gumbel_vs_gev(free: FitResult, gumbel: FitResult) -> TestResult:

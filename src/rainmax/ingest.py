@@ -19,7 +19,7 @@ from typing import BinaryIO, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .gev import GevParams, gev_quantile
+from .gev import GevParams, _quantile_sample
 from .seeding import derive_rng
 
 FIRST_SYNTH_YEAR = 1981
@@ -338,10 +338,7 @@ def synth_dataset(
     for station, params in spec:
         if not isinstance(params, GevParams):
             params = GevParams(*params)
-        rng = derive_rng(seed, "synth", station)
-        u = rng.random(years)
-        u[u == 0.0] = np.nextafter(0.0, 1.0)
-        values = np.asarray(gev_quantile(u, params))
+        values = _quantile_sample(derive_rng(seed, "synth", station).random(years), params)
         out.append(AnnualMaximaSeries(station, year_axis.copy(), values, np.ones(years)))
     return out
 

@@ -127,6 +127,27 @@ def _cumulative_rates(counts: np.ndarray, n_pairs: int) -> np.ndarray:
     return counts.cumsum(axis=-2).cumsum(axis=-1).astype(float) / n_pairs
 
 
+def _pair_bins(
+    ax: np.ndarray, ay: np.ndarray, q: np.ndarray, iu_r: np.ndarray, iu_c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Radius grids of two aligned series of length n, the int32 x and y
+    bins of the upper-triangle pairs (iu_r[k], iu_c[k]), and the y bins as
+    a flat n x n lookup by pair (i, j) in either order. A pair's bin is the
+    index of the first radius not below its distance, g beyond the top
+    radius; the lookup's diagonal, which no permuted pair reads, is 0."""
+
+    def bins(a: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+        d = np.abs(a[iu_r] - a[iu_c])
+        grid = _radius_grid(d, q, label)
+        return grid, np.searchsorted(grid, d, side="left").astype(np.int32)
+
+    (gx, ix), (gy, iy) = bins(ax, "x"), bins(ay, "y")
+    lookup = np.zeros((ax.size, ax.size), dtype=np.int32)
+    lookup[iu_r, iu_c] = iy
+    lookup[iu_c, iu_r] = iy
+    return gx, gy, ix, iy, lookup.ravel()
+
+
 def _recurrence_bins(
     x: object, y: object, quantiles: Sequence[float]
 ) -> tuple[int, int, GridDetail, Callable[[np.ndarray], np.ndarray]]:
@@ -157,16 +178,10 @@ def _recurrence_bins(
     gbins = g + 1
     n_pairs = n * (n - 1) // 2
 
-    dx_full = np.abs(ax[:, None] - ax[None, :])
-    dy_full = np.abs(ay[:, None] - ay[None, :])
     iu_r, iu_c = np.triu_indices(n, k=1)
-    gx = _radius_grid(dx_full[iu_r, iu_c], q, "x")
-    gy = _radius_grid(dy_full[iu_r, iu_c], q, "y")
-    ix = np.searchsorted(gx, dx_full[iu_r, iu_c], side="left").astype(np.int32)
-    iy_flat = np.searchsorted(gy, dy_full, side="left").astype(np.int32).ravel()
-    del dx_full, dy_full
+    gx, gy, ix, iy, iy_flat = _pair_bins(ax, ay, q, iu_r, iu_c)
 
-    counts = np.bincount(ix * gbins + iy_flat[iu_r * n + iu_c], minlength=gbins * gbins)
+    counts = np.bincount(ix * gbins + iy, minlength=gbins * gbins)
     cum = _cumulative_rates(counts.reshape(gbins, gbins), n_pairs)
     product = cum[:g, -1][:, None] * cum[-1, :g][None, :]
     deviations = np.abs(cum[:g, :g] - product)

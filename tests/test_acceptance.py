@@ -18,6 +18,7 @@ from scipy.stats import chi2
 from rainmax.cli import main
 from rainmax.cluster import (
     DistanceMatrix,
+    euclidean_dm,
     extremal_coefficient,
     fmadogram_dm,
     pam_cluster,
@@ -200,13 +201,16 @@ def test_criterion_5_fmadogram_calibration():
     start = time.perf_counter()
     base = synth_dataset([("a", GevParams(90, 20, 0.1))], years=40, seed=1)[0]
     twin = AnnualMaximaSeries("b", base.years, base.values.copy(), base.coverage)
-    assert fmadogram_dm([base, twin], min_overlap=10).values[0, 1] == 0.0
+    dm, excluded = fmadogram_dm([base, twin], min_overlap=10)
+    assert excluded == {} and dm.values[0, 1] == 0.0
 
     params = GevParams(100.0, 10.0, 0.0)
     distances, thetas = [], []
     for seed in range(20):
         pair = synth_dataset([("x", params), ("y", params)], years=10_000, seed=seed)
-        nu = float(fmadogram_dm(pair, min_overlap=10).values[0, 1])
+        dm, excluded = fmadogram_dm(pair, min_overlap=10)
+        assert excluded == {}
+        nu = float(dm.values[0, 1])
         distances.append(nu)
         thetas.append(extremal_coefficient(nu).raw)
     elapsed = time.perf_counter() - start
@@ -271,7 +275,7 @@ def test_criterion_7_model_selection_recovery():
         series = synth_dataset(spec, years=33, seed=derive_seed(7, "planted", s))
         fits = {sr.station_id: fit_mle(sr.values, "free") for sr in series}
         features = param_features(fits, standardize=True)
-        result = select_k(features=features, method="silhouette", kmax=6)
+        result = select_k(euclidean_dm(features), kmax=6)
         if result.chosen_k != 2:
             continue
         assignment = result.partitions[2].assignment
@@ -281,7 +285,8 @@ def test_criterion_7_model_selection_recovery():
 
     single = [(f"s{i:02d}", GevParams(85.0, 25.0, 0.05)) for i in range(20)]
     series = synth_dataset(single, years=33, seed=derive_seed(7, "single-pop"))
-    dm = fmadogram_dm(series, min_overlap=10)
+    dm, excluded = fmadogram_dm(series, min_overlap=10)
+    assert excluded == {}
     silhouettes = {k: float(pam_cluster(dm, k).mean_silhouette) for k in range(2, 8)}
     elapsed = time.perf_counter() - start
     flat = all(v < 0.3 for v in silhouettes.values())

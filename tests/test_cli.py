@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rainmax import cli, estimate, gof, recurrence
+from rainmax import cli, cluster, estimate, gof, recurrence
 from rainmax.cli import main, slugify
 from rainmax.demo import URUGUAY_STATION_PARAMS, demo_dataset
 from rainmax.estimate import fit_mle_rows, profile_ci_xi_rows
@@ -545,6 +545,22 @@ def test_cluster_checks_kmax_before_writing(tmp_path, capsys, kmax, method):
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["message"]) == ("ValueError", f"kmax must lie in [2, 19], got {kmax}")
     assert not any((out / "cluster").glob("*"))
+
+
+@pytest.mark.parametrize("command", [["cluster", "--method", "fmadogram"], ["report", *FAST]])
+def test_one_fmadogram_call_per_command(tmp_path, monkeypatch, command):
+    # every F-madogram distance comes from the one function the package
+    # exports, which is the function a traced run times
+    fmadogram_dm = cluster.fmadogram_dm
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fmadogram_dm(*args, **kwargs)
+
+    monkeypatch.setattr(cluster, "fmadogram_dm", counting)
+    assert main([*command, "--demo", "--seed", "29", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["diagnose", "report"])

@@ -17,11 +17,10 @@ from rainmax.cluster import (
     FeatureMatrix,
     Partition,
     _squared_distances,
+    _standardize,
     euclidean_dm,
     extremal_coefficient,
-    features_from_iterable,
     fmadogram_dm,
-    fmadogram_excluding_short,
     pam_cluster,
     pam_cost,
     param_features,
@@ -54,10 +53,10 @@ def _fit(params: GevParams) -> FitResult:
     )
 
 
-def _features(rows, standardize=False):
-    return features_from_iterable(
-        [(f"s{i:02d}", row) for i, row in enumerate(rows)], standardize=standardize
-    )
+def _features(rows, standardize=False, labels=None):
+    x = np.array(rows, dtype=float)
+    labels = tuple(f"s{i:02d}" for i in range(len(x))) if labels is None else tuple(labels)
+    return FeatureMatrix(labels, _standardize(x) if standardize else x)
 
 
 class TestParamFeatures:
@@ -79,9 +78,7 @@ class TestParamFeatures:
             f"s{i}": _fit(GevParams(80 + 3 * i, 20 + i, 0.01 * i)) for i in range(6)
         }
         once = param_features(fits, standardize=True)
-        twice = features_from_iterable(
-            zip(once.labels, once.values), standardize=True
-        )
+        twice = _features(once.values, standardize=True, labels=once.labels)
         np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
 
     def test_zero_variance_column_rejected(self):
@@ -138,55 +135,54 @@ class TestFmadogram:
     def test_identical_series_distance_zero(self):
         base = synth_dataset([("a", GevParams(80, 20, 0.1))], years=30, seed=1)[0]
         twin = _series("b", base.values)
-        dm = fmadogram_dm([base, twin], min_overlap=10)
+        dm, _ = fmadogram_dm([base, twin], min_overlap=10)
         assert dm.values[0, 1] == 0.0
 
     def test_increasing_transform_distance_zero(self):
         base = synth_dataset([("a", GevParams(80, 20, 0.1))], years=30, seed=2)[0]
         scaled = _series("b", 2.0 * base.values + 7.0)
-        dm = fmadogram_dm([base, scaled], min_overlap=10)
+        dm, _ = fmadogram_dm([base, scaled], min_overlap=10)
         assert dm.values[0, 1] == 0.0
 
     def test_independent_series_near_one_sixth(self):
         spec = [("a", GevParams(100, 10, 0.0)), ("b", GevParams(100, 10, 0.0))]
         series = synth_dataset(spec, years=10_000, seed=3)
-        dm = fmadogram_dm(series, min_overlap=10)
+        dm, _ = fmadogram_dm(series, min_overlap=10)
         assert dm.values[0, 1] == pytest.approx(1.0 / 6.0, abs=0.01)
 
     def test_entries_below_half(self):
         spec = [(f"s{i}", GevParams(90, 25, 0.05)) for i in range(6)]
-        dm = fmadogram_dm(synth_dataset(spec, years=33, seed=4))
+        dm, _ = fmadogram_dm(synth_dataset(spec, years=33, seed=4))
         assert np.all(dm.values < 0.5)
 
     def test_insufficient_overlap_names_pair(self):
         a = _series("alpha", [10.0, 20.0, 30.0], years=[1981, 1982, 1983])
         b = _series("beta", [10.0, 20.0, 30.0], years=[1990, 1991, 1992])
-        with pytest.raises(ValueError, match="alpha.*beta"):
-            fmadogram_dm([a, b], min_overlap=3)
+        # a tie in short pairs and in years goes to the later station
+        dm, excluded = fmadogram_dm([a, b], min_overlap=3)
+        assert excluded == {"beta": {"alpha": 0}}
+        assert dm.labels == ("alpha",)
 
-    def test_every_short_pair_named_in_one_error(self):
+    def test_every_short_pair_named_in_the_exclusions(self):
         full = [_series(f"full{i}", np.arange(1.0, 31.0) * (i + 1)) for i in range(2)]
         short_a = _series("shortA", np.arange(1.0, 9.0), years=np.arange(1981, 1989))
         short_b = _series("shortB", np.arange(1.0, 6.0), years=np.arange(2006, 2011))
-        with pytest.raises(ValueError) as err:
-            fmadogram_dm([full[0], short_a, full[1], short_b], min_overlap=10)
-        # every short pair, in station order
-        assert str(err.value) == "5 station pair(s) share fewer than 10 years: " + "; ".join(
-            [
-                "'full0' and 'shortA' share only 8",
-                "'full0' and 'shortB' share only 5",
-                "'shortA' and 'full1' share only 8",
-                "'shortA' and 'shortB' share only 0",
-                "'full1' and 'shortB' share only 5",
-            ]
-        )
+        dm, excluded = fmadogram_dm([full[0], short_a, full[1], short_b], min_overlap=10)
+        # shortA and shortB are in 3 short pairs each, and shortB has fewer
+        # years; every short pair is named once, under the station left out
+        assert list(excluded) == ["shortB", "shortA"]
+        assert excluded == {
+            "shortB": {"full0": 5, "shortA": 0, "full1": 5},
+            "shortA": {"full0": 8, "full1": 8},
+        }
+        assert dm.labels == ("full0", "full1")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gapped_series_match_per_pair_alignment(self, seed):
         from scipy.stats import rankdata
 
         series = gapped_network(seed)
-        dm = fmadogram_dm(series, min_overlap=10)
+        dm, _ = fmadogram_dm(series, min_overlap=10)
         for i, j in itertools.combinations(range(len(series)), 2):
             a, b = common_years(series[i], series[j])
             m = a.size
@@ -222,7 +218,7 @@ class TestFmadogram:
         # two stations fill every year the six gapped ones span
         spec = [(f"full{i}", GevParams(90.0, 20.0, 0.05)) for i in range(2)]
         series = gapped_network(4) + synth_dataset(spec, years=55, seed=26)
-        dm = fmadogram_dm(series, min_overlap=10)
+        dm, _ = fmadogram_dm(series, min_overlap=10)
 
         own = [s.years.size for s in series]
         own_once, per_pair = set(), []
@@ -264,7 +260,7 @@ class TestFmadogram:
         assert peak < 512 * 2**10
 
     def test_no_stations(self):
-        assert fmadogram_dm([]).values.shape == (0, 0)
+        assert fmadogram_dm([])[0].values.shape == (0, 0)
 
     def test_average_ranks_match_scipy_on_ties(self):
         from scipy.stats import rankdata
@@ -285,14 +281,14 @@ class TestFmadogram:
         rng = np.random.default_rng(9)
         spec = [("a", GevParams(85, 20, 0.0)), ("b", GevParams(95, 30, 0.1))]
         series = synth_dataset(spec, years=33, seed=5)
-        base = fmadogram_dm(series, min_overlap=10).values[0, 1]
+        base = fmadogram_dm(series, min_overlap=10)[0].values[0, 1]
         for _ in range(50):
             a, b = rng.uniform(0.2, 3.0, size=2)
             mapped = [
                 _series("a", a * np.exp(b * series[0].values / series[0].values.max())),
                 _series("b", series[1].values ** 1.7 + 5.0),
             ]
-            assert fmadogram_dm(mapped, min_overlap=10).values[0, 1] == pytest.approx(
+            assert fmadogram_dm(mapped, min_overlap=10)[0].values[0, 1] == pytest.approx(
                 base, abs=1e-15
             )
 
@@ -311,7 +307,7 @@ class TestFmadogramExcludingShort:
             _span("C", 2002, 2010),
             _span("D", 2002, 2010),
         ]
-        dm, excluded = fmadogram_excluding_short(series, min_overlap=10)
+        dm, excluded = fmadogram_dm(series, min_overlap=10)
         assert list(excluded) == ["D", "C"]
         assert excluded == {"D": {"A": 9, "B": 0, "C": 9}, "C": {"A": 9, "B": 0}}
         assert dm.labels == ("A", "B")
@@ -319,15 +315,15 @@ class TestFmadogramExcludingShort:
     def test_tie_goes_to_fewer_years(self):
         # every station is in 2 short pairs; B and C have 8 years, A 30
         series = [_span("A", 1981, 2010), _span("B", 1981, 1988), _span("C", 2003, 2010)]
-        dm, excluded = fmadogram_excluding_short(series, min_overlap=10)
+        dm, excluded = fmadogram_dm(series, min_overlap=10)
         assert excluded == {"C": {"A": 8, "B": 0}, "B": {"A": 8}}
         assert list(excluded) == ["C", "B"]
         assert dm.labels == ("A",)
 
     def test_nothing_to_exclude(self):
-        dm, excluded = fmadogram_excluding_short([_span("A", 1981, 1990)] * 2, min_overlap=10)
+        dm, excluded = fmadogram_dm([_span("A", 1981, 1990)] * 2, min_overlap=10)
         assert excluded == {} and dm.labels == ("A", "A")
-        dm, excluded = fmadogram_excluding_short([], min_overlap=10)
+        dm, excluded = fmadogram_dm([], min_overlap=10)
         assert excluded == {} and dm.values.shape == (0, 0)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -342,11 +338,12 @@ class TestFmadogramExcludingShort:
             return aligned(stations)
 
         monkeypatch.setattr(cluster_module, "year_matrix", counting)
-        dm, excluded = fmadogram_excluding_short(series, min_overlap=10)
+        dm, excluded = fmadogram_dm(series, min_overlap=10)
         assert calls == [len(series)]
         assert set(excluded) == {"S1", "S2"}
         kept = [s for s in series if s.station_id not in excluded]
-        ref = fmadogram_dm(kept, min_overlap=10)
+        ref, ref_excluded = fmadogram_dm(kept, min_overlap=10)
+        assert ref_excluded == {}
         assert dm.labels == ref.labels
         assert dm.values.tobytes() == ref.values.tobytes()
 
@@ -897,29 +894,19 @@ class TestSelectK:
             [rng.normal(0, 0.3, size=(8, 3)), rng.normal(6, 0.3, size=(8, 3))]
         )
         feats = _features([tuple(r) for r in rows])
-        result = select_k(features=feats, method="silhouette", kmax=5)
+        result = select_k(euclidean_dm(feats), kmax=5)
         assert result.chosen_k == 2
-
-    def test_pseudo_f_route(self):
-        rng = np.random.default_rng(23)
-        rows = np.vstack(
-            [rng.normal(0, 0.3, size=(8, 3)), rng.normal(6, 0.3, size=(8, 3))]
-        )
-        feats = _features([tuple(r) for r in rows])
-        result = select_k(features=feats, method="pseudo_f", kmax=5)
-        assert result.chosen_k == 2
-        assert set(result.scores) == {2, 3, 4, 5}
 
     def test_kmax_one_rejected(self):
         feats = _features([(float(i), 0, 0) for i in range(6)])
         with pytest.raises(ValueError):
-            select_k(features=feats, method="silhouette", kmax=1)
+            select_k(euclidean_dm(feats), kmax=1)
 
     def test_equidistant_matrix_flat_scores_tie_to_smallest_k(self):
         n = 6
         d = np.ones((n, n)) - np.eye(n)
         dm = DistanceMatrix(tuple(f"s{i:02d}" for i in range(n)), d)
-        result = select_k(dm=dm, method="silhouette", kmax=4)
+        result = select_k(dm, kmax=4)
         assert result.chosen_k == 2
         assert all(v == pytest.approx(0.0, abs=1e-12) for v in result.scores.values())
 

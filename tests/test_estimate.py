@@ -33,11 +33,11 @@ from rainmax.gev import (
     XI_EPS,
     GevParams,
     _gev_rows_loglik,
+    _quantile_sample,
     gev_quantile,
     gev_sample,
     log_likelihood,
 )
-from rainmax.gof import _to_sample
 from rainmax.seeding import derive_seed
 
 from _reference_fits import (
@@ -207,7 +207,7 @@ class TestFitMle:
         x = next(s.values for s in demo_dataset(seed=29) if s.station_id == "Trinidad")
         seed = derive_seed(derive_seed(29, "gof", "Trinidad"), "stage1")
         rng = np.random.default_rng([derive_seed(seed, "tcvm", "weibull", 413)])
-        sample = _to_sample(rng.random(x.size), fit_mle(x, "weibull").params)
+        sample = _quantile_sample(rng.random(x.size), fit_mle(x, "weibull").params)
         fit = fit_mle(sample, "weibull")
         assert -1.0 <= fit.params.xi < 0.0
         assert np.isfinite(fit.loglik)
@@ -360,7 +360,7 @@ class TestKernelAgainstOracle:
         x = next(s.values for s in demo_dataset(seed=29) if s.station_id == "Prado")
         seed = derive_seed(derive_seed(29, "gof", "Prado"), "stage1")
         rng = np.random.default_rng([derive_seed(seed, "tcvm", "weibull", 169)])
-        sample = _to_sample(rng.random(x.size), fit_mle(x, "weibull").params)
+        sample = _quantile_sample(rng.random(x.size), fit_mle(x, "weibull").params)
         fit = fit_mle(sample, "weibull")
         assert fit.loglik >= -155.7217
         assert fit.params.xi == -1.0 and fit.std_errors is None

@@ -10,7 +10,14 @@ import pytest
 from rainmax import gof
 from rainmax.demo import demo_dataset
 from rainmax.estimate import FitError, _fit_rows, fit_mle
-from rainmax.gev import GevParams, _gev_rows_cdf, gev_cdf, gev_quantile, gev_sample
+from rainmax.gev import (
+    GevParams,
+    _gev_rows_cdf,
+    _quantile_sample,
+    gev_cdf,
+    gev_quantile,
+    gev_sample,
+)
 from rainmax.gof import (
     fit_family,
     lrt_gumbel_vs_gev,
@@ -207,7 +214,7 @@ def _gumbel_bootstrap_statistics(x, seed, B=99):
     fitted = fit_family(x, "gumbel")
     for b in range(B):
         rng = np.random.default_rng([derive_seed(seed, "tcvm", "gumbel", b)])
-        sample = gof._to_sample(rng.random(x.size), fitted.params)
+        sample = _quantile_sample(rng.random(x.size), fitted.params)
         yield tcvm_statistic(sample, fit_family(sample, "gumbel").params)
 
 
@@ -269,6 +276,48 @@ class TestBatchedBootstrap:
             assert shifted.redraws == 0, s.station_id
             assert shifted.p_value == tcvm_test(x, "gumbel", B=199, seed=3).p_value, s.station_id
 
+    def test_unsettled_rows_of_a_block_draw_again_together(self, monkeypatch):
+        # replicate 7 fails its first two draws and replicate 30 its first:
+        # both draw again in one kernel call, then 7 alone
+        x = gev_sample(GUMBEL, 33, seed=21)
+        params = fit_family(x, "gumbel").params
+        fit_kernel, stat_kernel = gof._fit_rows, gof._tcvm_rows
+        samples, statistics = [], []
+
+        def failing_fit(rows, family):
+            mu, sigma, xi, converged, iterations = fit_kernel(rows, family)
+            samples.append(rows.copy())
+            converged[{1: [7, 30], 2: [0]}.get(len(samples), [])] = False
+            return mu, sigma, xi, converged, iterations
+
+        def recording_stat(*args):
+            statistics.append(stat_kernel(*args))
+            return statistics[-1]
+
+        monkeypatch.setattr(gof, "_fit_rows", failing_fit)
+        monkeypatch.setattr(gof, "_tcvm_rows", recording_stat)
+        res = tcvm_test(x, "gumbel", B=99, seed=4)
+        assert res.redraws == 3
+        assert [s.shape[0] for s in samples] == [99, 2, 1]
+
+        def draws(replicate, count):
+            rng = np.random.default_rng([derive_seed(4, "tcvm", "gumbel", replicate)])
+            return [_quantile_sample(rng.random(33), params) for _ in range(count)]
+
+        def statistic(sample):
+            return tcvm_statistic(sample, fit_family(sample, "gumbel").params)
+
+        seven, thirty = draws(7, 3), draws(30, 2)
+        np.testing.assert_array_equal(samples[1], np.stack([seven[1], thirty[1]]))
+        np.testing.assert_array_equal(samples[2], seven[2][None, :])
+        # observed, block, first redraw (30 settles), second redraw (7 settles)
+        assert [s.size for s in statistics] == [1, 97, 1, 1]
+        assert statistics[2][0] == statistic(thirty[1])
+        assert statistics[3][0] == statistic(seven[2])
+        expected = list(_gumbel_bootstrap_statistics(x, 4, B=99))
+        expected[7], expected[30] = statistic(seven[2]), statistic(thirty[1])
+        assert res.p_value == (1.0 + sum(b >= statistics[0][0] for b in expected)) / 100.0
+
     @staticmethod
     def _check_redraws(monkeypatch, B, replicate):
         x = gev_sample(GUMBEL, 33, seed=21)
@@ -292,7 +341,7 @@ class TestBatchedBootstrap:
         assert res.redraws == 2
         # each redraw is the replicate's next draw from its own stream
         rng = np.random.default_rng([derive_seed(4, "tcvm", "gumbel", replicate)])
-        draws = [gof._to_sample(rng.random(33), fit_family(x, "gumbel").params) for _ in range(3)]
+        draws = [_quantile_sample(rng.random(33), fit_family(x, "gumbel").params) for _ in range(3)]
         assert len(calls) == block + 3
         np.testing.assert_array_equal(calls[block][row], draws[0])
         np.testing.assert_array_equal(calls[block + 1][0], draws[1])

@@ -18,6 +18,7 @@ from rainmax.recurrence import (
     IndependenceResult,
     RecurrenceConfig,
     _aligned_pair,
+    _pair_bins,
     _radius_grid,
     independence_statistic,
     independence_test,
@@ -191,6 +192,21 @@ def _reference_deviations(counts, n_pairs, g):
     return np.abs(cum[:g, :g] - np.outer(rr_x, rr_y))
 
 
+def _reference_pair_bins(ax, ay, q):
+    """Radius grids and pair bins from full n x n distance matrices: the
+    x and y bins of the upper triangle in row-major order, and the y bins
+    of every (i, j), diagonal included."""
+    n = ax.size
+    dx_full = np.abs(ax[:, None] - ax[None, :])
+    dy_full = np.abs(ay[:, None] - ay[None, :])
+    iu_r, iu_c = np.triu_indices(n, k=1)
+    gx = _radius_grid(dx_full[iu_r, iu_c], q, "x")
+    gy = _radius_grid(dy_full[iu_r, iu_c], q, "y")
+    ix = np.searchsorted(gx, dx_full, side="left")[iu_r, iu_c]
+    iy_full = np.searchsorted(gy, dy_full, side="left")
+    return gx, gy, ix, iy_full[iu_r, iu_c], iy_full
+
+
 def _reference_independence_test(x, y, config):
     """The permutation test one permutation at a time: the oracle for the
     blocked bincount in independence_test."""
@@ -200,19 +216,14 @@ def _reference_independence_test(x, y, config):
     g = q.size
     gbins = g + 1
     n_pairs = n * (n - 1) // 2
-    dx_full = np.abs(ax[:, None] - ax[None, :])
-    dy_full = np.abs(ay[:, None] - ay[None, :])
     iu_r, iu_c = np.triu_indices(n, k=1)
-    gx = _radius_grid(dx_full[iu_r, iu_c], q, "x")
-    gy = _radius_grid(dy_full[iu_r, iu_c], q, "y")
-    ix = np.searchsorted(gx, dx_full, side="left")[iu_r, iu_c]
-    iy_full = np.searchsorted(gy, dy_full, side="left")
+    gx, gy, ix, iy, iy_full = _reference_pair_bins(ax, ay, q)
 
     def deviations_for(iy_pairs):
         counts = np.bincount(ix * gbins + iy_pairs, minlength=gbins * gbins)
         return _reference_deviations(counts.reshape(gbins, gbins), n_pairs, g)
 
-    deviations = deviations_for(iy_full[iu_r, iu_c])
+    deviations = deviations_for(iy)
     observed = float(deviations.max())
     rng = np.random.default_rng([derive_seed(config.seed, "recurrence-perm")])
     perms = rng.permuted(np.tile(np.arange(n), (config.permutations, 1)), axis=1)
@@ -228,6 +239,27 @@ def _reference_independence_test(x, y, config):
         seed=config.seed,
         n=n,
     )
+
+
+class TestPairBins:
+    @pytest.mark.parametrize("case", ["tied", "gapped"])
+    def test_bins_equal_full_matrix_reference(self, case):
+        # integer series with heavy ties, and every pair of a gapped
+        # network on its common years
+        if case == "tied":
+            rng = np.random.default_rng(38)
+            pairs = [rng.integers(0, k, size=(2, 40)).astype(float) for k in (3, 5, 12)]
+        else:
+            series = gapped_network(5)
+            pairs = [common_years(a, b) for i, a in enumerate(series) for b in series[i + 1 :]]
+        q = np.asarray(DEFAULT_QUANTILES)
+        for x, y in pairs:
+            iu_r, iu_c = np.triu_indices(x.size, k=1)
+            got = _pair_bins(x, y, q, iu_r, iu_c)
+            gx, gy, ix, iy, iy_full = _reference_pair_bins(x, y, q)
+            want = (gx, gy, ix.astype(np.int32), iy.astype(np.int32), iy_full.astype(np.int32).ravel())
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestIndependenceAgainstPermutationLoop:
