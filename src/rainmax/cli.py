@@ -95,28 +95,24 @@ def _check_slugs(series: Sequence[AnnualMaximaSeries]) -> None:
 
 
 def _dump_json(payload: object, path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _fit_payload(fit: FitResult) -> dict:
-    return {
-        "mu": fit.params.mu,
-        "sigma": fit.params.sigma,
-        "xi": fit.params.xi,
-        "method": fit.method,
-        "constraint": fit.constraint,
-        "loglik": fit.loglik,
-        "std_errors": list(fit.std_errors) if fit.std_errors is not None else None,
-        "converged": fit.converged,
-        "iterations": fit.iterations,
-    }
+def _format_optional(value: float | None) -> str:
+    """The number format of every CSV and TSV this module writes; ``None``
+    is an empty field."""
+    return "" if value is None else format(value, ".10g")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+def _write_csv(
+    path: Path, header: Sequence[str], rows: Iterable[Sequence[object]], delimiter: str = ","
+) -> None:
     """One CSV file with standard quoting, so a station id holding a comma
-    or a quote stays one field."""
+    or a quote stays one field. Its directory is made when missing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -163,8 +159,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
         series, skips = ingest.block_maxima(table, min_coverage=cfg.min_coverage)
     with (out / "series.csv").open("w", encoding="utf-8", newline="") as fh:
         ingest.write_series_csv(series, fh)
-    with (out / "skip_log.jsonl").open("w", encoding="utf-8") as fh:
-        ingest.write_skip_log(skips, fh)
+    skip_log = "".join(json.dumps(dataclasses.asdict(e), sort_keys=True) + "\n" for e in skips)
+    (out / "skip_log.jsonl").write_text(skip_log, encoding="utf-8")
     return 0
 
 
@@ -191,52 +187,52 @@ def _free_fits(
     return [s for s in series if s.station_id in fits], fits
 
 
-def _fit_all(
-    series: Sequence[AnnualMaximaSeries], fits: dict[str, FitResult], ci_level: float
-) -> dict[str, dict]:
-    """Each station's free fit with its profile interval, which reuses the
-    fit; all intervals come from one ``profile_ci_xi_rows`` call. A
-    station whose interval cannot be found gets null endpoints and a
-    ``ci_error`` reason instead of aborting the run."""
+def _fit_stage(
+    series: Sequence[AnnualMaximaSeries], fits: dict[str, FitResult], ci_level: float, out: Path
+) -> None:
+    """Each station's free fit with its profile interval, in ``fits.json``
+    and ``station_params.csv``. The intervals reuse the fits and come from
+    one ``profile_ci_xi_rows`` call. A station whose interval cannot be
+    found gets null endpoints and a ``ci_error`` reason instead of
+    aborting the run."""
     frees = [fits[s.station_id] for s in series]
     cis = profile_ci_xi_rows([s.values for s in series], ci_level, frees)
     results: dict[str, dict] = {}
     for s, free, ci in zip(series, frees, cis):
-        payload = _fit_payload(free)
+        payload = {
+            **dataclasses.asdict(free.params),
+            "method": free.method,
+            "constraint": free.constraint,
+            "loglik": free.loglik,
+            "std_errors": list(free.std_errors) if free.std_errors is not None else None,
+            "converged": free.converged,
+            "iterations": free.iterations,
+        }
         if isinstance(ci, FitError):
             payload.update(ci_lo=None, ci_hi=None, ci_level=ci_level, ci_error=str(ci))
         else:
             payload.update(ci_lo=ci.lower, ci_hi=ci.upper, ci_level=ci.level)
         results[s.station_id] = payload
-    return results
-
-
-def _format_optional(value: float | None) -> str:
-    return "" if value is None else format(value, ".10g")
-
-
-def _write_station_params_csv(fits: dict[str, dict], path: Path) -> None:
+    _dump_json(results, out / "fits.json")
     columns = ("mu", "sigma", "xi", "ci_lo", "ci_hi")
     rows = (
-        [station, *(_format_optional(row[c]) for c in columns)] for station, row in fits.items()
+        [station, *(_format_optional(row[c]) for c in columns)] for station, row in results.items()
     )
-    _write_csv(path, ["station", *columns], rows)
+    _write_csv(out / "station_params.csv", ["station", *columns], rows)
 
 
 def cmd_fit(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     series, fits = _free_fits(_load_series(cfg), out)
-    fit_rows = _fit_all(series, fits, cfg.ci_level)
-    _dump_json(fit_rows, out / "fits.json")
-    _write_station_params_csv(fit_rows, out / "station_params.csv")
+    _fit_stage(series, fits, cfg.ci_level, out)
     return 0
 
 
-def _gof_all(
-    series: Sequence[AnnualMaximaSeries], fits: dict[str, FitResult], cfg: RunConfig
-) -> tuple[dict[str, dict], dict[str, FitResult]]:
-    """Family choice and LRT per station from its free fit; returns the
-    rows and each station's fit of its chosen family."""
+def _gof_stage(
+    series: Sequence[AnnualMaximaSeries], fits: dict[str, FitResult], cfg: RunConfig, out: Path
+) -> dict[str, FitResult]:
+    """Family choice and LRT per station from its free fit, in ``gof.json``
+    and ``families.csv``; returns each station's fit of its chosen family."""
     results: dict[str, dict] = {}
     family_fits: dict[str, FitResult] = {}
     for s in series:
@@ -259,24 +255,20 @@ def _gof_all(
             "lrt_statistic": lrt.statistic,
             "lrt_p": lrt.p_value,
         }
-    return results, family_fits
-
-
-def _write_families_csv(results: dict[str, dict], path: Path) -> None:
+    _dump_json(results, out / "gof.json")
     pvalues = ("p_gumbel", "p_second")
     rows = (
         [station, row["family"], *(_format_optional(row[c]) for c in pvalues)]
         for station, row in results.items()
     )
-    _write_csv(path, ["station", "family", *pvalues], rows)
+    _write_csv(out / "families.csv", ["station", "family", *pvalues], rows)
+    return family_fits
 
 
 def cmd_gof(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     series, fits = _free_fits(_load_series(cfg), out)
-    results, _ = _gof_all(series, fits, cfg)
-    _dump_json(results, out / "gof.json")
-    _write_families_csv(results, out / "families.csv")
+    _gof_stage(series, fits, cfg, out)
     return 0
 
 
@@ -286,19 +278,24 @@ def _write_diagnostics(
     out: Path,
 ) -> None:
     """Per-station plot data under ``diagnostics/``, which is cleared first
-    so that no station directory is left from an earlier run."""
+    so that no station directory is left from an earlier run. Each plot is
+    an ``x,y`` CSV with a JSON sidecar naming its kind, station and
+    parameters."""
     root = out / "diagnostics"
     shutil.rmtree(root, ignore_errors=True)
     for s in series:
-        fit = fits[s.station_id]
+        params = fits[s.station_id].params
         station_dir = root / slugify(s.station_id)
-        station_dir.mkdir(parents=True, exist_ok=True)
-        for plot in diagnose.station_diagnostics(s.values, fit.params):
-            with (station_dir / f"{plot.kind}.csv").open("w", encoding="utf-8", newline="") as fh:
-                diagnose.write_plot_series(plot, fh)
-            (station_dir / f"{plot.kind}.json").write_text(
-                diagnose.plot_series_sidecar(plot, s.station_id, fit.params), encoding="utf-8"
-            )
+        for plot in diagnose.station_diagnostics(s.values, params):
+            rows = (map(_format_optional, xy) for xy in zip(plot.x.tolist(), plot.y.tolist()))
+            _write_csv(station_dir / f"{plot.kind}.csv", ["x", "y"], rows)
+            sidecar = {
+                "kind": plot.kind,
+                "station": s.station_id,
+                "params": dataclasses.asdict(params),
+                "n_points": len(plot.x),
+            }
+            _dump_json(sidecar, station_dir / f"{plot.kind}.json")
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:
@@ -310,38 +307,51 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     return 0
 
 
+def _partition_payload(partition: cl.Partition) -> dict:
+    return {
+        "K": partition.k,
+        "assignments": partition.assignment,
+        "medoids": list(partition.medoids) if partition.medoids is not None else None,
+        "mean_silhouette": partition.mean_silhouette,
+    }
+
+
+def _write_scores(scores: dict[int, float], path: Path) -> None:
+    _write_csv(path, ["K", "score"], ([k, _format_optional(scores[k])] for k in sorted(scores)))
+
+
+def _write_pam(dm: cl.DistanceMatrix, chosen: cl.SelectKResult, out: Path, method: str) -> None:
+    """The distance matrix (TSV), its silhouette table and its PAM
+    partitions, as ``cluster/<method>_{distance.tsv,silhouette.csv,pam.json}``."""
+    cluster_dir = out / "cluster"
+    rows = ([label, *map(_format_optional, values)] for label, values in zip(dm.labels, dm.values))
+    header = ["station", *dm.labels]
+    _write_csv(cluster_dir / f"{method}_distance.tsv", header, rows, delimiter="\t")
+    _write_scores(chosen.scores, cluster_dir / f"{method}_silhouette.csv")
+    partitions = {str(k): _partition_payload(p) for k, p in chosen.partitions.items()}
+    _dump_json(partitions, cluster_dir / f"{method}_pam.json")
+
+
 def _cluster_params(fits: dict[str, FitResult], cfg: RunConfig, out: Path) -> cl.Partition:
     """Parameter-space clustering outputs; returns the Ward 2-group cut."""
-    cluster_dir = out / "cluster"
-    cluster_dir.mkdir(parents=True, exist_ok=True)
     features = cl.param_features(fits, standardize=cfg.standardize)
     dm = cl.euclidean_dm(features)
     # select_k checks kmax before any Ward cut is taken or file written
     chosen = cl.select_k(dm, kmax=cfg.kmax)
-    with (cluster_dir / "params_distance.tsv").open("w", encoding="utf-8", newline="") as fh:
-        cl.write_distance_tsv(dm, fh)
+    _write_pam(dm, chosen, out, "params")
 
     dendrogram = cl.ward_cluster(features)
     cuts = {k: dendrogram.cut(k) for k in range(2, cfg.kmax + 1)}
     _dump_json(
         {
             "merges": [[a, b, h] for a, b, h in dendrogram.merges],
-            "cuts": {k: cl.partition_payload(p) for k, p in cuts.items()},
+            "cuts": {k: _partition_payload(p) for k, p in cuts.items()},
         },
-        cluster_dir / "params_dendrogram.json",
+        out / "cluster" / "params_dendrogram.json",
     )
-
-    with (cluster_dir / "params_silhouette.csv").open("w", encoding="utf-8", newline="") as fh:
-        cl.write_score_table(chosen.scores, fh)
-    _dump_json(
-        {str(k): cl.partition_payload(p) for k, p in chosen.partitions.items()},
-        cluster_dir / "params_pam.json",
-    )
-
     # the pseudo-F table scores the cuts written above
     scores = {k: cl.pseudo_f(features, p) for k, p in cuts.items()}
-    with (cluster_dir / "params_pseudo_f.csv").open("w", encoding="utf-8", newline="") as fh:
-        cl.write_score_table(scores, fh)
+    _write_scores(scores, out / "cluster" / "params_pseudo_f.csv")
     return cuts[2]
 
 
@@ -355,22 +365,14 @@ def _cluster_fmadogram(
     # select_k checks kmax before any file is written
     chosen = cl.select_k(dm, kmax=cfg.kmax)
     cluster_dir = out / "cluster"
-    cluster_dir.mkdir(parents=True, exist_ok=True)
     payload = {"min_overlap": cfg.min_overlap, "excluded": excluded} if excluded else {}
     _write_if_any(payload, cluster_dir / "fmadogram_excluded.json")
-    with (cluster_dir / "fmadogram_distance.tsv").open("w", encoding="utf-8", newline="") as fh:
-        cl.write_distance_tsv(dm, fh)
-    with (cluster_dir / "fmadogram_silhouette.csv").open("w", encoding="utf-8", newline="") as fh:
-        cl.write_score_table(chosen.scores, fh)
-    _dump_json(
-        {str(k): cl.partition_payload(p) for k, p in chosen.partitions.items()},
-        cluster_dir / "fmadogram_pam.json",
-    )
+    _write_pam(dm, chosen, out, "fmadogram")
     rows = []
     for i, j in itertools.combinations(range(dm.n), 2):
         nu = float(dm.values[i, j])
         coef = cl.extremal_coefficient(nu)
-        values = (format(v, ".10g") for v in (nu, coef.theta, coef.raw))
+        values = map(_format_optional, (nu, coef.theta, coef.raw))
         rows.append([dm.labels[i], dm.labels[j], *values])
     header = ["station_a", "station_b", "fmadogram", "theta", "theta_raw"]
     _write_csv(cluster_dir / "fmadogram_extremal.csv", header, rows)
@@ -390,14 +392,33 @@ def cmd_cluster(cfg: RunConfig) -> int:
 def _independence_report(
     series: Sequence[AnnualMaximaSeries], target: str, cfg: RunConfig, out: Path
 ) -> None:
-    indep_dir = out / "independence"
-    indep_dir.mkdir(parents=True, exist_ok=True)
+    """The target's pair table (CSV, empty statistics for a failed pair)
+    and its detail (JSON, the failure's reason or the radii grid) under
+    ``independence/``."""
     config = recurrence.RecurrenceConfig(permutations=cfg.permutations, seed=cfg.seed)
-    rows = recurrence.pairwise_independence_report(series, target, config)
-    slug = slugify(target)
-    with (indep_dir / f"{slug}.csv").open("w", encoding="utf-8", newline="") as fh:
-        recurrence.write_pair_report_csv(rows, fh)
-    _dump_json(recurrence.pair_report_payload(rows), indep_dir / f"{slug}.json")
+    table, detail = [], []
+    for row in recurrence.pairwise_independence_report(series, target, config):
+        entry: dict = {"target": row.target, "other": row.other, "n_common_years": row.n_common}
+        if row.result is None:
+            entry["error"] = row.error
+        else:
+            grid = row.result.grid
+            peak = divmod(int(grid.deviations.argmax()), grid.deviations.shape[1])
+            entry.update(
+                statistic=row.result.statistic,
+                p_value=row.result.p_value,
+                permutations=row.result.permutations,
+                x_radii=grid.x_radii.tolist(),
+                y_radii=grid.y_radii.tolist(),
+                max_deviation_at=list(peak),
+            )
+        detail.append(entry)
+        stats = map(_format_optional, (entry.get("statistic"), entry.get("p_value")))
+        table.append([row.target, row.other, *stats, row.n_common])
+    indep_dir, slug = out / "independence", slugify(target)
+    header = ["target", "other", "statistic", "p_value", "n_common_years"]
+    _write_csv(indep_dir / f"{slug}.csv", header, table)
+    _dump_json(detail, indep_dir / f"{slug}.json")
 
 
 def cmd_indep(cfg: RunConfig) -> int:
@@ -420,20 +441,15 @@ def cmd_report(cfg: RunConfig) -> int:
 
     with (out / "series.csv").open("w", encoding="utf-8", newline="") as fh:
         ingest.write_series_csv(series, fh)
-
-    fit_rows = _fit_all(series, fits, cfg.ci_level)
-    _dump_json(fit_rows, out / "fits.json")
-    _write_station_params_csv(fit_rows, out / "station_params.csv")
-
-    gof_rows, family_fits = _gof_all(series, fits, cfg)
-    _dump_json(gof_rows, out / "gof.json")
-    _write_families_csv(gof_rows, out / "families.csv")
-
+    _fit_stage(series, fits, cfg.ci_level, out)
+    family_fits = _gof_stage(series, fits, cfg, out)
     _write_diagnostics(series, family_fits, out)
 
     two_group = _cluster_params(fits, cfg, out)
     _cluster_fmadogram(series, cfg, out)
 
+    # the reports are the singletons' of this run: none is left from an earlier one
+    shutil.rmtree(out / "independence", ignore_errors=True)
     for station in cl.singleton_stations(two_group):
         _independence_report(series, station, cfg, out)
 
@@ -536,6 +552,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         out = cfg.out
+        # an envelope left by an earlier failed run would mark this run's
+        # output as partial
+        (Path(out) / "error.json").unlink(missing_ok=True)
         return _COMMANDS[args.command](cfg)
     except Exception as exc:  # noqa: BLE001 - CLI boundary emits an error envelope
         envelope = {"error": type(exc).__name__, "message": str(exc), "command": args.command}

@@ -8,11 +8,10 @@ scored by mean silhouette width and by a variance-ratio criterion.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence, TextIO
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -479,29 +478,6 @@ def select_k(dm: DistanceMatrix, kmax: int = 7) -> SelectKResult:
     partitions = {k: pam_cluster(dm, k) for k in range(2, kmax + 1)}
     scores = {k: float(p.mean_silhouette) for k, p in partitions.items()}
     return SelectKResult(chosen_k=max(scores, key=scores.get), scores=scores, partitions=partitions)
-
-
-def write_distance_tsv(dm: DistanceMatrix, stream: TextIO) -> None:
-    writer = csv.writer(stream, delimiter="\t", lineterminator="\n")
-    writer.writerow(["station", *dm.labels])
-    for i, label in enumerate(dm.labels):
-        writer.writerow([label, *(format(v, ".10g") for v in dm.values[i])])
-
-
-def write_score_table(scores: Mapping[int, float], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["K", "score"])
-    for k in sorted(scores):
-        writer.writerow([k, format(scores[k], ".10g")])
-
-
-def partition_payload(partition: Partition) -> dict:
-    return {
-        "K": partition.k,
-        "assignments": dict(sorted(partition.assignment.items())),
-        "medoids": list(partition.medoids) if partition.medoids is not None else None,
-        "mean_silhouette": partition.mean_silhouette,
-    }
 
 
 def singleton_stations(partition: Partition) -> list[str]:

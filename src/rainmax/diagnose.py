@@ -7,10 +7,7 @@ panels. Plotting positions are i/(n+1) throughout.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -133,20 +130,3 @@ def station_diagnostics(
     return [pp_points(data, params), qq_points(data, params), kde, model] + return_level_series(
         data, params
     )
-
-
-def write_plot_series(series: PlotSeries, stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["x", "y"])
-    for xv, yv in zip(series.x.tolist(), series.y.tolist()):
-        writer.writerow([format(xv, ".10g"), format(yv, ".10g")])
-
-
-def plot_series_sidecar(series: PlotSeries, station: str, params: GevParams) -> str:
-    payload = {
-        "kind": series.kind,
-        "station": station,
-        "params": {"mu": params.mu, "sigma": params.sigma, "xi": params.xi},
-        "n_points": len(series.x),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -11,10 +11,9 @@ import calendar
 import csv
 import datetime as dt
 import io
-import json
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -434,8 +433,3 @@ def read_series_csv(stream: TextIO) -> list[AnnualMaximaSeries]:
         years, values = zip(*sorted(year_values.items()))
         out.append(AnnualMaximaSeries(station, np.array(years), np.array(values), np.ones(len(years))))
     return out
-
-
-def write_skip_log(skips: Iterable[SkipEntry], stream: TextIO) -> None:
-    for entry in skips:
-        stream.write(json.dumps(asdict(entry), sort_keys=True) + "\n")

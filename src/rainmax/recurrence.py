@@ -9,9 +9,8 @@ permuting one series' time index.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -266,28 +265,25 @@ def independence_test(
 
 
 def pairwise_independence_report(
-    series: Sequence[AnnualMaximaSeries] | Mapping[str, AnnualMaximaSeries],
+    series: Sequence[AnnualMaximaSeries],
     target: str,
     config: RecurrenceConfig | None = None,
 ) -> list[PairReportRow]:
     """Test the target station against every other station on common years.
 
-    The stations are aligned once by :func:`~rainmax.ingest.year_matrix`;
-    each pair tests the years that both the target's row and the other
-    station's row fill.
+    ``series`` holds one entry per station; the rows follow its order,
+    leaving out the target. The stations are aligned once by
+    :func:`~rainmax.ingest.year_matrix`; each pair tests the years that
+    both the target's row and the other station's row fill.
 
     A failing pair is recorded with its error message rather than aborting
     the report.
     """
     config = config or RecurrenceConfig()
-    if isinstance(series, Mapping):
-        by_station = dict(series)
-    else:
-        by_station = {s.station_id: s for s in series}
-    if target not in by_station:
+    stations = [s.station_id for s in series]
+    if target not in stations:
         raise ValueError(f"target station {target!r} not present")
-    stations = list(by_station)
-    _, values = year_matrix(list(by_station.values()))
+    _, values = year_matrix(series)
     present = ~np.isnan(values)
     t = stations.index(target)
 
@@ -309,38 +305,3 @@ def pairwise_independence_report(
         except ValueError as exc:
             rows.append(PairReportRow(target, station, xv.size, None, error=str(exc)))
     return rows
-
-
-def write_pair_report_csv(rows: Sequence[PairReportRow], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["target", "other", "statistic", "p_value", "n_common_years"])
-    for row in rows:
-        stats = ["", ""]
-        if row.result is not None:
-            stats = [format(v, ".10g") for v in (row.result.statistic, row.result.p_value)]
-        writer.writerow([row.target, row.other, *stats, row.n_common])
-
-
-def pair_report_payload(rows: Sequence[PairReportRow]) -> list[dict]:
-    payload = []
-    for row in rows:
-        entry: dict = {"target": row.target, "other": row.other, "n_common_years": row.n_common}
-        if row.result is None:
-            entry["error"] = row.error
-        else:
-            entry.update(
-                statistic=row.result.statistic,
-                p_value=row.result.p_value,
-                permutations=row.result.permutations,
-                x_radii=row.result.grid.x_radii.tolist(),
-                y_radii=row.result.grid.y_radii.tolist(),
-                max_deviation_at=[
-                    int(v)
-                    for v in np.unravel_index(
-                        int(np.argmax(row.result.grid.deviations)),
-                        row.result.grid.deviations.shape,
-                    )
-                ],
-            )
-        payload.append(entry)
-    return payload

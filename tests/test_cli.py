@@ -18,7 +18,7 @@ from rainmax import cli, cluster, estimate, gof, recurrence
 from rainmax.cli import main, slugify
 from rainmax.demo import URUGUAY_STATION_PARAMS, demo_dataset
 from rainmax.estimate import fit_mle_rows, profile_ci_xi_rows
-from rainmax.gev import GevParams
+from rainmax.gev import GevParams, gev_sample
 from rainmax.ingest import synth_dataset, write_series_csv
 
 FAST = ["--bootstrap", "99", "--permutations", "99"]
@@ -225,7 +225,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("via_config", [False, True], ids=["default_out", "config_out"])
     def test_error_json_follows_the_resolved_out(self, tmp_path, capsys, monkeypatch, via_config):
-        # the params clustering writes out/cluster/ before select_k rejects kmax
+        # select_k rejects kmax before any file of the params clustering is
+        # written, so out/ holds error.json alone
         monkeypatch.chdir(tmp_path)
         args = ["cluster", "--demo", "--kmax", "25"]
         out = tmp_path / "out"
@@ -236,8 +237,18 @@ class TestErrors:
         assert main(args) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == "kmax must lie in [2, 19], got 25"
-        assert (out / "cluster").is_dir()
+        assert not (out / "cluster").exists()
         assert json.loads((out / "error.json").read_text()) == err
+
+    def test_success_removes_an_earlier_error_json(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["indep", "--demo", "--out", str(out), "--permutations", "99"]
+        assert main(args) == 1
+        envelope = json.loads((out / "error.json").read_text())
+        assert envelope["message"] == "--target is required for the independence report"
+        assert main([*args, "--target", "Melo"]) == 0
+        assert not (out / "error.json").exists()
+        assert (out / "independence" / "melo.csv").exists()
 
     def test_invalid_config_value(self, tmp_path, capsys):
         rc = main(["gof", "--demo", "--out", str(tmp_path / "o"), "--alpha", "1.5"])
@@ -536,6 +547,75 @@ class TestSubcommands:
         assert first == second
 
 
+class TestOutputLayout:
+    """The bytes of each output format, from the files a CLI run writes."""
+
+    def test_distance_tsv_layout(self, tmp_path, monkeypatch):
+        # three stations 5, 12 and 13 apart in feature space
+        rows = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 12.0]])
+        features = cluster.FeatureMatrix(("s00", "s01", "s02"), rows)
+        monkeypatch.setattr(cluster, "param_features", lambda fits, standardize: features)
+        series_csv = tmp_path / "series.csv"
+        _write_series(series_csv, n_stations=3)
+        out = tmp_path / "out"
+        assert main(["cluster", "--input", str(series_csv), "--out", str(out), "--kmax", "2"]) == 0
+        text = (out / "cluster" / "params_distance.tsv").read_text()
+        lines = text.strip().splitlines()
+        assert lines[0].split("\t") == ["station", "s00", "s01", "s02"]
+        assert lines[1].split("\t")[2] == "5"
+        assert lines[1:] == ["s00\t0\t5\t12", "s01\t5\t0\t13", "s02\t12\t13\t0"]
+        assert text == "\n".join(lines) + "\n"
+
+    def test_score_table_layout(self, tmp_path, monkeypatch):
+        # scores handed over out of K order: the table sorts them
+        select_k = cluster.select_k
+
+        def unordered_scores(dm, kmax):
+            return dataclasses.replace(select_k(dm, kmax=kmax), scores={3: 0.25, 2: 0.5})
+
+        monkeypatch.setattr(cluster, "select_k", unordered_scores)
+        series_csv = tmp_path / "series.csv"
+        _write_series(series_csv, n_stations=4)
+        out = tmp_path / "out"
+        assert main(["cluster", "--input", str(series_csv), "--out", str(out), "--kmax", "3"]) == 0
+        assert (out / "cluster" / "params_silhouette.csv").read_text() == "K,score\n2,0.5\n3,0.25\n"
+
+    def test_plot_csv_and_sidecar(self, tmp_path):
+        x = gev_sample(GevParams(80.0, 25.0, 0.0), 10, seed=16)
+        series_csv = tmp_path / "series.csv"
+        rows = "".join(f"Somewhere,{1990 + i},{v}\n" for i, v in enumerate(x.tolist()))
+        series_csv.write_text("station,year,max_mm\n" + rows)
+        out = tmp_path / "out"
+        assert main(["diagnose", "--input", str(series_csv), "--out", str(out)]) == 0
+        lines = (out / "diagnostics" / "somewhere" / "pp.csv").read_text().strip().splitlines()
+        assert lines[0] == "x,y"
+        assert len(lines) == 11
+        sidecar = (out / "diagnostics" / "somewhere" / "pp.json").read_text()
+        assert '"kind": "pp"' in sidecar and '"station": "Somewhere"' in sidecar
+
+    def test_pair_report_csv_layout(self, tmp_path):
+        spec = [(f"st{i:02d}", GevParams(90.0, 20.0, 0.05)) for i in range(6)]
+        series_csv = tmp_path / "series.csv"
+        with series_csv.open("w", encoding="utf-8", newline="") as fh:
+            write_series_csv(synth_dataset(spec, years=33, seed=13)[:3], fh)
+        out = tmp_path / "out"
+        args = ["indep", "--input", str(series_csv), "--out", str(out), "--target", "st00"]
+        assert main([*args, "--permutations", "99", "--seed", "5"]) == 0
+        lines = (out / "independence" / "st00.csv").read_text().strip().splitlines()
+        assert lines[0] == "target,other,statistic,p_value,n_common_years"
+        assert len(lines) == 3
+
+    def test_skip_log_json_lines(self, tmp_path):
+        # 1991 in full, then 183 of the 366 days of 1992: coverage 0.5
+        days = [dt.date(1991, 1, 1) + dt.timedelta(days=d) for d in range(365 + 183)]
+        daily = tmp_path / "daily.csv"
+        daily.write_text("station,date,precip_mm\n" + "".join(f"A,{d},{d.day}.5\n" for d in days))
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(daily), "--out", str(out)]) == 0
+        skip_log = (out / "skip_log.jsonl").read_text()
+        assert skip_log == '{"coverage": 0.5, "station": "A", "year": 1992}\n'
+
+
 @pytest.mark.parametrize("method", ["params", "fmadogram"])
 @pytest.mark.parametrize("kmax", [20, 25])
 def test_cluster_checks_kmax_before_writing(tmp_path, capsys, kmax, method):
@@ -626,6 +706,23 @@ class TestReport:
         assert len(rows) == 20  # header + 19 other stations
         cfg = json.loads((out / "run_config.json").read_text())
         assert cfg["seed"] == 29 and cfg["bootstrap"] == 99
+
+    def test_rerun_into_a_used_out_matches_a_fresh_run(self, tmp_path):
+        # seed 29 leaves one singleton in the 2-group cut and seed 1 none, so
+        # the second run must remove the first run's independence report
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["report", "--demo", "--seed", "29", "--out", str(reused), *FAST]) == 0
+        assert any((reused / "independence").iterdir())
+        for out in (reused, fresh):
+            assert main(["report", "--demo", "--seed", "1", "--out", str(out), *FAST]) == 0
+        trees = []
+        for out in (reused, fresh):
+            tree = _tree(out)
+            config = json.loads(tree.pop("run_config.json"))
+            assert config.pop("out") == str(out)
+            trees.append((tree, config))
+        assert trees[0] == trees[1]
+        assert not (fresh / "independence").exists()
 
     def test_report_fits_each_station_once(self, tmp_path, fit_counts):
         out = tmp_path / "report"

@@ -1,7 +1,6 @@
 """Clustering tests: brute-force oracles for every distance/partition/score
 operation, scipy cross-checks for Ward, exhaustive search for PAM."""
 
-import io
 import itertools
 import math
 import tracemalloc
@@ -29,8 +28,6 @@ from rainmax.cluster import (
     silhouette,
     singleton_stations,
     ward_cluster,
-    write_distance_tsv,
-    write_score_table,
 )
 from rainmax.demo import URUGUAY_STATION_PARAMS
 from rainmax.estimate import FitResult
@@ -909,19 +906,3 @@ class TestSelectK:
         result = select_k(dm, kmax=4)
         assert result.chosen_k == 2
         assert all(v == pytest.approx(0.0, abs=1e-12) for v in result.scores.values())
-
-
-class TestSerialization:
-    def test_distance_tsv_layout(self):
-        feats = _features([(0.0, 0, 0), (3.0, 4.0, 0)])
-        dm = euclidean_dm(feats)
-        buf = io.StringIO()
-        write_distance_tsv(dm, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0].split("\t") == ["station", "s00", "s01"]
-        assert lines[1].split("\t")[2] == "5"
-
-    def test_score_table_layout(self):
-        buf = io.StringIO()
-        write_score_table({3: 0.25, 2: 0.5}, buf)
-        assert buf.getvalue() == "K,score\n2,0.5\n3,0.25\n"

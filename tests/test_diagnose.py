@@ -1,19 +1,15 @@
 """Diagnostic-series tests: diagonal behavior on perfect data, trapezoid and
 consistency oracles for the density panel, return-curve geometry."""
 
-import io
-
 import numpy as np
 import pytest
 
 from rainmax.diagnose import (
     density_series,
-    plot_series_sidecar,
     pp_points,
     qq_points,
     return_level_series,
     station_diagnostics,
-    write_plot_series,
 )
 from rainmax.estimate import fit_mle
 from rainmax.gev import GevParams, gev_pdf, gev_quantile, gev_sample
@@ -132,18 +128,7 @@ class TestReturnLevelSeries:
         assert np.all(points.x > 1.0)
 
 
-class TestSerialization:
-    def test_csv_and_sidecar(self):
-        x = gev_sample(GUMBEL, 10, seed=16)
-        series = pp_points(x, GUMBEL)
-        buf = io.StringIO()
-        write_plot_series(series, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "x,y"
-        assert len(lines) == 11
-        sidecar = plot_series_sidecar(series, "Somewhere", GUMBEL)
-        assert '"kind": "pp"' in sidecar and '"station": "Somewhere"' in sidecar
-
+class TestStationDiagnostics:
     def test_station_bundle_has_all_kinds(self):
         x = gev_sample(GUMBEL, 20, seed=17)
         kinds = [s.kind for s in station_diagnostics(x, GUMBEL)]

@@ -28,7 +28,6 @@ from rainmax.ingest import (
     summary_stats,
     synth_dataset,
     write_series_csv,
-    write_skip_log,
     year_matrix,
 )
 
@@ -401,13 +400,6 @@ class TestSerialization:
         back = read_series_csv(io.StringIO(buf.getvalue()))
         assert back[0].station_id == "a st"
         np.testing.assert_allclose(back[0].values, series[0].values, rtol=1e-9)
-
-    def test_skip_log_json_lines(self):
-        from rainmax.ingest import SkipEntry
-
-        buf = io.StringIO()
-        write_skip_log([SkipEntry("A", 1990, 0.5)], buf)
-        assert buf.getvalue() == '{"coverage": 0.5, "station": "A", "year": 1990}\n'
 
     def test_series_repeated_station_year_names_line(self):
         text = "station,year,max_mm\nA,1990,1\nB,1990,3\nA,1990,2\n"

@@ -25,7 +25,6 @@ from rainmax.recurrence import (
     joint_rr,
     marginal_rr,
     pairwise_independence_report,
-    write_pair_report_csv,
 )
 
 from _reference_years import common_years, gapped_network
@@ -430,15 +429,3 @@ class TestPairwiseReport:
         assert by_station["lonely"].result is None
         assert by_station["lonely"].error is not None
         assert by_station["st01"].result is not None
-
-    def test_csv_layout(self):
-        import io
-
-        rows = pairwise_independence_report(
-            self._network()[:3], "st00", RecurrenceConfig(permutations=99, seed=5)
-        )
-        buf = io.StringIO()
-        write_pair_report_csv(rows, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "target,other,statistic,p_value,n_common_years"
-        assert len(lines) == 3
