@@ -421,26 +421,38 @@ def pam_cost(dm: DistanceMatrix, partition: Partition) -> float:
 
 
 def silhouette(dm: DistanceMatrix, partition: Partition) -> SilhouetteResult:
-    """Silhouette widths s = (b - a)/max(a, b); singletons score 0."""
+    """Silhouette widths s = (b - a)/max(a, b); singletons score 0.
+
+    Each cluster's columns are gathered into one C-ordered block, whose
+    row means are every station's mean distance to the cluster; the
+    members' rows without the diagonal give their a. A row mean of a
+    C-ordered block sums the same distances in the same order as a
+    per-station loop, so the widths keep that loop's bits (``d[:, rows]``
+    is not C-ordered, and its row sums round differently)."""
     if partition.k < 2:
         raise ValueError("silhouette requires at least 2 clusters")
-    labels = dm.labels
-    member = partition.labels_for(labels)
+    member = partition.labels_for(dm.labels)
     clusters = _sorted_distinct(member)
     d = dm.values
-    values: dict[str, float] = {}
-    for i, label in enumerate(labels):
-        own = np.flatnonzero(member == member[i])
-        if own.size == 1:
-            values[label] = 0.0
-            continue
-        a = float(d[i, own[own != i]].mean())
-        b = math.inf
-        for other in clusters[clusters != member[i]]:
-            b = min(b, float(d[i, member == other].mean()))
-        denom = max(a, b)
-        values[label] = 0.0 if denom == 0 else (b - a) / denom
-    return SilhouetteResult(values, float(np.mean(list(values.values()))))
+    n = member.size
+    a = np.zeros(n)
+    alone = np.zeros(n, dtype=bool)
+    to_other = np.empty((clusters.size, n))
+    for c, cluster in enumerate(clusters):
+        rows = np.flatnonzero(member == cluster)
+        to_other[c] = d.take(rows, axis=1).mean(axis=1)
+        to_other[c, rows] = np.inf
+        m = rows.size
+        if m == 1:
+            alone[rows] = True
+        else:
+            others = np.broadcast_to(rows, (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+            a[rows] = d[rows[:, None], others].mean(axis=1)
+    b = to_other.min(axis=0)
+    denom = np.maximum(a, b)
+    widths = np.zeros(n)
+    np.divide(b - a, denom, out=widths, where=~alone & (denom != 0))
+    return SilhouetteResult(dict(zip(dm.labels, widths.tolist())), float(np.mean(widths)))
 
 
 def pseudo_f(features: FeatureMatrix, partition: Partition) -> float:

@@ -9,6 +9,7 @@ permuting one series' time index.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -121,9 +122,16 @@ def _radius_grid(diffs_sample: np.ndarray, quantiles: np.ndarray, label: str) ->
 def _cumulative_rates(counts: np.ndarray, n_pairs: int) -> np.ndarray:
     """Cumulative pair rates of (..., rows, g+1) bin counts: entry (r, s)
     is the share of pairs with x bin <= r and y bin <= s. Leading axes are
-    independent tables, each computed with the same float operations as a
-    lone table."""
-    return counts.cumsum(axis=-2).cumsum(axis=-1).astype(float) / n_pairs
+    independent tables. The cumulative sums are products with
+    lower-triangular ones matrices: every partial sum is an integer count,
+    exact in float, so the bits are those of integer cumsums, whatever
+    tables are stacked together. The sums along each row of all tables
+    are one 2-D product, which numpy runs faster than a stacked one."""
+    rows, cols = counts.shape[-2:]
+    by_col = counts.reshape(-1, cols).astype(float) @ np.tri(cols).T
+    cum = np.tri(rows) @ by_col.reshape(counts.shape)
+    cum /= n_pairs
+    return cum
 
 
 def _pair_bins(
@@ -177,7 +185,8 @@ def _recurrence_bins(
     gbins = g + 1
     n_pairs = n * (n - 1) // 2
 
-    iu_r, iu_c = np.triu_indices(n, k=1)
+    # int32 halves the pair index every concurrent test holds (36 MB at n = 3000)
+    iu_r, iu_c = (i.astype(np.int32) for i in np.triu_indices(n, k=1))
     gx, gy, ix, iy, iy_flat = _pair_bins(ax, ay, q, iu_r, iu_c)
 
     counts = np.bincount(ix * gbins + iy, minlength=gbins * gbins)
@@ -264,6 +273,13 @@ def independence_test(
     )
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pairwise_independence_report(
     series: Sequence[AnnualMaximaSeries],
     target: str,
@@ -277,8 +293,12 @@ def pairwise_independence_report(
     both the target's row and the other station's row fill.
 
     A failing pair is recorded with its error message rather than aborting
-    the report.
+    the report. The pairs are tested on a thread pool with one thread per
+    CPU the process may use; each pair's seed derives from the station
+    ids, so the rows do not depend on the number of threads.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: only when used
+
     config = config or RecurrenceConfig()
     stations = [s.station_id for s in series]
     if target not in stations:
@@ -287,10 +307,8 @@ def pairwise_independence_report(
     present = ~np.isnan(values)
     t = stations.index(target)
 
-    rows: list[PairReportRow] = []
-    for j, station in enumerate(stations):
-        if j == t:
-            continue
+    def test_pair(j: int) -> PairReportRow:
+        station = stations[j]
         both = present[t] & present[j]
         xv, yv = values[t, both], values[j, both]
         pair_seed = derive_seed(config.seed, "indep", target, station)
@@ -301,7 +319,10 @@ def pairwise_independence_report(
         )
         try:
             result = independence_test(xv, yv, pair_config)
-            rows.append(PairReportRow(target, station, xv.size, result))
+            return PairReportRow(target, station, xv.size, result)
         except ValueError as exc:
-            rows.append(PairReportRow(target, station, xv.size, None, error=str(exc)))
-    return rows
+            return PairReportRow(target, station, xv.size, None, error=str(exc))
+
+    others = [j for j in range(len(stations)) if j != t]
+    with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(others)))) as pool:
+        return list(pool.map(test_pair, others))

@@ -795,6 +795,26 @@ def _silhouette_bruteforce(dm, assignment_by_index):
     return values
 
 
+def _silhouette_loop(dm, partition):
+    """The per-station loop that silhouette replaced: the bit-for-bit oracle."""
+    labels = dm.labels
+    member = partition.labels_for(labels)
+    d = dm.values
+    values = {}
+    for i, label in enumerate(labels):
+        own = np.flatnonzero(member == member[i])
+        if own.size == 1:
+            values[label] = 0.0
+            continue
+        a = float(d[i, own[own != i]].mean())
+        b = math.inf
+        for other in sorted(set(member.tolist()) - {member[i]}):
+            b = min(b, float(d[i, member == other].mean()))
+        denom = max(a, b)
+        values[label] = 0.0 if denom == 0 else (b - a) / denom
+    return values, float(np.mean(list(values.values())))
+
+
 class TestSilhouette:
     def test_well_separated_tight_clusters(self):
         rows = [(0.0, 0, 0), (0.1, 0, 0), (0.05, 0, 0), (10.0, 0, 0), (10.1, 0, 0), (10.07, 0, 0)]
@@ -821,6 +841,28 @@ class TestSilhouette:
                 [mine.per_station[lab] for lab in dm.labels], expected, atol=1e-12
             )
             assert all(-1.0 <= v <= 1.0 for v in expected)
+
+    @pytest.mark.parametrize("n", [9, 23, 60])
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_equals_per_station_loop_bit_for_bit(self, n, k):
+        # random partitions (some clusters singletons, labels not 1..k) and
+        # PAM partitions, on a random matrix and on one with tied and zero
+        # distances
+        rng = np.random.default_rng(100 * n + k)
+        tied = _random_dm(rng, n).values.round(0)
+        for values in (_random_dm(rng, n).values, tied * (tied > 3)):
+            dm = DistanceMatrix(tuple(f"s{i:02d}" for i in range(n)), values)
+            labels = rng.integers(0, k, size=n) * 3 + 5
+            labels[rng.choice(n, size=min(k, n // 3), replace=False)] = 100 + np.arange(min(k, n // 3))
+            parts = [Partition(k=k, assignment=dict(zip(dm.labels, labels.tolist()))), pam_cluster(dm, k)]
+            for part in parts:
+                got = silhouette(dm, part)
+                want_values, want_mean = _silhouette_loop(dm, part)
+                assert list(got.per_station) == list(want_values)
+                for label, v in want_values.items():
+                    assert got.per_station[label].hex() == v.hex()
+                assert got.mean.hex() == want_mean.hex()
+            assert any(v == 0.0 for v in silhouette(dm, parts[0]).per_station.values())
 
     def test_requires_two_clusters(self):
         dm = _random_dm(np.random.default_rng(19), 5)

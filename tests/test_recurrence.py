@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rainmax.recurrence as recurrence_module
 from rainmax.gev import GevParams
 from rainmax.seeding import derive_seed
 from rainmax.ingest import AnnualMaximaSeries, synth_dataset
@@ -18,6 +19,7 @@ from rainmax.recurrence import (
     IndependenceResult,
     RecurrenceConfig,
     _aligned_pair,
+    _cumulative_rates,
     _pair_bins,
     _radius_grid,
     independence_statistic,
@@ -189,6 +191,28 @@ def _reference_deviations(counts, n_pairs, g):
     rr_x = cum[:g, -1]
     rr_y = cum[-1, :g]
     return np.abs(cum[:g, :g] - np.outer(rr_x, rr_y))
+
+
+def _cumulative_rates_cumsum(counts, n_pairs):
+    """Integer cumulative sums over the last two axes: the form the
+    ones-matrix products of _cumulative_rates replaced."""
+    return counts.cumsum(axis=-2).cumsum(axis=-1).astype(float) / n_pairs
+
+
+class TestCumulativeRates:
+    @pytest.mark.parametrize(
+        "shape", [(10, 10), (9, 10), (20, 20), (37, 9, 10), (3, 4, 19, 20), (1, 1)]
+    )
+    def test_equals_integer_cumsums_bit_for_bit(self, shape):
+        # counts up to a full n = 3000 table's 4 498 500 pairs
+        rng = np.random.default_rng(sum(shape))
+        for high in (3, 1000, 4_498_500 // (shape[-2] * shape[-1])):
+            counts = rng.integers(0, high + 1, size=shape)
+            n_pairs = int(counts.sum(axis=(-2, -1)).max()) or 1
+            got = _cumulative_rates(counts, n_pairs)
+            want = _cumulative_rates_cumsum(counts, n_pairs)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def _reference_pair_bins(ax, ay, q):
@@ -412,6 +436,62 @@ class TestPairwiseReport:
             expected = independence_test(x, y, RecurrenceConfig(permutations=99, seed=seed))
             assert row.result.statistic == expected.statistic
             assert row.result.p_value == expected.p_value
+
+    @staticmethod
+    def _network_failing_in_the_middle():
+        # five pairs for target st00; the third, "lonely", shares 8 years
+        # with it, too few for a test
+        series = synth_dataset(
+            [(f"st{i:02d}", GevParams(90.0, 20.0, 0.05)) for i in range(5)], years=33, seed=17
+        )
+        lonely = AnnualMaximaSeries(
+            "lonely", np.arange(2005, 2013), np.linspace(50, 90, 8), np.ones(8)
+        )
+        return series[:3] + [lonely] + series[3:]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_pool_matches_serial_pair_loop(self, monkeypatch, workers):
+        monkeypatch.setattr(recurrence_module, "_usable_cpus", lambda: workers)
+        series = self._network_failing_in_the_middle()
+        config = RecurrenceConfig(permutations=199, seed=11)
+        rows = pairwise_independence_report(series, "st00", config)
+        others = series[1:]
+        assert [r.other for r in rows] == [s.station_id for s in others]
+        assert rows[2].other == "lonely" and rows[2].result is None
+        for row, other in zip(rows, others):
+            x, y = common_years(series[0], other)
+            seed = derive_seed(11, "indep", "st00", other.station_id)
+            assert (row.target, row.n_common) == ("st00", x.size)
+            try:
+                want = independence_test(x, y, RecurrenceConfig(permutations=199, seed=seed))
+            except ValueError as exc:
+                assert row.result is None and row.error == str(exc)
+                continue
+            got = row.result
+            assert row.error is None
+            assert (got.permutations, got.seed, got.n) == (want.permutations, want.seed, want.n)
+            assert got.statistic.hex() == want.statistic.hex()
+            assert got.p_value.hex() == want.p_value.hex()
+            for field in ("x_radii", "y_radii", "deviations"):
+                assert getattr(got.grid, field).tobytes() == getattr(want.grid, field).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_other_errors_in_a_pair_propagate(self, monkeypatch, workers):
+        # only ValueError becomes an error row; anything else raised in a
+        # pair, on whichever thread, ends the report
+        monkeypatch.setattr(recurrence_module, "_usable_cpus", lambda: workers)
+        failing_seed = derive_seed(5, "indep", "st00", "st03")
+
+        def independence_test_failing_once(x, y, config):
+            if config.seed == failing_seed:
+                raise RuntimeError("pair st03 failed")
+            return independence_test(x, y, config)
+
+        monkeypatch.setattr(recurrence_module, "independence_test", independence_test_failing_once)
+        with pytest.raises(RuntimeError, match="pair st03 failed"):
+            pairwise_independence_report(
+                self._network_failing_in_the_middle(), "st00", RecurrenceConfig(permutations=99, seed=5)
+            )
 
     def test_missing_target_rejected(self):
         with pytest.raises(ValueError, match="nowhere"):
