@@ -38,7 +38,6 @@ from .estimate import (
 )
 from .gev import (
     GevParams,
-    ReturnSpec,
     gev_cdf,
     gev_pdf,
     gev_quantile,
@@ -69,8 +68,6 @@ from .recurrence import (
     RecurrenceConfig,
     independence_statistic,
     independence_test,
-    joint_rr,
-    marginal_rr,
     pairwise_independence_report,
 )
 
@@ -91,7 +88,6 @@ __all__ = [
     "PlotSeries",
     "ProfileInterval",
     "RecurrenceConfig",
-    "ReturnSpec",
     "TestResult",
     "ValidationError",
     "block_maxima",
@@ -107,10 +103,8 @@ __all__ = [
     "gev_sample",
     "independence_statistic",
     "independence_test",
-    "joint_rr",
     "log_likelihood",
     "lrt_gumbel_vs_gev",
-    "marginal_rr",
     "pairwise_independence_report",
     "pam_cluster",
     "param_features",

@@ -162,8 +162,11 @@ def fmadogram_dm(
     in every such pair, so those are computed once per station and kept
     (at most one array per station). A pair whose common years leave out
     some of a station's years ranks that station over the common years
-    alone.
+    alone. One common year ranks both stations alike, so ``min_overlap``
+    must be at least 2.
     """
+    if min_overlap < 2:
+        raise ValueError(f"min_overlap must be at least 2, got {min_overlap}")
     labels = [s.station_id for s in series]
     _, values = year_matrix(series)
     present = ~np.isnan(values)

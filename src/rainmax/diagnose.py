@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gev import GevParams, gev_cdf, gev_pdf, gev_quantile
+from .gev import GevParams, gev_cdf, gev_pdf, gev_quantile, return_level
 from .ingest import _quantiles
 
 PLOT_KINDS = (
@@ -110,9 +110,8 @@ def return_level_series(data: object, params: GevParams) -> list[PlotSeries]:
         raise ValueError("data must be nonempty")
     pp = _plotting_positions(x.size)
     empirical = PlotSeries("return_points", 1.0 / (1.0 - pp), x)
-    curve_y = np.asarray(gev_quantile(1.0 - 1.0 / _RETURN_GRID, params))
-    gumbel_ref = GevParams(params.mu, params.sigma, 0.0)
-    line_y = np.asarray(gev_quantile(1.0 - 1.0 / _RETURN_GRID, gumbel_ref))
+    curve_y = return_level(_RETURN_GRID, params)
+    line_y = return_level(_RETURN_GRID, GevParams(params.mu, params.sigma, 0.0))
     return [
         empirical,
         PlotSeries("return_curve", _RETURN_GRID.copy(), curve_y),

@@ -33,15 +33,6 @@ class GevParams:
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
 
-    @property
-    def family(self) -> str:
-        """'frechet' for positive shape, 'weibull' for negative, else 'gumbel'."""
-        if self.xi > 0:
-            return "frechet"
-        if self.xi < 0:
-            return "weibull"
-        return "gumbel"
-
     def support(self) -> tuple[float, float]:
         """Interval outside which the density is zero."""
         if abs(self.xi) < XI_EPS:
@@ -50,30 +41,6 @@ class GevParams:
         if self.xi > 0:
             return (endpoint, np.inf)
         return (-np.inf, endpoint)
-
-
-@dataclass(frozen=True)
-class ReturnSpec:
-    """A return period in years paired with its yearly exceedance probability."""
-
-    period_years: float
-    exceedance_prob: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.exceedance_prob < 1.0:
-            raise ValueError("exceedance_prob must lie in (0, 1)")
-        if self.period_years <= 1.0:
-            raise ValueError("period_years must exceed 1")
-        if abs(self.period_years * self.exceedance_prob - 1.0) > 1e-9:
-            raise ValueError("period_years must equal 1 / exceedance_prob")
-
-    @classmethod
-    def from_period(cls, years: float) -> "ReturnSpec":
-        return cls(period_years=years, exceedance_prob=1.0 / years)
-
-    @classmethod
-    def from_prob(cls, p: float) -> "ReturnSpec":
-        return cls(period_years=1.0 / p, exceedance_prob=p)
 
 
 def _as_output(x: object, out: np.ndarray) -> float | np.ndarray:
@@ -136,9 +103,13 @@ def gev_quantile(p: object, params: GevParams) -> float | np.ndarray:
     return _as_output(p, out)
 
 
-def return_level(spec: ReturnSpec, params: GevParams) -> float:
-    """Level exceeded once per ``spec.period_years`` years on average."""
-    return float(gev_quantile(1.0 - spec.exceedance_prob, params))
+def return_level(period_years: object, params: GevParams) -> float | np.ndarray:
+    """Level exceeded once per ``period_years`` years on average: the
+    quantile at 1 - 1/T, for a period T > 1 or an array of them."""
+    t = np.asarray(period_years, dtype=float)
+    if not np.all(t > 1.0):
+        raise ValueError("return periods must exceed 1 year")
+    return gev_quantile(1.0 - 1.0 / t, params)
 
 
 def gev_sample(params: GevParams, n: int, seed: int) -> np.ndarray:

@@ -67,25 +67,21 @@ class DailyTable:
 
 @dataclass
 class AnnualMaximaSeries:
-    """Per-station yearly maxima with the coverage each year was built under."""
+    """Per-station yearly maxima, years ascending."""
 
     station_id: str
     years: np.ndarray
     values: np.ndarray
-    coverage: np.ndarray
 
     def __post_init__(self) -> None:
         self.years = np.asarray(self.years, dtype=int)
         self.values = np.asarray(self.values, dtype=float)
-        self.coverage = np.asarray(self.coverage, dtype=float)
-        if not (len(self.years) == len(self.values) == len(self.coverage)):
-            raise ValueError("years, values and coverage must have equal length")
+        if len(self.years) != len(self.values):
+            raise ValueError("years and values must have equal length")
         if len(self.years) and np.any(np.diff(self.years) <= 0):
             raise ValueError(f"years must be strictly increasing for {self.station_id}")
         if np.any(self.values <= 0):
             raise ValueError(f"annual maxima must be positive for {self.station_id}")
-        if np.any((self.coverage < 0) | (self.coverage > 1)):
-            raise ValueError(f"coverage must lie in [0, 1] for {self.station_id}")
 
     def __len__(self) -> int:
         return len(self.years)
@@ -300,7 +296,6 @@ def block_maxima(
         station = table.stations[i]
         years: list[int] = []
         maxima: list[float] = []
-        coverages: list[float] = []
         for offset in np.flatnonzero(seen[r]).tolist():
             year = first + offset
             coverage = count[r][offset] / (366 if calendar.isleap(year) else 365)
@@ -309,10 +304,9 @@ def block_maxima(
                 continue
             years.append(year)
             maxima.append(peak[r][offset])
-            coverages.append(coverage)
         if not years:
             raise ValidationError(f"station {station!r} has no year meeting the coverage threshold")
-        series.append(AnnualMaximaSeries(station, np.array(years), np.array(maxima), np.array(coverages)))
+        series.append(AnnualMaximaSeries(station, np.array(years), np.array(maxima)))
     return series, skipped
 
 
@@ -338,7 +332,7 @@ def synth_dataset(
         if not isinstance(params, GevParams):
             params = GevParams(*params)
         values = _quantile_sample(derive_rng(seed, "synth", station).random(years), params)
-        out.append(AnnualMaximaSeries(station, year_axis.copy(), values, np.ones(years)))
+        out.append(AnnualMaximaSeries(station, year_axis.copy(), values))
     return out
 
 
@@ -406,7 +400,7 @@ def write_series_csv(series: Iterable[AnnualMaximaSeries], stream: TextIO) -> No
 
 
 def read_series_csv(stream: TextIO) -> list[AnnualMaximaSeries]:
-    """Load series written by :func:`write_series_csv`; coverage is set to 1."""
+    """Load series written by :func:`write_series_csv`."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["station", "year", "max_mm"]:
@@ -431,5 +425,5 @@ def read_series_csv(stream: TextIO) -> list[AnnualMaximaSeries]:
     out = []
     for station, year_values in grouped.items():
         years, values = zip(*sorted(year_values.items()))
-        out.append(AnnualMaximaSeries(station, np.array(years), np.array(values), np.ones(len(years))))
+        out.append(AnnualMaximaSeries(station, np.array(years), np.array(values)))
     return out

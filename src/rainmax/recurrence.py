@@ -71,8 +71,7 @@ class PairReportRow:
 
 
 def _aligned_pair(x: object, y: object) -> tuple[np.ndarray, np.ndarray]:
-    ax = _as_series(x, _MIN_SERIES_LENGTH)
-    ay = _as_series(y, _MIN_SERIES_LENGTH)
+    ax, ay = _as_series(x), _as_series(y)
     if ax.size != ay.size:
         raise ValueError(f"series lengths differ: {ax.size} vs {ay.size}")
     if ax.size > _MAX_SERIES_LENGTH:
@@ -80,36 +79,13 @@ def _aligned_pair(x: object, y: object) -> tuple[np.ndarray, np.ndarray]:
     return ax, ay
 
 
-def _as_series(x: object, min_length: int = 2) -> np.ndarray:
+def _as_series(x: object) -> np.ndarray:
     arr = np.asarray(x, dtype=float).ravel()
-    if arr.size < min_length:
-        raise ValueError(f"series must have at least {min_length} points")
+    if arr.size < _MIN_SERIES_LENGTH:
+        raise ValueError(f"series must have at least {_MIN_SERIES_LENGTH} points")
     if not np.all(np.isfinite(arr)):
         raise ValueError("series must be finite")
     return arr
-
-
-def marginal_rr(x: object, r: float) -> float:
-    """Fraction of index pairs whose values lie within ``r`` of each other."""
-    arr = _as_series(x)
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    d = np.abs(arr[:, None] - arr[None, :])
-    iu = np.triu_indices(arr.size, k=1)
-    return float((d[iu] <= r).mean())
-
-
-def joint_rr(x: object, y: object, r: float, s: float) -> float:
-    """Fraction of index pairs recurrent in both series simultaneously."""
-    ax, ay = _as_series(x), _as_series(y)
-    if ax.size != ay.size:
-        raise ValueError(f"series lengths differ: {ax.size} vs {ay.size}")
-    if r < 0 or s < 0:
-        raise ValueError("radii must be nonnegative")
-    iu = np.triu_indices(ax.size, k=1)
-    dx = np.abs(ax[:, None] - ax[None, :])[iu]
-    dy = np.abs(ay[:, None] - ay[None, :])[iu]
-    return float(((dx <= r) & (dy <= s)).mean())
 
 
 def _radius_grid(diffs_sample: np.ndarray, quantiles: np.ndarray, label: str) -> np.ndarray:

@@ -27,5 +27,5 @@ def gapped_network(seed: int, stations: int = 6, years: int = 40) -> list[Annual
     for i, s in enumerate(synth_dataset(spec, years=years, seed=seed)):
         keep = rng.random(years) >= 0.25
         years_kept = (s.years + 3 * i)[keep]
-        out.append(AnnualMaximaSeries(s.station_id, years_kept, s.values[keep], s.coverage[keep]))
+        out.append(AnnualMaximaSeries(s.station_id, years_kept, s.values[keep]))
     return out

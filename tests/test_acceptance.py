@@ -200,7 +200,7 @@ def test_criterion_4_power_comparison_vs_lrt():
 def test_criterion_5_fmadogram_calibration():
     start = time.perf_counter()
     base = synth_dataset([("a", GevParams(90, 20, 0.1))], years=40, seed=1)[0]
-    twin = AnnualMaximaSeries("b", base.years, base.values.copy(), base.coverage)
+    twin = AnnualMaximaSeries("b", base.years, base.values.copy())
     dm, excluded = fmadogram_dm([base, twin], min_overlap=10)
     assert excluded == {} and dm.values[0, 1] == 0.0
 

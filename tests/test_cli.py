@@ -724,6 +724,20 @@ class TestReport:
         assert trees[0] == trees[1]
         assert not (fresh / "independence").exists()
 
+    def test_run_config_replays_the_run(self, tmp_path):
+        # run_config.json records the full configuration: fed back through
+        # --config with only a new --out, it writes the same files
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main(["report", "--demo", "--out", str(first), *FAST]) == 0
+        assert main(["report", "--config", str(first / "run_config.json"), "--out", str(replay)]) == 0
+        trees = []
+        for out in (first, replay):
+            tree = _tree(out)
+            config = json.loads(tree.pop("run_config.json"))
+            assert config.pop("out") == str(out)
+            trees.append((tree, config))
+        assert trees[0] == trees[1]
+
     def test_report_fits_each_station_once(self, tmp_path, fit_counts):
         out = tmp_path / "report"
         assert main(["report", "--demo", "--out", str(out), "--seed", "29", *FAST]) == 0

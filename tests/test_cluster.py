@@ -125,7 +125,7 @@ class TestEuclidean:
 def _series(station, values, years=None):
     values = np.asarray(values, dtype=float)
     years = np.arange(1981, 1981 + len(values)) if years is None else np.asarray(years)
-    return AnnualMaximaSeries(station, years, values, np.ones(len(values)))
+    return AnnualMaximaSeries(station, years, values)
 
 
 class TestFmadogram:
@@ -159,6 +159,17 @@ class TestFmadogram:
         dm, excluded = fmadogram_dm([a, b], min_overlap=3)
         assert excluded == {"beta": {"alpha": 0}}
         assert dm.labels == ("alpha",)
+
+    @pytest.mark.parametrize("min_overlap", [0, 1])
+    def test_min_overlap_below_two_rejected(self, min_overlap):
+        # one common year ranks both stations 1/2, a distance of 0 that
+        # reads as comonotone; no common year leaves an empty mean
+        a = _series("alpha", [10.0, 20.0, 30.0], years=[1981, 1982, 1983])
+        b = _series("beta", [30.0, 20.0, 10.0], years=[1983, 1984, 1985])
+        with pytest.raises(ValueError, match="min_overlap must be at least 2, got"):
+            fmadogram_dm([a, b], min_overlap=min_overlap)
+        _, excluded = fmadogram_dm([a, b], min_overlap=2)
+        assert excluded == {"beta": {"alpha": 1}}
 
     def test_every_short_pair_named_in_the_exclusions(self):
         full = [_series(f"full{i}", np.arange(1.0, 31.0) * (i + 1)) for i in range(2)]
@@ -244,9 +255,7 @@ class TestFmadogram:
         series = []
         for s in synth_dataset(spec, years=80, seed=27):
             keep = rng.random(80) >= 0.25
-            series.append(
-                AnnualMaximaSeries(s.station_id, s.years[keep], s.values[keep], s.coverage[keep])
-            )
+            series.append(AnnualMaximaSeries(s.station_id, s.years[keep], s.values[keep]))
         fmadogram_dm(series[:5])  # one-time imports and caches stay out of the peak
         tracemalloc.start()
         try:
@@ -292,7 +301,7 @@ class TestFmadogram:
 
 def _span(station, first, last):
     years = np.arange(first, last + 1)
-    return AnnualMaximaSeries(station, years, np.linspace(10.0, 50.0, years.size), np.ones(years.size))
+    return AnnualMaximaSeries(station, years, np.linspace(10.0, 50.0, years.size))
 
 
 class TestFmadogramExcludingShort:

@@ -14,7 +14,6 @@ from scipy.stats import genextreme
 from rainmax import gof
 from rainmax.gev import (
     GevParams,
-    ReturnSpec,
     _gev_rows_cdf,
     _gev_rows_loglik,
     _gumbel_rows_loglik,
@@ -42,29 +41,12 @@ class TestParams:
         with pytest.raises(ValueError):
             GevParams(0.0, 1.0, math.inf)
 
-    def test_family_classification(self):
-        assert GevParams(0, 1, 0.2).family == "frechet"
-        assert GevParams(0, 1, -0.2).family == "weibull"
-        assert GevParams(0, 1, 0.0).family == "gumbel"
-
     def test_support_endpoints(self):
         lo, hi = GevParams(0, 1, 0.5).support()
         assert lo == pytest.approx(-2.0) and hi == math.inf
         lo, hi = GevParams(0, 1, -0.5).support()
         assert lo == -math.inf and hi == pytest.approx(2.0)
         assert GUMBEL01.support() == (-math.inf, math.inf)
-
-
-class TestReturnSpec:
-    def test_period_prob_consistency(self):
-        spec = ReturnSpec.from_period(10.0)
-        assert spec.exceedance_prob == pytest.approx(0.1)
-        with pytest.raises(ValueError):
-            ReturnSpec(period_years=10.0, exceedance_prob=0.2)
-
-    def test_period_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            ReturnSpec.from_prob(1.5)
 
 
 class TestCdf:
@@ -176,18 +158,31 @@ class TestReturnLevel:
     def test_ten_year_level_from_reference_row(self):
         params = GevParams(70.25, 22.30, 0.0)
         expected = 70.25 + 22.30 * (-math.log(-math.log(0.9)))
-        got = return_level(ReturnSpec.from_period(10.0), params)
+        got = return_level(10.0, params)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(120.4332, abs=1e-3)
 
     def test_strictly_increasing_in_period(self):
         params = GevParams(80, 25, 0.1)
-        levels = [return_level(ReturnSpec.from_period(t), params) for t in (2, 5, 10, 50, 100)]
+        levels = [return_level(t, params) for t in (2, 5, 10, 50, 100)]
         assert all(a < b for a, b in zip(levels, levels[1:]))
+
+    def test_array_of_periods_matches_scalars(self):
+        params = GevParams(80, 25, -0.2)
+        periods = [1.5, 10.0, 100.0]
+        levels = return_level(np.array(periods), params)
+        assert isinstance(levels, np.ndarray)
+        assert levels.tolist() == [return_level(t, params) for t in periods]
+        assert isinstance(return_level(10.0, params), float)
+
+    @pytest.mark.parametrize("periods", [1.0, 0.5, -2.0, [10.0, 1.0]])
+    def test_period_must_exceed_one(self, periods):
+        with pytest.raises(ValueError, match="exceed 1"):
+            return_level(periods, GUMBEL01)
 
     def test_inverts_cdf_at_mode_probability(self):
         t = 1.0 / (1.0 - math.exp(-1.0))
-        assert return_level(ReturnSpec.from_period(t), GUMBEL01) == pytest.approx(0.0, abs=1e-12)
+        assert return_level(t, GUMBEL01) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSample:

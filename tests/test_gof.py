@@ -429,6 +429,17 @@ class TestSelectFamily:
         assert decision.chosen == "frechet"
         assert decision.second_p is not None
 
+    def test_zero_shape_routes_to_frechet(self):
+        # the second stage sends xi >= 0 to the Frechet side, xi = 0 exactly
+        # included: the one rule that maps a fitted shape to a family
+        x = gev_sample(GevParams(80, 25, 0.3), 33, seed=12)
+        free = fit_mle(x, "free")
+        zero = dataclasses.replace(free, params=dataclasses.replace(free.params, xi=0.0))
+        decision = select_family(x, zero, alpha=0.05, delta=0.05, B=199, seed=5)
+        assert decision.gumbel_p < 0.05, "construction must reject the first stage"
+        assert decision.chosen == "frechet"
+        assert decision.fit == fit_family(x, "frechet")
+
     def test_decision_carries_both_p_values(self):
         x = gev_sample(GevParams(80, 25, 0.3), 33, seed=12)
         decision = select_family(x, fit_mle(x, "free"), alpha=0.05, B=199, seed=5)

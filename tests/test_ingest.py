@@ -108,7 +108,6 @@ def _reference_block_maxima(records, min_coverage=0.8):
     for station in sorted(per_year):
         years: list[int] = []
         maxima: list[float] = []
-        coverages: list[float] = []
         for year in sorted(per_year[station]):
             present = per_year[station][year]
             days = 366 if calendar.isleap(year) else 365
@@ -118,10 +117,9 @@ def _reference_block_maxima(records, min_coverage=0.8):
                 continue
             years.append(year)
             maxima.append(max(present))
-            coverages.append(coverage)
         if not years:
             raise ValidationError(f"station {station!r} has no year meeting the coverage threshold")
-        series.append(AnnualMaximaSeries(station, np.array(years), np.array(maxima), np.array(coverages)))
+        series.append(AnnualMaximaSeries(station, np.array(years), np.array(maxima)))
     return series, skipped
 
 
@@ -257,9 +255,13 @@ class TestBlockMaxima:
             np.testing.assert_array_equal(a.values, b.values)
 
     def test_leap_year_uses_366_days(self):
-        body = _daily_rows("A", 1992, [1.0] * 366)  # 1992 is a leap year
-        series, _ = block_maxima(parse_daily_csv(_csv("station,date,precip_mm\n" + body + "\n")))
-        assert series[0].coverage[0] == pytest.approx(1.0)
+        # 1992 and 1996 are leap years: 366 days fill them, 365 do not
+        years = [(1992, 366), (1993, 365), (1996, 365)]
+        body = "\n".join(_daily_rows("A", year, [1.0] * days) for year, days in years)
+        table = parse_daily_csv(_csv("station,date,precip_mm\n" + body + "\n"))
+        series, skipped = block_maxima(table, min_coverage=1.0)
+        assert series[0].years.tolist() == [1992, 1993]
+        assert skipped == [SkipEntry("A", 1996, 365 / 366)]
 
     def test_min_coverage_domain(self):
         with pytest.raises(ValueError):
@@ -298,12 +300,12 @@ class TestSynthDataset:
 
 class TestSummaryStats:
     def test_all_equal(self):
-        s = AnnualMaximaSeries("A", [1990], [10.0], [1.0])
+        s = AnnualMaximaSeries("A", [1990], [10.0])
         out = summary_stats(s)
         assert (out.minimum, out.q1, out.median, out.q3, out.maximum, out.mean) == (10.0,) * 6
 
     def test_small_sample(self):
-        s = AnnualMaximaSeries("A", [1, 2, 3, 4, 5], [1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 5)
+        s = AnnualMaximaSeries("A", [1, 2, 3, 4, 5], [1.0, 2.0, 3.0, 4.0, 5.0])
         out = summary_stats(s)
         assert (out.minimum, out.median, out.maximum) == (1.0, 3.0, 5.0)
 
@@ -316,7 +318,7 @@ class TestSummaryStats:
             draw = synth_dataset([("melo_like", params)], years=50, seed=rng_seed)[0].values
             values.extend(v for v in draw if v < 150.0)
             rng_seed += 1
-        s = AnnualMaximaSeries("melo_like", np.arange(1981, 2014), np.array(values[:33]), np.ones(33))
+        s = AnnualMaximaSeries("melo_like", np.arange(1981, 2014), np.array(values[:33]))
         assert summary_stats(s).maximum < 150.0
 
 
@@ -359,16 +361,15 @@ class TestNumpyStandIns:
 class TestSeriesInvariants:
     def test_years_strictly_increasing(self):
         with pytest.raises(ValueError):
-            AnnualMaximaSeries("A", [1990, 1990], [1.0, 2.0], [1.0, 1.0])
+            AnnualMaximaSeries("A", [1990, 1990], [1.0, 2.0])
 
     def test_positive_maxima(self):
         with pytest.raises(ValueError):
-            AnnualMaximaSeries("A", [1990], [0.0], [1.0])
+            AnnualMaximaSeries("A", [1990], [0.0])
 
-    def test_coverage_bounds(self):
-        with pytest.raises(ValueError):
-            AnnualMaximaSeries("A", [1990], [1.0], [1.2])
-
+    def test_equal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            AnnualMaximaSeries("A", [1990, 1991], [1.0])
 
 class TestYearMatrix:
     @pytest.mark.parametrize("seed", range(3))
@@ -458,7 +459,7 @@ def _oracle_file(seed: int) -> bytes:
 
 
 def _series_key(series):
-    return [(s.station_id, s.years.tolist(), s.values.tolist(), s.coverage.tolist()) for s in series]
+    return [(s.station_id, s.years.tolist(), s.values.tolist()) for s in series]
 
 
 class TestColumnarOracle:

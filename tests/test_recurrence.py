@@ -1,5 +1,6 @@
-"""Recurrence-rate tests: brute-force oracles for the rates, factorization
-and inequality properties, permutation determinism, report plumbing."""
+"""Recurrence-rate tests: brute-force oracles for the kernel's rates, its
+pair bins and the permutation test, factorization, inequality and
+invariance properties, permutation determinism, report plumbing."""
 
 import tracemalloc
 
@@ -24,69 +25,100 @@ from rainmax.recurrence import (
     _radius_grid,
     independence_statistic,
     independence_test,
-    joint_rr,
-    marginal_rr,
     pairwise_independence_report,
 )
 
 from _reference_years import common_years, gapped_network
 
 
+def _kernel_rates(x, y, quantiles=DEFAULT_QUANTILES):
+    """The kernel's radius grids, x pair bins and cumulative recurrence
+    rates of two aligned series: entry (r, s) of the (g+1, g+1) table is
+    the share of pairs within x radius r and y radius s, and its last
+    column and row, beyond the top radii, are the x and y marginal rates."""
+    ax, ay = _aligned_pair(x, y)
+    q = np.asarray(quantiles, dtype=float)
+    iu_r, iu_c = np.triu_indices(ax.size, k=1)
+    gx, gy, ix, iy, _ = _pair_bins(ax, ay, q, iu_r, iu_c)
+    gbins = q.size + 1
+    counts = np.bincount(ix * gbins + iy, minlength=gbins * gbins)
+    return gx, gy, ix, _cumulative_rates(counts.reshape(gbins, gbins), iu_r.size)
+
+
+# constant but for three points: a constant series has no radius grid, and
+# this one's single nonzero distance is every radius
+_NEAR_CONSTANT = np.array([5.0] * 30 + [6.0] * 3)
+
+
 class TestMarginalRate:
     def test_constant_series_saturates(self):
-        assert marginal_rr([5.0] * 8, 0.0) == 1.0
+        y = np.random.default_rng(1).random(33)
+        gx, _, _, cum = _kernel_rates(_NEAR_CONSTANT, y)
+        assert np.all(gx == 1.0)
+        assert np.all(cum[:-1, -1] == 1.0)
 
     def test_two_far_points(self):
-        assert marginal_rr([0.0, 10.0], 1.0) == 0.0
+        # the pair of the two far points, the last of the upper triangle,
+        # lies beyond the top radius and recurs at none
+        x = np.r_[np.linspace(0.0, 1.0, 18), -50.0, 50.0]
+        gx, _, ix, cum = _kernel_rates(x, np.random.default_rng(2).random(20))
+        assert gx[-1] < 100.0
+        assert ix[-1] == gx.size
+        assert cum[-2, -1] < 1.0
 
     def test_max_distance_radius_saturates(self):
+        # a pair exactly at the radius recurs: the largest distance as the
+        # top radius takes in every pair
         rng = np.random.default_rng(1)
         x = rng.random(25)
-        r = float(np.abs(x[:, None] - x[None, :]).max())
-        assert marginal_rr(x, r) == 1.0
+        gx, _, _, cum = _kernel_rates(x, rng.random(25), quantiles=(0.5, 1.0))
+        assert gx[-1] == np.abs(x[:, None] - x[None, :]).max()
+        assert cum[0, -1] < 1.0 and cum[1, -1] == 1.0
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            marginal_rr([1.0, 2.0], -0.1)
+        # a radius is set by its quantile of the pair distances, and one
+        # below 0 names none
+        with pytest.raises(ValueError, match=r"inside \(0, 1\)"):
+            RecurrenceConfig(radius_quantiles=(-0.1, 0.5))
 
 
 class TestJointRate:
     def test_perfect_coupling(self):
-        rng = np.random.default_rng(2)
-        x = rng.random(20)
-        assert joint_rr(x, x, 0.2, 0.2) == marginal_rr(x, 0.2)
+        x = np.random.default_rng(2).random(20)
+        gx, gy, _, cum = _kernel_rates(x, x.copy())
+        assert gx.tobytes() == gy.tobytes()
+        np.testing.assert_array_equal(np.diag(cum)[:-1], cum[:-1, -1])
 
     def test_constant_series_factorizes(self):
-        rng = np.random.default_rng(3)
-        y = rng.random(15)
-        assert joint_rr([7.0] * 15, y, 0.0, 0.3) == marginal_rr(y, 0.3)
+        y = np.random.default_rng(3).random(33)
+        _, _, _, cum = _kernel_rates(_NEAR_CONSTANT, y)
+        np.testing.assert_array_equal(cum[:-1, :-1], np.tile(cum[-1, :-1], (cum.shape[0] - 1, 1)))
 
     def test_matches_bruteforce_double_loop(self):
+        # integer series: their radii are pair distances, which recur
         rng = np.random.default_rng(4)
-        x, y = rng.random(20), rng.random(20)
-        r, s = 0.25, 0.4
-        count = 0
-        pairs = 0
-        for i in range(20):
-            for j in range(i + 1, 20):
-                pairs += 1
-                count += abs(x[i] - x[j]) <= r and abs(y[i] - y[j]) <= s
-        assert joint_rr(x, y, r, s) == count / pairs
+        x, y = rng.integers(0, 6, size=(2, 20)).astype(float)
+        gx, gy, _, cum = _kernel_rates(x, y)
+        pairs = [(abs(x[i] - x[j]), abs(y[i] - y[j])) for i in range(20) for j in range(i + 1, 20)]
+        for a, r in enumerate(gx):
+            for b, s in enumerate(gy):
+                count = sum(dx <= r and dy <= s for dx, dy in pairs)
+                assert cum[a, b] == count / len(pairs)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            joint_rr([1.0, 2.0], [1.0, 2.0, 3.0], 0.1, 0.1)
+        with pytest.raises(ValueError, match="lengths differ"):
+            independence_statistic(np.arange(10.0), np.arange(11.0))
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        r=st.floats(0.0, 2.0),
-        s=st.floats(0.0, 2.0),
-    )
-    def test_joint_bounded_by_marginals(self, seed, r, s):
+    @given(seed=st.integers(0, 10_000), ties=st.booleans())
+    def test_joint_bounded_by_marginals(self, seed, ties):
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=12), rng.normal(size=12)
-        assert joint_rr(x, y, r, s) <= min(marginal_rr(x, r), marginal_rr(y, s)) + 1e-12
+        if ties:
+            x, y = np.round(4.0 * x), np.round(4.0 * y)
+        _, _, _, cum = _kernel_rates(x, y)
+        joint = cum[:-1, :-1]
+        assert np.all(joint <= np.minimum.outer(cum[:-1, -1], cum[-1, :-1]))
 
 
 class TestIndependenceStatistic:
@@ -444,9 +476,7 @@ class TestPairwiseReport:
         series = synth_dataset(
             [(f"st{i:02d}", GevParams(90.0, 20.0, 0.05)) for i in range(5)], years=33, seed=17
         )
-        lonely = AnnualMaximaSeries(
-            "lonely", np.arange(2005, 2013), np.linspace(50, 90, 8), np.ones(8)
-        )
+        lonely = AnnualMaximaSeries("lonely", np.arange(2005, 2013), np.linspace(50, 90, 8))
         return series[:3] + [lonely] + series[3:]
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -499,9 +529,7 @@ class TestPairwiseReport:
 
     def test_failing_pair_reported_not_fatal(self):
         series = self._network()
-        lonely = AnnualMaximaSeries(
-            "lonely", np.arange(2005, 2013), np.linspace(50, 90, 8), np.ones(8)
-        )
+        lonely = AnnualMaximaSeries("lonely", np.arange(2005, 2013), np.linspace(50, 90, 8))
         rows = pairwise_independence_report(
             series + [lonely], "st00", RecurrenceConfig(permutations=99, seed=4)
         )
