@@ -66,7 +66,6 @@ from .ingest import (
 from .recurrence import (
     IndependenceResult,
     RecurrenceConfig,
-    independence_statistic,
     independence_test,
     pairwise_independence_report,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "gev_pdf",
     "gev_quantile",
     "gev_sample",
-    "independence_statistic",
     "independence_test",
     "log_likelihood",
     "lrt_gumbel_vs_gev",

@@ -488,6 +488,8 @@ def select_k(dm: DistanceMatrix, kmax: int = 7) -> SelectKResult:
     """Score the PAM partitions of ``dm`` for K = 2..kmax by mean
     silhouette width and return the argmax, ties toward the smallest K,
     with the full score table."""
+    if dm.n < 3:
+        raise ValueError(f"choosing K needs at least 3 stations, got {dm.n}")
     if not 2 <= kmax <= dm.n - 1:
         raise ValueError(f"kmax must lie in [2, {dm.n - 1}], got {kmax}")
     partitions = {k: pam_cluster(dm, k) for k in range(2, kmax + 1)}

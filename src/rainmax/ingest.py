@@ -258,7 +258,9 @@ def block_maxima(
 
     A station-year is retained when the fraction of non-missing days is at
     least ``min_coverage`` and the year's maximum is positive; dropped
-    years are returned in the skip log. Stations are ordered by id and
+    years are returned in the skip log. A station with no retained year is
+    left out, its years in the skip log; ValidationError only when a
+    nonempty table leaves no station. Stations are ordered by id and
     years ascending, so the result does not depend on input row order.
     """
     if not 0.0 < min_coverage <= 1.0:
@@ -304,9 +306,10 @@ def block_maxima(
                 continue
             years.append(year)
             maxima.append(peak[r][offset])
-        if not years:
-            raise ValidationError(f"station {station!r} has no year meeting the coverage threshold")
-        series.append(AnnualMaximaSeries(station, np.array(years), np.array(maxima)))
+        if years:
+            series.append(AnnualMaximaSeries(station, np.array(years), np.array(maxima)))
+    if not series:
+        raise ValidationError("no station has a year meeting the coverage threshold")
     return series, skipped
 
 
@@ -412,12 +415,16 @@ def read_series_csv(stream: TextIO) -> list[AnnualMaximaSeries]:
         if len(row) != 3:
             raise ParseError(lineno, f"expected 3 fields, got {len(row)}")
         station, year_text, value_text = (f.strip() for f in row)
+        if not station:
+            raise ParseError(lineno, "empty station id")
         try:
             year, value = int(year_text), float(value_text)
         except ValueError:
             raise ParseError(lineno, f"invalid year/value {year_text!r},{value_text!r}")
         if not math.isfinite(value):
             raise ParseError(lineno, f"invalid max_mm value {value_text!r}")
+        if value <= 0:
+            raise ParseError(lineno, f"max_mm must be positive, got {value_text!r} for station {station!r}")
         year_values = grouped.setdefault(station, {})
         if year in year_values:
             raise ParseError(lineno, f"repeated year {year} for station {station!r}")

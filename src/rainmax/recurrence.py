@@ -10,8 +10,8 @@ permuting one series' time index.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -71,28 +71,17 @@ class PairReportRow:
 
 
 def _aligned_pair(x: object, y: object) -> tuple[np.ndarray, np.ndarray]:
-    ax, ay = _as_series(x), _as_series(y)
+    ax, ay = (np.asarray(a, dtype=float).ravel() for a in (x, y))
+    for arr in (ax, ay):
+        if arr.size < _MIN_SERIES_LENGTH:
+            raise ValueError(f"series must have at least {_MIN_SERIES_LENGTH} points")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("series must be finite")
     if ax.size != ay.size:
         raise ValueError(f"series lengths differ: {ax.size} vs {ay.size}")
     if ax.size > _MAX_SERIES_LENGTH:
         raise ValueError(f"independence test supports series up to {_MAX_SERIES_LENGTH} points")
     return ax, ay
-
-
-def _as_series(x: object) -> np.ndarray:
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.size < _MIN_SERIES_LENGTH:
-        raise ValueError(f"series must have at least {_MIN_SERIES_LENGTH} points")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("series must be finite")
-    return arr
-
-
-def _radius_grid(diffs_sample: np.ndarray, quantiles: np.ndarray, label: str) -> np.ndarray:
-    nonzero = diffs_sample[diffs_sample > 0]
-    if nonzero.size == 0:
-        raise ValueError(f"series {label} has fewer than 2 distinct values")
-    return _quantiles(nonzero, quantiles)
 
 
 def _cumulative_rates(counts: np.ndarray, n_pairs: int) -> np.ndarray:
@@ -115,13 +104,17 @@ def _pair_bins(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Radius grids of two aligned series of length n, the int32 x and y
     bins of the upper-triangle pairs (iu_r[k], iu_c[k]), and the y bins as
-    a flat n x n lookup by pair (i, j) in either order. A pair's bin is the
+    a flat n x n lookup by pair (i, j) in either order. A series' radii are
+    the ``q`` quantiles of its nonzero pair distances. A pair's bin is the
     index of the first radius not below its distance, g beyond the top
     radius; the lookup's diagonal, which no permuted pair reads, is 0."""
 
     def bins(a: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
         d = np.abs(a[iu_r] - a[iu_c])
-        grid = _radius_grid(d, q, label)
+        nonzero = d[d > 0]
+        if nonzero.size == 0:
+            raise ValueError(f"series {label} has fewer than 2 distinct values")
+        grid = _quantiles(nonzero, q)
         return grid, np.searchsorted(grid, d, side="left").astype(np.int32)
 
     (gx, ix), (gy, iy) = bins(ax, "x"), bins(ay, "y")
@@ -131,32 +124,35 @@ def _pair_bins(
     return gx, gy, ix, iy, lookup.ravel()
 
 
-def _recurrence_bins(
-    x: object, y: object, quantiles: Sequence[float]
-) -> tuple[int, int, GridDetail, Callable[[np.ndarray], np.ndarray]]:
-    """Radius grids and pair bins of two aligned series.
+def independence_test(
+    x: object, y: object, config: RecurrenceConfig | None = None
+) -> IndependenceResult:
+    """Permutation test of independence between two aligned series.
 
-    Returns the series length, the block size, the grid detail of the
-    observed pairing and ``deviation_tables``, which maps an int32 (m, n)
-    array of m <= block size permutations of the second series' time index
-    to their m deviation tables |joint rate - product of marginal rates|.
+    The statistic is T = max |joint rate - product of marginal rates| over
+    the radius grid. Radii are empirical quantiles of each series' nonzero
+    pairwise distances, so T depends only on ranks and is invariant under
+    strictly increasing transforms of either series. The p-value refers T
+    to the statistics of ``config.permutations`` permutations of the second
+    series' time index.
+
     The pair bins are built once; a permutation only reindexes the second
-    series' bins, so the marginal rates are exactly preserved.
-
-    The observed pairing counts every pair in a full (g+1, g+1) table. Its
+    series' bins, so the marginal rates are exactly preserved. The
+    observed pairing counts every pair in a full (g+1, g+1) table. Its
     marginal rates, and so their product, hold for every permutation, and
     a joint rate at radii (r, s) counts only pairs within the top x radius.
     So a permutation gathers and counts only the pairs with x bin < g, into
     a (g, g+1) table, and its deviations keep the bits a full table gives.
 
     Blocks are sized by all the pairs, so their buffers hold about
-    ``_PERM_BLOCK_PAIRS`` elements or fewer whatever the series length. The buffers
-    are sized to the largest block asked for so far and every block is
-    computed in them: the test's first block, which no later block exceeds.
+    ``_PERM_BLOCK_PAIRS`` elements or fewer whatever the series length.
+    The buffers are allocated once, for the rows of the first block, which
+    no later block exceeds, and every block is computed in them.
     """
+    config = config or RecurrenceConfig()
     ax, ay = _aligned_pair(x, y)
     n = ax.size
-    q = np.asarray(quantiles)
+    q = np.asarray(config.radius_quantiles)
     g = q.size
     gbins = g + 1
     n_pairs = n * (n - 1) // 2
@@ -169,29 +165,30 @@ def _recurrence_bins(
     cum = _cumulative_rates(counts.reshape(gbins, gbins), n_pairs)
     product = cum[:g, -1][:, None] * cum[-1, :g][None, :]
     deviations = np.abs(cum[:g, :g] - product)
-    detail = GridDetail(x_radii=gx, y_radii=gy, deviations=deviations)
+    observed = float(deviations.max())
 
     inner = np.flatnonzero(ix < g)
-    iu_r, iu_c, ix_bins = iu_r[inner], iu_c[inner], ix[inner] * gbins
+    iu_r, iu_c = iu_r[inner], iu_c[inner]
     table = g * gbins
-    rows = max(1, _PERM_BLOCK_PAIRS // n_pairs)
+    rows = min(max(1, _PERM_BLOCK_PAIRS // n_pairs), config.permutations)
     # pair index, keys, and each row's x bins plus that row's table offset
     # in the block's bincount
-    buffers: list[np.ndarray] = []
+    index_buf = np.empty((rows, inner.size), dtype=np.int32)
+    key_buf = np.empty((rows, inner.size), dtype=np.int32)
+    offsets_buf = ix[inner] * gbins + (np.arange(rows, dtype=np.int32) * table)[:, None]
 
-    def deviation_tables(pi: np.ndarray) -> np.ndarray:
+    rng = np.random.default_rng([derive_seed(config.seed, "recurrence-perm")])
+    perms = np.tile(np.arange(n, dtype=np.int32), (config.permutations, 1))
+    rng.permuted(perms, axis=1, out=perms)
+    exceed = 0
+    for start in range(0, config.permutations, rows):
         # one table per row of pi: the permuted bins are gathered through one
         # flat pair index and all tables are counted by one offset bincount.
         # Every index is in range by construction; mode="wrap" lets take
         # write straight into out, where mode="raise" would buffer it.
+        pi = perms[start : start + rows]
         m = pi.shape[0]
-        if not buffers or buffers[0].shape[0] < m:
-            buffers[:] = [
-                np.empty((m, inner.size), dtype=np.int32),
-                np.empty((m, inner.size), dtype=np.int32),
-                ix_bins + (np.arange(m, dtype=np.int32) * table)[:, None],
-            ]
-        index, key, offsets = (b[:m] for b in buffers)
+        index, key, offsets = index_buf[:m], key_buf[:m], offsets_buf[:m]
         np.take(pi, iu_r, axis=1, out=index, mode="wrap")
         index *= n
         np.take(pi, iu_c, axis=1, out=key, mode="wrap")
@@ -199,50 +196,14 @@ def _recurrence_bins(
         np.take(iy_flat, index, out=key, mode="wrap")
         key += offsets
         joint = np.bincount(key.ravel(), minlength=m * table).reshape(m, g, gbins)
-        return np.abs(_cumulative_rates(joint, n_pairs)[..., :g] - product)
-
-    return n, rows, detail, deviation_tables
-
-
-def independence_statistic(
-    x: object, y: object, config: RecurrenceConfig | None = None
-) -> tuple[float, GridDetail]:
-    """Sup-norm statistic T = max |joint rate - product of marginals|.
-
-    Radii are empirical quantiles of each series' nonzero pairwise
-    distances, so T depends only on ranks and is invariant under strictly
-    increasing transforms of either series. This is the observed
-    (identity-permutation) statistic of :func:`independence_test`.
-    """
-    config = config or RecurrenceConfig()
-    _, _, detail, _ = _recurrence_bins(x, y, config.radius_quantiles)
-    return float(detail.deviations.max()), detail
-
-
-def independence_test(
-    x: object, y: object, config: RecurrenceConfig | None = None
-) -> IndependenceResult:
-    """Permutation test of independence between two aligned series: the
-    p-value refers the observed statistic to the statistics of
-    ``config.permutations`` permutations of the second series' time index.
-    """
-    config = config or RecurrenceConfig()
-    n, rows, detail, deviation_tables = _recurrence_bins(x, y, config.radius_quantiles)
-    observed = float(detail.deviations.max())
-
-    rng = np.random.default_rng([derive_seed(config.seed, "recurrence-perm")])
-    perms = np.tile(np.arange(n, dtype=np.int32), (config.permutations, 1))
-    rng.permuted(perms, axis=1, out=perms)
-    exceed = 0
-    for start in range(0, config.permutations, rows):
-        dev = deviation_tables(perms[start : start + rows])
+        dev = np.abs(_cumulative_rates(joint, n_pairs)[..., :g] - product)
         exceed += int(np.count_nonzero(dev.max(axis=(1, 2)) >= observed))
     p = (1.0 + exceed) / (config.permutations + 1.0)
 
     return IndependenceResult(
         statistic=observed,
         p_value=p,
-        grid=detail,
+        grid=GridDetail(x_radii=gx, y_radii=gy, deviations=deviations),
         permutations=config.permutations,
         seed=config.seed,
         n=n,
@@ -288,13 +249,8 @@ def pairwise_independence_report(
         both = present[t] & present[j]
         xv, yv = values[t, both], values[j, both]
         pair_seed = derive_seed(config.seed, "indep", target, station)
-        pair_config = RecurrenceConfig(
-            radius_quantiles=config.radius_quantiles,
-            permutations=config.permutations,
-            seed=pair_seed,
-        )
         try:
-            result = independence_test(xv, yv, pair_config)
+            result = independence_test(xv, yv, replace(config, seed=pair_seed))
             return PairReportRow(target, station, xv.size, result)
         except ValueError as exc:
             return PairReportRow(target, station, xv.size, None, error=str(exc))

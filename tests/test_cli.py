@@ -189,6 +189,21 @@ class TestIngest:
         skips = [json.loads(line) for line in (out / "skip_log.jsonl").read_text().splitlines()]
         assert skips == [{"station": "A", "year": 1992, "coverage": pytest.approx(10 / 366)}]
 
+    def test_under_covered_station_left_out(self, tmp_path):
+        # "Sparse" misses every other day of both years: the run goes on
+        # without it, and its years are in the skip log
+        daily = tmp_path / "daily.csv"
+        _write_daily(daily)
+        days = [dt.date(1990, 1, 1) + dt.timedelta(days=d) for d in range(0, 730, 2)]
+        with daily.open("a") as fh:
+            fh.write("".join(f"Sparse,{d},{d.day}.5\n" for d in days))
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(daily), "--out", str(out)]) == 0
+        stations = [line.split(",")[0] for line in (out / "series.csv").read_text().splitlines()[1:]]
+        assert stations == ["A", "A"]
+        skips = [json.loads(line) for line in (out / "skip_log.jsonl").read_text().splitlines()]
+        assert [(e["station"], e["year"]) for e in skips] == [("A", 1992), ("Sparse", 1990), ("Sparse", 1991)]
+
     def test_demo_ingest(self, tmp_path):
         out = tmp_path / "out"
         assert main(["ingest", "--demo", "--out", str(out), "--seed", "1"]) == 0
@@ -625,6 +640,16 @@ def test_cluster_checks_kmax_before_writing(tmp_path, capsys, kmax, method):
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["message"]) == ("ValueError", f"kmax must lie in [2, 19], got {kmax}")
     assert not any((out / "cluster").glob("*"))
+
+
+@pytest.mark.parametrize("command", [["cluster"], ["report", *FAST]])
+def test_two_stations_named_before_choosing_k(tmp_path, capsys, command):
+    series_csv = tmp_path / "series.csv"
+    _write_series(series_csv, n_stations=2)
+    out = tmp_path / "out"
+    assert main([*command, "--input", str(series_csv), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"]) == ("ValueError", "choosing K needs at least 3 stations, got 2")
 
 
 @pytest.mark.parametrize("command", [["cluster", "--method", "fmadogram"], ["report", *FAST]])

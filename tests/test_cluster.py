@@ -950,6 +950,14 @@ class TestSelectK:
         with pytest.raises(ValueError):
             select_k(euclidean_dm(feats), kmax=1)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_stations_named(self, n):
+        # K = 2..kmax needs kmax <= n - 1, an empty range below 3 stations
+        dm = DistanceMatrix(tuple(f"s{i}" for i in range(n)), np.ones((n, n)) - np.eye(n))
+        with pytest.raises(ValueError) as err:
+            select_k(dm)
+        assert str(err.value) == f"choosing K needs at least 3 stations, got {n}"
+
     def test_equidistant_matrix_flat_scores_tie_to_smallest_k(self):
         n = 6
         d = np.ones((n, n)) - np.eye(n)

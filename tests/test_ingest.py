@@ -117,9 +117,10 @@ def _reference_block_maxima(records, min_coverage=0.8):
                 continue
             years.append(year)
             maxima.append(max(present))
-        if not years:
-            raise ValidationError(f"station {station!r} has no year meeting the coverage threshold")
-        series.append(AnnualMaximaSeries(station, np.array(years), np.array(maxima)))
+        if years:
+            series.append(AnnualMaximaSeries(station, np.array(years), np.array(maxima)))
+    if not series:
+        raise ValidationError("no station has a year meeting the coverage threshold")
     return series, skipped
 
 
@@ -228,7 +229,7 @@ class TestBlockMaxima:
 
     def test_station_with_no_retained_years_errors(self):
         text = "station,date,precip_mm\n" + _daily_rows("A", 1990, [2.0] * 10) + "\n"
-        with pytest.raises(ValidationError, match="A"):
+        with pytest.raises(ValidationError, match="no station has a year meeting"):
             block_maxima(parse_daily_csv(_csv(text)), min_coverage=0.8)
 
     def test_matches_bruteforce_max(self):
@@ -417,6 +418,22 @@ class TestSerialization:
         assert err.value.line == 3
         assert str(err.value) == f"line 3: invalid max_mm value {value!r}"
 
+    @pytest.mark.parametrize("value", ["0", "0.0", "-1.5"])
+    def test_series_non_positive_max_names_line(self, value):
+        text = f"station,year,max_mm\nA,1990,10.5\nA,1991,{value}\n"
+        with pytest.raises(ParseError) as err:
+            read_series_csv(io.StringIO(text))
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: max_mm must be positive, got {value!r} for station 'A'"
+
+    @pytest.mark.parametrize("station", ["", "  "])
+    def test_series_empty_station_id_names_line(self, station):
+        text = f"station,year,max_mm\nA,1990,10.5\n{station},1991,12.0\n"
+        with pytest.raises(ParseError) as err:
+            read_series_csv(io.StringIO(text))
+        assert err.value.line == 3
+        assert str(err.value) == "line 3: empty station id"
+
 
 # The plain pass cuts a block at the first line end at or after this many bytes
 # past its start: 7 of the 17-byte data lines of ``_broken``.
@@ -492,14 +509,23 @@ class TestColumnarOracle:
         assert precip == [r.precip_mm for r in records]
         assert table.station.dtype == np.int32 and table.ordinal.dtype == np.int32
 
-    def test_no_year_meeting_threshold_names_first_station(self):
+    def test_station_with_no_year_meeting_threshold_left_out(self):
+        # A and B keep no year: both are left out, their years in the skip log
         text = "station,date,precip_mm\n" + _daily_rows("B", 1990, [2.0] * 10) + "\n"
         text += _daily_rows("A", 1990, [2.0] * 10) + "\n" + _daily_rows("C", 1990, [2.0] * 365) + "\n"
+        series, skipped = block_maxima(parse_daily_csv(_csv(text)))
+        ref_series, ref_skipped = _reference_block_maxima(_reference_parse(_csv(text)))
+        assert _series_key(series) == _series_key(ref_series) == [("C", [1990], [2.0])]
+        assert skipped == ref_skipped == [SkipEntry("A", 1990, 10 / 365), SkipEntry("B", 1990, 10 / 365)]
+
+    def test_no_station_meeting_threshold_rejected(self):
+        text = "station,date,precip_mm\n" + _daily_rows("B", 1990, [2.0] * 10) + "\n"
+        text += _daily_rows("A", 1991, [0.0] * 365) + "\n"
         with pytest.raises(ValidationError) as err:
             block_maxima(parse_daily_csv(_csv(text)))
         with pytest.raises(ValidationError) as ref:
             _reference_block_maxima(_reference_parse(_csv(text)))
-        assert str(err.value) == str(ref.value) == "station 'A' has no year meeting the coverage threshold"
+        assert str(err.value) == str(ref.value) == "no station has a year meeting the coverage threshold"
 
     def test_empty_table(self):
         series, skipped = block_maxima(parse_daily_csv(_csv("station,date,precip_mm\n")))

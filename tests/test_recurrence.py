@@ -3,6 +3,7 @@ pair bins and the permutation test, factorization, inequality and
 invariance properties, permutation determinism, report plumbing."""
 
 import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rainmax.recurrence as recurrence_module
+from rainmax import ingest
 from rainmax.gev import GevParams
 from rainmax.seeding import derive_seed
 from rainmax.ingest import AnnualMaximaSeries, synth_dataset
@@ -22,8 +24,6 @@ from rainmax.recurrence import (
     _aligned_pair,
     _cumulative_rates,
     _pair_bins,
-    _radius_grid,
-    independence_statistic,
     independence_test,
     pairwise_independence_report,
 )
@@ -43,6 +43,19 @@ def _kernel_rates(x, y, quantiles=DEFAULT_QUANTILES):
     gbins = q.size + 1
     counts = np.bincount(ix * gbins + iy, minlength=gbins * gbins)
     return gx, gy, ix, _cumulative_rates(counts.reshape(gbins, gbins), iu_r.size)
+
+
+def _kernel_deviations(x, y, quantiles=DEFAULT_QUANTILES):
+    """The observed deviation table |joint rate - product of marginal
+    rates| from the kernel's rates, without the permutations: its maximum
+    is the test statistic."""
+    _, _, _, cum = _kernel_rates(x, y, quantiles)
+    g = cum.shape[0] - 1
+    return np.abs(cum[:g, :g] - cum[:g, -1][:, None] * cum[-1, :g][None, :])
+
+
+def _statistic(x, y):
+    return independence_test(x, y, RecurrenceConfig(permutations=99)).statistic
 
 
 # constant but for three points: a constant series has no radius grid, and
@@ -107,7 +120,7 @@ class TestJointRate:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths differ"):
-            independence_statistic(np.arange(10.0), np.arange(11.0))
+            _statistic(np.arange(10.0), np.arange(11.0))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), ties=st.booleans())
@@ -127,41 +140,37 @@ class TestIndependenceStatistic:
         # 1 on its quantile grid, so every deviation vanishes
         x = np.array([1.0] * 19 + [2.0] * 2 + [1.0] * 12)
         y = np.random.default_rng(5).random(33)
-        t, _ = independence_statistic(x, y)
-        assert t == 0.0
+        assert _statistic(x, y) == 0.0
 
     def test_identical_series_strongly_dependent(self):
         x = np.sort(np.random.default_rng(6).random(50))
-        t, _ = independence_statistic(x, x.copy())
-        assert t >= 0.2
+        assert _statistic(x, x.copy()) >= 0.2
 
     def test_independent_series_small_statistic_at_scale(self):
         rng = np.random.default_rng(7)
-        n = 3000  # the longest series the statistic accepts
+        n = 3000  # the longest series the test accepts
         x, y = rng.standard_normal(n), rng.standard_normal(n)
-        t, _ = independence_statistic(x, y)
-        assert t < 0.02
+        assert _kernel_deviations(x, y).max() < 0.02
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            independence_statistic([3.0] * 20, np.arange(20.0))
+            _statistic([3.0] * 20, np.arange(20.0))
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
-            independence_statistic(np.arange(5.0), np.arange(5.0))
+            _statistic(np.arange(5.0), np.arange(5.0))
 
-    @pytest.mark.parametrize("entry", [independence_statistic, independence_test])
-    def test_long_series_rejected_by_both_entry_points(self, entry):
+    def test_long_series_rejected(self):
         x = np.arange(3001.0)
         with pytest.raises(ValueError, match="up to 3000 points"):
-            entry(x, x[::-1].copy())
+            _statistic(x, x[::-1].copy())
 
     def test_positive_affine_invariance(self):
         rng = np.random.default_rng(8)
         x, y = rng.random(40), rng.random(40)
-        base, _ = independence_statistic(x, y)
-        moved_x, _ = independence_statistic(5.0 * x + 3.0, y)
-        moved_y, _ = independence_statistic(x, 0.25 * y - 7.0)
+        base = _statistic(x, y)
+        moved_x = _statistic(5.0 * x + 3.0, y)
+        moved_y = _statistic(x, 0.25 * y - 7.0)
         assert base == moved_x == moved_y
 
     @pytest.mark.parametrize("tied", [False, True])
@@ -170,15 +179,18 @@ class TestIndependenceStatistic:
         x, y = rng.random(33), rng.random(33)
         if tied:
             x, y = np.round(10.0 * x), np.round(5.0 * y)
-        t, detail = independence_statistic(x, y)
+        gx, gy, _, _ = _kernel_rates(x, y)
+        deviations = _kernel_deviations(x, y)
         result = independence_test(x, y, RecurrenceConfig(permutations=99, seed=2))
-        assert t == result.statistic
-        for name in ("x_radii", "y_radii", "deviations"):
-            assert getattr(detail, name).tobytes() == getattr(result.grid, name).tobytes()
+        assert result.statistic == deviations.max()
+        assert result.grid.deviations.tobytes() == deviations.tobytes()
+        assert result.grid.x_radii.tobytes() == gx.tobytes()
+        assert result.grid.y_radii.tobytes() == gy.tobytes()
 
     def test_grid_detail_shape(self):
         rng = np.random.default_rng(9)
-        t, detail = independence_statistic(rng.random(30), rng.random(30))
+        result = independence_test(rng.random(30), rng.random(30), RecurrenceConfig(permutations=99))
+        t, detail = result.statistic, result.grid
         assert detail.deviations.shape == (9, 9)
         assert detail.x_radii.shape == (9,)
         assert np.all(np.diff(detail.x_radii) >= 0)
@@ -255,8 +267,9 @@ def _reference_pair_bins(ax, ay, q):
     dx_full = np.abs(ax[:, None] - ax[None, :])
     dy_full = np.abs(ay[:, None] - ay[None, :])
     iu_r, iu_c = np.triu_indices(n, k=1)
-    gx = _radius_grid(dx_full[iu_r, iu_c], q, "x")
-    gy = _radius_grid(dy_full[iu_r, iu_c], q, "y")
+    dx, dy = dx_full[iu_r, iu_c], dy_full[iu_r, iu_c]
+    gx = ingest._quantiles(dx[dx > 0], q)
+    gy = ingest._quantiles(dy[dy > 0], q)
     ix = np.searchsorted(gx, dx_full, side="left")[iu_r, iu_c]
     iy_full = np.searchsorted(gy, dy_full, side="left")
     return gx, gy, ix, iy_full[iu_r, iu_c], iy_full
@@ -411,21 +424,18 @@ class TestIndependenceAgainstPermutationLoop:
 
     def test_block_buffers_follow_the_rows_used(self):
         # at n = 10 a block may hold 1456 permutations (about 790 KB of
-        # buffers), but the observed statistic uses one row and P = 99 fills
-        # 99: buffers of the full block size peaked at 863 KB and 1150 KB
+        # buffers), but P = 99 fills 99: buffers of the full block size
+        # peaked at 1150 KB
         rng = np.random.default_rng(36)
         x, y = rng.random(10), rng.random(10)
         independence_test(x, y, RecurrenceConfig(permutations=99, seed=8))
-        peaks = []
-        for entry in (independence_statistic, independence_test):
-            tracemalloc.start()
-            try:
-                entry(x, y, RecurrenceConfig(permutations=99, seed=8))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] < 64 * 2**10
-        assert peaks[1] < 640 * 2**10
+        tracemalloc.start()
+        try:
+            independence_test(x, y, RecurrenceConfig(permutations=99, seed=8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 640 * 2**10
 
     def test_block_memory_follows_pair_count(self):
         # at n = 1000 one permutation already has 499 500 pairs; blocks sized
@@ -522,6 +532,28 @@ class TestPairwiseReport:
             pairwise_independence_report(
                 self._network_failing_in_the_middle(), "st00", RecurrenceConfig(permutations=99, seed=5)
             )
+
+    def test_pairs_keep_every_config_field(self, monkeypatch):
+        # each pair's config is the report's with only the seed replaced: a
+        # coarse radius grid and a field the report does not know reach
+        # every pair
+        @dataclass(frozen=True)
+        class TaggedConfig(RecurrenceConfig):
+            tag: str = "default"
+
+        config = TaggedConfig(radius_quantiles=(0.25, 0.5, 0.75), permutations=99, seed=9, tag="kept")
+        seen = []
+
+        def independence_test_recording(x, y, config):
+            seen.append(config)
+            return independence_test(x, y, config)
+
+        monkeypatch.setattr(recurrence_module, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(recurrence_module, "independence_test", independence_test_recording)
+        rows = pairwise_independence_report(self._network(), "st02", config)
+        others = ["st00", "st01", "st03", "st04", "st05"]
+        assert seen == [replace(config, seed=derive_seed(9, "indep", "st02", o)) for o in others]
+        assert all(r.result.grid.deviations.shape == (3, 3) for r in rows)
 
     def test_missing_target_rejected(self):
         with pytest.raises(ValueError, match="nowhere"):
