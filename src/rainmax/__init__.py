@@ -21,13 +21,7 @@ from .cluster import (
     silhouette,
     ward_cluster,
 )
-from .diagnose import (
-    PlotSeries,
-    density_series,
-    pp_points,
-    qq_points,
-    return_level_series,
-)
+from .diagnose import PlotSeries, station_diagnostics
 from .estimate import (
     FitError,
     FitResult,
@@ -60,12 +54,10 @@ from .ingest import (
     ValidationError,
     block_maxima,
     parse_daily_csv,
-    summary_stats,
     synth_dataset,
 )
 from .recurrence import (
     IndependenceResult,
-    RecurrenceConfig,
     independence_test,
     pairwise_independence_report,
 )
@@ -86,11 +78,9 @@ __all__ = [
     "Partition",
     "PlotSeries",
     "ProfileInterval",
-    "RecurrenceConfig",
     "TestResult",
     "ValidationError",
     "block_maxima",
-    "density_series",
     "euclidean_dm",
     "extremal_coefficient",
     "fit_mle",
@@ -107,16 +97,13 @@ __all__ = [
     "pam_cluster",
     "param_features",
     "parse_daily_csv",
-    "pp_points",
     "profile_ci_xi",
     "pseudo_f",
-    "qq_points",
     "return_level",
-    "return_level_series",
     "select_family",
     "select_k",
     "silhouette",
-    "summary_stats",
+    "station_diagnostics",
     "synth_dataset",
     "tcvm_statistic",
     "tcvm_test",

@@ -24,7 +24,7 @@ from . import diagnose, gof, ingest, recurrence
 from .demo import demo_dataset
 from .estimate import FitError, FitResult, fit_mle_rows, profile_ci_xi_rows
 from .ingest import AnnualMaximaSeries
-from .seeding import derive_seed
+from .seeding import SEED_LIMIT, derive_seed
 
 
 @dataclass
@@ -46,8 +46,8 @@ class RunConfig:
     ci_level: float = 0.95
 
     def validate(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
         if not 0.0 <= self.delta < 0.5:
@@ -395,9 +395,8 @@ def _independence_report(
     """The target's pair table (CSV, empty statistics for a failed pair)
     and its detail (JSON, the failure's reason or the radii grid) under
     ``independence/``."""
-    config = recurrence.RecurrenceConfig(permutations=cfg.permutations, seed=cfg.seed)
     table, detail = [], []
-    for row in recurrence.pairwise_independence_report(series, target, config):
+    for row in recurrence.pairwise_independence_report(series, target, cfg.permutations, cfg.seed):
         entry: dict = {"target": row.target, "other": row.other, "n_common_years": row.n_common}
         if row.result is None:
             entry["error"] = row.error

@@ -96,16 +96,6 @@ class SkipEntry:
     coverage: float
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-    mean: float
-
-
 def parse_daily_csv(source: BinaryIO) -> DailyTable:
     """Parse a ``station,date,precip_mm`` CSV into a :class:`DailyTable`.
 
@@ -337,22 +327,6 @@ def synth_dataset(
         values = _quantile_sample(derive_rng(seed, "synth", station).random(years), params)
         out.append(AnnualMaximaSeries(station, year_axis.copy(), values))
     return out
-
-
-def summary_stats(series: AnnualMaximaSeries) -> SummaryStats:
-    """Five-number summary plus mean; quartiles interpolate order statistics."""
-    if len(series) == 0:
-        raise ValueError(f"series {series.station_id!r} is empty")
-    v = series.values
-    q1, med, q3 = _quantiles(v, [0.25, 0.5, 0.75])
-    return SummaryStats(
-        minimum=float(v.min()),
-        q1=float(q1),
-        median=float(med),
-        q3=float(q3),
-        maximum=float(v.max()),
-        mean=float(v.mean()),
-    )
 
 
 def _sorted_distinct(v: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ permuting one series' time index.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -18,30 +18,12 @@ import numpy as np
 from .ingest import AnnualMaximaSeries, _quantiles, year_matrix
 from .seeding import derive_seed
 
-DEFAULT_QUANTILES = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10).tolist())
+RADIUS_QUANTILES = np.round(np.arange(0.1, 0.91, 0.1), 10)  # the deciles 0.1 ... 0.9
 DEFAULT_PERMUTATIONS = 999
 _MIN_PERMUTATIONS = 99
 _MIN_SERIES_LENGTH = 10
 _MAX_SERIES_LENGTH = 3000  # all n(n-1)/2 pair distances are held in memory
 _PERM_BLOCK_PAIRS = 1 << 16  # permuted pair bins gathered per independence-test block
-
-
-@dataclass(frozen=True)
-class RecurrenceConfig:
-    radius_quantiles: tuple[float, ...] = DEFAULT_QUANTILES
-    permutations: int = DEFAULT_PERMUTATIONS
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.radius_quantiles, dtype=float)
-        if q.size == 0 or np.any((q <= 0) | (q >= 1)) or np.any(np.diff(q) <= 0):
-            raise ValueError("radius quantiles must be strictly increasing inside (0, 1)")
-        if self.permutations < _MIN_PERMUTATIONS:
-            raise ValueError(
-                f"permutations must be at least {_MIN_PERMUTATIONS}, got {self.permutations}"
-            )
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -68,6 +50,13 @@ class PairReportRow:
     n_common: int
     result: IndependenceResult | None
     error: str | None = None
+
+
+def _check_run(permutations: int, seed: int) -> None:
+    if permutations < _MIN_PERMUTATIONS:
+        raise ValueError(f"permutations must be at least {_MIN_PERMUTATIONS}, got {permutations}")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
 
 
 def _aligned_pair(x: object, y: object) -> tuple[np.ndarray, np.ndarray]:
@@ -125,16 +114,16 @@ def _pair_bins(
 
 
 def independence_test(
-    x: object, y: object, config: RecurrenceConfig | None = None
+    x: object, y: object, permutations: int = DEFAULT_PERMUTATIONS, seed: int = 0
 ) -> IndependenceResult:
     """Permutation test of independence between two aligned series.
 
     The statistic is T = max |joint rate - product of marginal rates| over
-    the radius grid. Radii are empirical quantiles of each series' nonzero
-    pairwise distances, so T depends only on ranks and is invariant under
-    strictly increasing transforms of either series. The p-value refers T
-    to the statistics of ``config.permutations`` permutations of the second
-    series' time index.
+    the radius grid. Radii are the ``RADIUS_QUANTILES`` (deciles) of each
+    series' nonzero pairwise distances, so T depends only on ranks and is
+    invariant under strictly increasing transforms of either series. The
+    p-value refers T to the statistics of ``permutations`` permutations of
+    the second series' time index, drawn from ``seed``.
 
     The pair bins are built once; a permutation only reindexes the second
     series' bins, so the marginal rates are exactly preserved. The
@@ -149,17 +138,16 @@ def independence_test(
     The buffers are allocated once, for the rows of the first block, which
     no later block exceeds, and every block is computed in them.
     """
-    config = config or RecurrenceConfig()
+    _check_run(permutations, seed)
     ax, ay = _aligned_pair(x, y)
     n = ax.size
-    q = np.asarray(config.radius_quantiles)
-    g = q.size
+    g = RADIUS_QUANTILES.size
     gbins = g + 1
     n_pairs = n * (n - 1) // 2
 
     # int32 halves the pair index every concurrent test holds (36 MB at n = 3000)
     iu_r, iu_c = (i.astype(np.int32) for i in np.triu_indices(n, k=1))
-    gx, gy, ix, iy, iy_flat = _pair_bins(ax, ay, q, iu_r, iu_c)
+    gx, gy, ix, iy, iy_flat = _pair_bins(ax, ay, RADIUS_QUANTILES, iu_r, iu_c)
 
     counts = np.bincount(ix * gbins + iy, minlength=gbins * gbins)
     cum = _cumulative_rates(counts.reshape(gbins, gbins), n_pairs)
@@ -170,18 +158,18 @@ def independence_test(
     inner = np.flatnonzero(ix < g)
     iu_r, iu_c = iu_r[inner], iu_c[inner]
     table = g * gbins
-    rows = min(max(1, _PERM_BLOCK_PAIRS // n_pairs), config.permutations)
+    rows = min(max(1, _PERM_BLOCK_PAIRS // n_pairs), permutations)
     # pair index, keys, and each row's x bins plus that row's table offset
     # in the block's bincount
     index_buf = np.empty((rows, inner.size), dtype=np.int32)
     key_buf = np.empty((rows, inner.size), dtype=np.int32)
     offsets_buf = ix[inner] * gbins + (np.arange(rows, dtype=np.int32) * table)[:, None]
 
-    rng = np.random.default_rng([derive_seed(config.seed, "recurrence-perm")])
-    perms = np.tile(np.arange(n, dtype=np.int32), (config.permutations, 1))
+    rng = np.random.default_rng([derive_seed(seed, "recurrence-perm")])
+    perms = np.tile(np.arange(n, dtype=np.int32), (permutations, 1))
     rng.permuted(perms, axis=1, out=perms)
     exceed = 0
-    for start in range(0, config.permutations, rows):
+    for start in range(0, permutations, rows):
         # one table per row of pi: the permuted bins are gathered through one
         # flat pair index and all tables are counted by one offset bincount.
         # Every index is in range by construction; mode="wrap" lets take
@@ -198,14 +186,14 @@ def independence_test(
         joint = np.bincount(key.ravel(), minlength=m * table).reshape(m, g, gbins)
         dev = np.abs(_cumulative_rates(joint, n_pairs)[..., :g] - product)
         exceed += int(np.count_nonzero(dev.max(axis=(1, 2)) >= observed))
-    p = (1.0 + exceed) / (config.permutations + 1.0)
+    p = (1.0 + exceed) / (permutations + 1.0)
 
     return IndependenceResult(
         statistic=observed,
         p_value=p,
         grid=GridDetail(x_radii=gx, y_radii=gy, deviations=deviations),
-        permutations=config.permutations,
-        seed=config.seed,
+        permutations=permutations,
+        seed=seed,
         n=n,
     )
 
@@ -220,7 +208,8 @@ def _usable_cpus() -> int:
 def pairwise_independence_report(
     series: Sequence[AnnualMaximaSeries],
     target: str,
-    config: RecurrenceConfig | None = None,
+    permutations: int = DEFAULT_PERMUTATIONS,
+    seed: int = 0,
 ) -> list[PairReportRow]:
     """Test the target station against every other station on common years.
 
@@ -236,7 +225,7 @@ def pairwise_independence_report(
     """
     from concurrent.futures import ThreadPoolExecutor  # imports logging: only when used
 
-    config = config or RecurrenceConfig()
+    _check_run(permutations, seed)  # in a pair, a ValueError becomes that pair's error row
     stations = [s.station_id for s in series]
     if target not in stations:
         raise ValueError(f"target station {target!r} not present")
@@ -248,9 +237,9 @@ def pairwise_independence_report(
         station = stations[j]
         both = present[t] & present[j]
         xv, yv = values[t, both], values[j, both]
-        pair_seed = derive_seed(config.seed, "indep", target, station)
+        pair_seed = derive_seed(seed, "indep", target, station)
         try:
-            result = independence_test(xv, yv, replace(config, seed=pair_seed))
+            result = independence_test(xv, yv, permutations, pair_seed)
             return PairReportRow(target, station, xv.size, result)
         except ValueError as exc:
             return PairReportRow(target, station, xv.size, None, error=str(exc))

@@ -19,13 +19,16 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 
+SEED_LIMIT = 1 << 128  # a master seed is hashed as 16 bytes
+
+
 def _label_entropy(label: object) -> bytes:
     return hashlib.blake2s(repr(label).encode("utf-8"), digest_size=8).digest()
 
 
 def _prefix_hash(master: int, labels: Iterable[object]) -> hashlib.blake2s:
-    if master < 0:
-        raise ValueError("master seed must be nonnegative")
+    if not 0 <= master < SEED_LIMIT:
+        raise ValueError(f"master seed must lie in [0, 2**128), got {master}")
     h = hashlib.blake2s(digest_size=8)
     h.update(int(master).to_bytes(16, "big"))
     for label in labels:

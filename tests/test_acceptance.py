@@ -30,7 +30,7 @@ from rainmax.estimate import FitError, fit_mle, fit_pwm, profile_ci_xi
 from rainmax.gev import GevParams, gev_sample
 from rainmax.gof import lrt_gumbel_vs_gev, tcvm_test
 from rainmax.ingest import AnnualMaximaSeries, synth_dataset
-from rainmax.recurrence import RecurrenceConfig, independence_test
+from rainmax.recurrence import independence_test
 from rainmax.seeding import derive_rng, derive_seed
 
 
@@ -310,9 +310,7 @@ def test_criterion_8_independence_level_and_power():
     for r in range(level_runs):
         rng = derive_rng(8, "level", r)
         x, y = rng.random(33), rng.random(33)
-        res = independence_test(
-            x, y, RecurrenceConfig(permutations=499, seed=derive_seed(8, "perm", r))
-        )
+        res = independence_test(x, y, permutations=499, seed=derive_seed(8, "perm", r))
         pvals[r] = res.p_value
         rejections += res.p_value <= 0.05
     level = rejections / level_runs
@@ -323,9 +321,7 @@ def test_criterion_8_independence_level_and_power():
         rng = derive_rng(8, "power", r)
         x = rng.random(33)
         y = x + 0.1 * x.std() * rng.standard_normal(33)
-        res = independence_test(
-            x, y, RecurrenceConfig(permutations=499, seed=derive_seed(8, "pperm", r))
-        )
+        res = independence_test(x, y, permutations=499, seed=derive_seed(8, "pperm", r))
         power_hits += res.p_value <= 0.05
     power = power_hits / power_runs
     elapsed = time.perf_counter() - start

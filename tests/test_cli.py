@@ -280,6 +280,19 @@ class TestErrors:
         assert (err["error"], err["message"]) == ("ValueError", "ci_level must lie in (0, 1)")
         assert [p.name for p in out.iterdir()] == ["error.json"]
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_range_checked_before_any_output(self, tmp_path, capsys, seed):
+        # a seed is hashed as 16 bytes: 2**128 used to pass validation, make
+        # --out, and fail there with OverflowError
+        out = tmp_path / "o"
+        assert main(["fit", "--demo", "--seed", str(seed), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == (
+            "ValueError",
+            f"seed must lie in [0, 2**128), got {seed}",
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "module, floor, flag, wording",
         [

@@ -25,7 +25,6 @@ from rainmax.ingest import (
     block_maxima,
     parse_daily_csv,
     read_series_csv,
-    summary_stats,
     synth_dataset,
     write_series_csv,
     year_matrix,
@@ -297,30 +296,6 @@ class TestSynthDataset:
             series = synth_dataset([("g", params)], years=10_000, seed=seed)
             stat = kstest(series[0].values, lambda v: gev_cdf(v, params)).statistic
             assert stat < 0.05
-
-
-class TestSummaryStats:
-    def test_all_equal(self):
-        s = AnnualMaximaSeries("A", [1990], [10.0])
-        out = summary_stats(s)
-        assert (out.minimum, out.q1, out.median, out.q3, out.maximum, out.mean) == (10.0,) * 6
-
-    def test_small_sample(self):
-        s = AnnualMaximaSeries("A", [1, 2, 3, 4, 5], [1.0, 2.0, 3.0, 4.0, 5.0])
-        out = summary_stats(s)
-        assert (out.minimum, out.median, out.maximum) == (1.0, 3.0, 5.0)
-
-    def test_bounded_station_profile(self):
-        # rejection-sample a low-variability station whose maxima stay below 150
-        params = GevParams(86.49, 21.49, -0.12)
-        rng_seed = 0
-        values: list[float] = []
-        while len(values) < 33:
-            draw = synth_dataset([("melo_like", params)], years=50, seed=rng_seed)[0].values
-            values.extend(v for v in draw if v < 150.0)
-            rng_seed += 1
-        s = AnnualMaximaSeries("melo_like", np.arange(1981, 2014), np.array(values[:33]))
-        assert summary_stats(s).maximum < 150.0
 
 
 class TestNumpyStandIns:

@@ -3,7 +3,6 @@ pair bins and the permutation test, factorization, inequality and
 invariance properties, permutation determinism, report plumbing."""
 
 import tracemalloc
-from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,11 +15,10 @@ from rainmax.gev import GevParams
 from rainmax.seeding import derive_seed
 from rainmax.ingest import AnnualMaximaSeries, synth_dataset
 from rainmax.recurrence import (
-    DEFAULT_QUANTILES,
+    RADIUS_QUANTILES,
     _PERM_BLOCK_PAIRS,
     GridDetail,
     IndependenceResult,
-    RecurrenceConfig,
     _aligned_pair,
     _cumulative_rates,
     _pair_bins,
@@ -31,7 +29,7 @@ from rainmax.recurrence import (
 from _reference_years import common_years, gapped_network
 
 
-def _kernel_rates(x, y, quantiles=DEFAULT_QUANTILES):
+def _kernel_rates(x, y, quantiles=RADIUS_QUANTILES):
     """The kernel's radius grids, x pair bins and cumulative recurrence
     rates of two aligned series: entry (r, s) of the (g+1, g+1) table is
     the share of pairs within x radius r and y radius s, and its last
@@ -45,7 +43,7 @@ def _kernel_rates(x, y, quantiles=DEFAULT_QUANTILES):
     return gx, gy, ix, _cumulative_rates(counts.reshape(gbins, gbins), iu_r.size)
 
 
-def _kernel_deviations(x, y, quantiles=DEFAULT_QUANTILES):
+def _kernel_deviations(x, y, quantiles=RADIUS_QUANTILES):
     """The observed deviation table |joint rate - product of marginal
     rates| from the kernel's rates, without the permutations: its maximum
     is the test statistic."""
@@ -55,7 +53,7 @@ def _kernel_deviations(x, y, quantiles=DEFAULT_QUANTILES):
 
 
 def _statistic(x, y):
-    return independence_test(x, y, RecurrenceConfig(permutations=99)).statistic
+    return independence_test(x, y, permutations=99).statistic
 
 
 # constant but for three points: a constant series has no radius grid, and
@@ -87,12 +85,6 @@ class TestMarginalRate:
         gx, _, _, cum = _kernel_rates(x, rng.random(25), quantiles=(0.5, 1.0))
         assert gx[-1] == np.abs(x[:, None] - x[None, :]).max()
         assert cum[0, -1] < 1.0 and cum[1, -1] == 1.0
-
-    def test_negative_radius_rejected(self):
-        # a radius is set by its quantile of the pair distances, and one
-        # below 0 names none
-        with pytest.raises(ValueError, match=r"inside \(0, 1\)"):
-            RecurrenceConfig(radius_quantiles=(-0.1, 0.5))
 
 
 class TestJointRate:
@@ -181,7 +173,7 @@ class TestIndependenceStatistic:
             x, y = np.round(10.0 * x), np.round(5.0 * y)
         gx, gy, _, _ = _kernel_rates(x, y)
         deviations = _kernel_deviations(x, y)
-        result = independence_test(x, y, RecurrenceConfig(permutations=99, seed=2))
+        result = independence_test(x, y, permutations=99, seed=2)
         assert result.statistic == deviations.max()
         assert result.grid.deviations.tobytes() == deviations.tobytes()
         assert result.grid.x_radii.tobytes() == gx.tobytes()
@@ -189,7 +181,7 @@ class TestIndependenceStatistic:
 
     def test_grid_detail_shape(self):
         rng = np.random.default_rng(9)
-        result = independence_test(rng.random(30), rng.random(30), RecurrenceConfig(permutations=99))
+        result = independence_test(rng.random(30), rng.random(30), permutations=99)
         t, detail = result.statistic, result.grid
         assert detail.deviations.shape == (9, 9)
         assert detail.x_radii.shape == (9,)
@@ -199,26 +191,22 @@ class TestIndependenceStatistic:
 
 class TestIndependenceTest:
     def test_permutation_count_precondition(self):
-        with pytest.raises(ValueError):
-            RecurrenceConfig(permutations=10)
-
-    def test_quantile_grid_preconditions(self):
-        with pytest.raises(ValueError):
-            RecurrenceConfig(radius_quantiles=(0.5, 0.2))
-        with pytest.raises(ValueError):
-            RecurrenceConfig(radius_quantiles=(0.0, 0.5))
+        x = np.arange(20.0)
+        with pytest.raises(ValueError, match="permutations must be at least 99, got 10"):
+            independence_test(x, x[::-1].copy(), permutations=10)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            independence_test(x, x[::-1].copy(), seed=-1)
 
     def test_seeded_reproducibility(self):
         rng = np.random.default_rng(10)
         x, y = rng.random(33), rng.random(33)
-        cfg = RecurrenceConfig(permutations=199, seed=4)
-        a = independence_test(x, y, cfg)
-        b = independence_test(x, y, cfg)
+        a = independence_test(x, y, permutations=199, seed=4)
+        b = independence_test(x, y, permutations=199, seed=4)
         assert a.statistic == b.statistic and a.p_value == b.p_value
 
     def test_p_value_formula_grid(self):
         rng = np.random.default_rng(11)
-        res = independence_test(rng.random(33), rng.random(33), RecurrenceConfig(permutations=99, seed=1))
+        res = independence_test(rng.random(33), rng.random(33), permutations=99, seed=1)
         k = res.p_value * (res.permutations + 1)
         assert k == pytest.approx(round(k))
 
@@ -226,7 +214,7 @@ class TestIndependenceTest:
         rng = np.random.default_rng(12)
         x = rng.random(33)
         y = x + 0.05 * x.std() * rng.standard_normal(33)
-        res = independence_test(x, y, RecurrenceConfig(permutations=499, seed=2))
+        res = independence_test(x, y, permutations=499, seed=2)
         assert res.p_value <= 0.01
 
 
@@ -275,12 +263,12 @@ def _reference_pair_bins(ax, ay, q):
     return gx, gy, ix, iy_full[iu_r, iu_c], iy_full
 
 
-def _reference_independence_test(x, y, config):
+def _reference_independence_test(x, y, permutations, seed):
     """The permutation test one permutation at a time: the oracle for the
     blocked bincount in independence_test."""
     ax, ay = _aligned_pair(x, y)
     n = ax.size
-    q = np.asarray(config.radius_quantiles)
+    q = RADIUS_QUANTILES
     g = q.size
     gbins = g + 1
     n_pairs = n * (n - 1) // 2
@@ -293,18 +281,18 @@ def _reference_independence_test(x, y, config):
 
     deviations = deviations_for(iy)
     observed = float(deviations.max())
-    rng = np.random.default_rng([derive_seed(config.seed, "recurrence-perm")])
-    perms = rng.permuted(np.tile(np.arange(n), (config.permutations, 1)), axis=1)
+    rng = np.random.default_rng([derive_seed(seed, "recurrence-perm")])
+    perms = rng.permuted(np.tile(np.arange(n), (permutations, 1)), axis=1)
     exceed = 0
     for pi in perms:
         if float(deviations_for(iy_full[pi[iu_r], pi[iu_c]]).max()) >= observed:
             exceed += 1
     return IndependenceResult(
         statistic=observed,
-        p_value=(1.0 + exceed) / (config.permutations + 1.0),
+        p_value=(1.0 + exceed) / (permutations + 1.0),
         grid=GridDetail(x_radii=gx, y_radii=gy, deviations=deviations),
-        permutations=config.permutations,
-        seed=config.seed,
+        permutations=permutations,
+        seed=seed,
         n=n,
     )
 
@@ -320,7 +308,7 @@ class TestPairBins:
         else:
             series = gapped_network(5)
             pairs = [common_years(a, b) for i, a in enumerate(series) for b in series[i + 1 :]]
-        q = np.asarray(DEFAULT_QUANTILES)
+        q = RADIUS_QUANTILES
         for x, y in pairs:
             iu_r, iu_c = np.triu_indices(x.size, k=1)
             got = _pair_bins(x, y, q, iu_r, iu_c)
@@ -344,12 +332,12 @@ class TestIndependenceAgainstPermutationLoop:
             y = rng.integers(0, 5, size=n).astype(float)  # heavy ties in y
         else:
             y = x + rng.normal(0.0, 0.5, size=n)
-        self._assert_matches(x, y, RecurrenceConfig(permutations=permutations, seed=seed))
+        self._assert_matches(x, y, permutations, seed)
 
     @staticmethod
-    def _assert_matches(x, y, config):
-        got = independence_test(x, y, config)
-        want = _reference_independence_test(x, y, config)
+    def _assert_matches(x, y, permutations, seed):
+        got = independence_test(x, y, permutations=permutations, seed=seed)
+        want = _reference_independence_test(x, y, permutations, seed)
         assert got.statistic == want.statistic
         assert got.p_value == want.p_value
         assert got.grid.deviations.tobytes() == want.grid.deviations.tobytes()
@@ -357,49 +345,34 @@ class TestIndependenceAgainstPermutationLoop:
         np.testing.assert_array_equal(got.grid.y_radii, want.grid.y_radii)
 
     @pytest.mark.parametrize(
-        "n, permutations, grid, ties",
+        "n, permutations, ties",
         [
-            pytest.param(33, 999, 9, False, id="partial-last-block"),
-            pytest.param(400, 99, 9, False, id="one-permutation-per-block"),
-            pytest.param(60, 199, 19, False, id="19-quantile-grid"),
-            pytest.param(60, 999, 9, True, id="ties-in-both-series"),
+            pytest.param(33, 999, False, id="partial-last-block"),
+            pytest.param(400, 99, False, id="one-permutation-per-block"),
+            pytest.param(60, 999, True, id="ties-in-both-series"),
         ],
     )
-    def test_block_edge_cases(self, n, permutations, grid, ties):
-        rng = np.random.default_rng(n + grid)
+    def test_block_edge_cases(self, n, permutations, ties):
+        rng = np.random.default_rng(n + 9)
         if ties:
             x = rng.integers(0, 4, size=n).astype(float)
             y = np.minimum(x + rng.integers(0, 2, size=n), 4.0)
         else:
             x = rng.random(n)
             y = x + rng.normal(0.0, 0.5, size=n)
-        quantiles = tuple(np.round(np.arange(1, grid + 1) / (grid + 1), 10).tolist())
-        config = RecurrenceConfig(radius_quantiles=quantiles, permutations=permutations, seed=n)
-        self._assert_matches(x, y, config)
+        self._assert_matches(x, y, permutations, n)
 
-    @pytest.mark.parametrize("case", ["coarse-grid", "zero-distances"])
-    def test_pairs_beyond_the_top_radius(self, case):
-        # permutations count only the pairs within the top x radius: on a
-        # coarse grid most pairs lie beyond it, and integer series with three
-        # values put most pairs at distance zero
+    def test_pairs_at_distance_zero(self):
+        # permutations count only the pairs within the top x radius: integer
+        # series with three values put most pairs at distance zero, in the
+        # first bin, and the rest at a distance that is every radius
         rng = np.random.default_rng(37)
         n = 60
-        if case == "coarse-grid":
-            x = rng.random(n)
-            y = x + rng.normal(0.0, 0.5, size=n)
-            quantiles = (0.1, 0.2, 0.3)
-        else:
-            x = rng.integers(0, 3, size=n).astype(float)
-            y = np.where(rng.random(n) < 0.7, x, rng.integers(0, 3, size=n))
-            quantiles = DEFAULT_QUANTILES
+        x = rng.integers(0, 3, size=n).astype(float)
+        y = np.where(rng.random(n) < 0.7, x, rng.integers(0, 3, size=n))
         dx = np.abs(x[:, None] - x[None, :])[np.triu_indices(n, k=1)]
-        beyond = dx > np.quantile(dx[dx > 0], quantiles[-1])
-        if case == "coarse-grid":
-            assert beyond.mean() > 0.5
-        else:
-            assert (dx == 0).mean() > 0.25
-        config = RecurrenceConfig(radius_quantiles=quantiles, permutations=999, seed=4)
-        self._assert_matches(x, y, config)
+        assert (dx == 0).mean() > 0.25
+        self._assert_matches(x, y, 999, 4)
 
     def test_edge_cases_reach_the_block_edges(self):
         # n = 33: 124 permutations per block and 999 = 8 * 124 + 7; n = 400:
@@ -413,10 +386,10 @@ class TestIndependenceAgainstPermutationLoop:
         rng = np.random.default_rng(35)
         x, y = rng.random(60), rng.random(60)
         # a first, small test keeps one-time imports and caches out of the peak
-        independence_test(x[:20], y[:20], RecurrenceConfig(permutations=99, seed=7))
+        independence_test(x[:20], y[:20], permutations=99, seed=7)
         tracemalloc.start()
         try:
-            independence_test(x, y, RecurrenceConfig(permutations=999, seed=7))
+            independence_test(x, y, permutations=999, seed=7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -428,10 +401,10 @@ class TestIndependenceAgainstPermutationLoop:
         # peaked at 1150 KB
         rng = np.random.default_rng(36)
         x, y = rng.random(10), rng.random(10)
-        independence_test(x, y, RecurrenceConfig(permutations=99, seed=8))
+        independence_test(x, y, permutations=99, seed=8)
         tracemalloc.start()
         try:
-            independence_test(x, y, RecurrenceConfig(permutations=99, seed=8))
+            independence_test(x, y, permutations=99, seed=8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -444,7 +417,7 @@ class TestIndependenceAgainstPermutationLoop:
         x, y = rng.random(1000), rng.random(1000)
         tracemalloc.start()
         try:
-            result = independence_test(x, y, RecurrenceConfig(permutations=99, seed=6))
+            result = independence_test(x, y, permutations=99, seed=6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -458,24 +431,21 @@ class TestPairwiseReport:
         return synth_dataset(spec, years=33, seed=13)
 
     def test_one_row_per_other_station(self):
-        rows = pairwise_independence_report(
-            self._network(), "st03", RecurrenceConfig(permutations=99, seed=3)
-        )
+        rows = pairwise_independence_report(self._network(), "st03", permutations=99, seed=3)
         assert [r.other for r in rows] == ["st00", "st01", "st02", "st04", "st05"]
         assert all(r.result is not None for r in rows)
         assert all(r.n_common == 33 for r in rows)
 
     def test_gapped_pairs_match_per_pair_alignment(self):
         series = gapped_network(4)
-        config = RecurrenceConfig(permutations=99, seed=7)
-        rows = pairwise_independence_report(series, "g2", config)
+        rows = pairwise_independence_report(series, "g2", permutations=99, seed=7)
         assert [r.other for r in rows] == ["g0", "g1", "g3", "g4", "g5"]
         target = series[2]
         for row, other in zip(rows, series[:2] + series[3:]):
             x, y = common_years(target, other)
             assert row.n_common == x.size
             seed = derive_seed(7, "indep", "g2", other.station_id)
-            expected = independence_test(x, y, RecurrenceConfig(permutations=99, seed=seed))
+            expected = independence_test(x, y, permutations=99, seed=seed)
             assert row.result.statistic == expected.statistic
             assert row.result.p_value == expected.p_value
 
@@ -493,8 +463,7 @@ class TestPairwiseReport:
     def test_pool_matches_serial_pair_loop(self, monkeypatch, workers):
         monkeypatch.setattr(recurrence_module, "_usable_cpus", lambda: workers)
         series = self._network_failing_in_the_middle()
-        config = RecurrenceConfig(permutations=199, seed=11)
-        rows = pairwise_independence_report(series, "st00", config)
+        rows = pairwise_independence_report(series, "st00", permutations=199, seed=11)
         others = series[1:]
         assert [r.other for r in rows] == [s.station_id for s in others]
         assert rows[2].other == "lonely" and rows[2].result is None
@@ -503,7 +472,7 @@ class TestPairwiseReport:
             seed = derive_seed(11, "indep", "st00", other.station_id)
             assert (row.target, row.n_common) == ("st00", x.size)
             try:
-                want = independence_test(x, y, RecurrenceConfig(permutations=199, seed=seed))
+                want = independence_test(x, y, permutations=199, seed=seed)
             except ValueError as exc:
                 assert row.result is None and row.error == str(exc)
                 continue
@@ -522,38 +491,53 @@ class TestPairwiseReport:
         monkeypatch.setattr(recurrence_module, "_usable_cpus", lambda: workers)
         failing_seed = derive_seed(5, "indep", "st00", "st03")
 
-        def independence_test_failing_once(x, y, config):
-            if config.seed == failing_seed:
+        def independence_test_failing_once(x, y, permutations, seed):
+            if seed == failing_seed:
                 raise RuntimeError("pair st03 failed")
-            return independence_test(x, y, config)
+            return independence_test(x, y, permutations, seed)
 
         monkeypatch.setattr(recurrence_module, "independence_test", independence_test_failing_once)
         with pytest.raises(RuntimeError, match="pair st03 failed"):
             pairwise_independence_report(
-                self._network_failing_in_the_middle(), "st00", RecurrenceConfig(permutations=99, seed=5)
+                self._network_failing_in_the_middle(), "st00", permutations=99, seed=5
             )
 
-    def test_pairs_keep_every_config_field(self, monkeypatch):
-        # each pair's config is the report's with only the seed replaced: a
-        # coarse radius grid and a field the report does not know reach
-        # every pair
-        @dataclass(frozen=True)
-        class TaggedConfig(RecurrenceConfig):
-            tag: str = "default"
-
-        config = TaggedConfig(radius_quantiles=(0.25, 0.5, 0.75), permutations=99, seed=9, tag="kept")
+    @staticmethod
+    def _record_pairs(monkeypatch):
+        """The (permutations, seed) of every pair the report tests, through
+        the module global that the report calls."""
         seen = []
 
-        def independence_test_recording(x, y, config):
-            seen.append(config)
-            return independence_test(x, y, config)
+        def independence_test_recording(x, y, permutations, seed):
+            seen.append((permutations, seed))
+            return independence_test(x, y, permutations, seed)
 
         monkeypatch.setattr(recurrence_module, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(recurrence_module, "independence_test", independence_test_recording)
-        rows = pairwise_independence_report(self._network(), "st02", config)
+        return seen
+
+    def test_pairs_get_the_reports_permutations_and_derived_seeds(self, monkeypatch):
+        seen = self._record_pairs(monkeypatch)
+        rows = pairwise_independence_report(self._network(), "st02", permutations=129, seed=9)
         others = ["st00", "st01", "st03", "st04", "st05"]
-        assert seen == [replace(config, seed=derive_seed(9, "indep", "st02", o)) for o in others]
-        assert all(r.result.grid.deviations.shape == (3, 3) for r in rows)
+        assert seen == [(129, derive_seed(9, "indep", "st02", o)) for o in others]
+        assert [r.result.permutations for r in rows] == [129] * 5
+        assert all(r.result.grid.deviations.shape == (9, 9) for r in rows)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"permutations": 10}, "permutations must be at least 99, got 10"),
+            ({"seed": -1}, "seed must be nonnegative"),
+        ],
+        ids=["permutations", "seed"],
+    )
+    def test_bad_arguments_raise_before_any_pair(self, monkeypatch, kwargs, message):
+        # inside a pair a ValueError would become that pair's error row
+        seen = self._record_pairs(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            pairwise_independence_report(self._network(), "st02", **kwargs)
+        assert seen == []
 
     def test_missing_target_rejected(self):
         with pytest.raises(ValueError, match="nowhere"):
@@ -562,9 +546,7 @@ class TestPairwiseReport:
     def test_failing_pair_reported_not_fatal(self):
         series = self._network()
         lonely = AnnualMaximaSeries("lonely", np.arange(2005, 2013), np.linspace(50, 90, 8))
-        rows = pairwise_independence_report(
-            series + [lonely], "st00", RecurrenceConfig(permutations=99, seed=4)
-        )
+        rows = pairwise_independence_report(series + [lonely], "st00", permutations=99, seed=4)
         by_station = {r.other: r for r in rows}
         assert by_station["lonely"].result is None
         assert by_station["lonely"].error is not None

@@ -61,7 +61,15 @@ class TestDeriveSeeds:
         assert derive_seeds(9, (), [1, 1.0, True]) == seeds
 
     def test_negative_master_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"lie in \[0, 2\*\*128\), got -1"):
             derive_seeds(-1, ("tcvm",), range(3))
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"lie in \[0, 2\*\*128\), got -1"):
             derive_seed(-1, "tcvm")
+
+    def test_master_of_more_than_16_bytes_rejected(self):
+        # the master seed is hashed as 16 big-endian bytes
+        assert derive_seed(2**128 - 1, "tcvm") >= 0
+        with pytest.raises(ValueError, match=rf"lie in \[0, 2\*\*128\), got {2**128}$"):
+            derive_seed(2**128, "tcvm")
+        with pytest.raises(ValueError, match=r"lie in \[0, 2\*\*128\)"):
+            derive_seeds(2**128, ("tcvm",), range(3))
