@@ -33,15 +33,6 @@ class GevParams:
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
 
-    def support(self) -> tuple[float, float]:
-        """Interval outside which the density is zero."""
-        if abs(self.xi) < XI_EPS:
-            return (-np.inf, np.inf)
-        endpoint = self.mu - self.sigma / self.xi
-        if self.xi > 0:
-            return (endpoint, np.inf)
-        return (-np.inf, endpoint)
-
 
 def _as_output(x: object, out: np.ndarray) -> float | np.ndarray:
     return float(out) if np.ndim(x) == 0 else out

@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimate import FitError, FitResult, _fit_rows, fit_mle
 from .gev import GevParams, _gev_rows_cdf, _one_row, _quantile_sample
-from .seeding import derive_seed, derive_seeds, stream_uniforms
+from .seeding import derive_rng, derive_seed
 
 FAMILIES = ("gumbel", "frechet", "weibull")
 
@@ -100,15 +100,15 @@ def tcvm_test(
 
     Fits the family, simulates B samples from the fitted law, refits the
     family on each replicate and recomputes the statistic, so the null
-    distribution accounts for parameter estimation. Replicate b draws
-    from its own stream ``np.random.default_rng([derive_seed(seed, "tcvm",
-    family, b)])``; all B streams are derived and stepped together in one
-    array pass (``derive_seeds``, ``stream_uniforms``), which the tests
-    check bit for bit against numpy's generators. Replicates are refitted
-    by the row kernel and scored by ``_tcvm_rows``, up to ``_BLOCK_ROWS``
-    rows per call, so B <= 1024 is one call of each. The rows of a block
-    that the kernel cannot settle draw again together, each the next n
-    uniforms of its own stream (counted in ``redraws``), up to 10 draws per
+    distribution accounts for parameter estimation. The test draws from one
+    stream, ``derive_rng(seed, "tcvm", family)``: replicate b's sample is
+    row b of its ``random((B, n))``, drawn a block at a time, so the first
+    B replicates do not depend on B. Replicates are refitted by the row
+    kernel and scored by ``_tcvm_rows``, up to ``_BLOCK_ROWS`` rows per
+    call, so B <= 1024 is one call of each. The rows of a block that the
+    kernel cannot settle draw again together (counted in ``redraws``), the
+    t-th redraw of replicate b from a stream of its own,
+    ``derive_rng(seed, "tcvm", family, b, t)``, up to 10 draws per
     replicate.
     """
     if B < _MIN_BOOTSTRAP:
@@ -118,13 +118,12 @@ def tcvm_test(
     fitted = fit_family(x, family)
     observed = tcvm_statistic(x, fitted.params, delta)
 
-    seeds = derive_seeds(seed, ("tcvm", family), range(B))
-    uniforms = stream_uniforms(seeds, n)
+    rng = derive_rng(seed, "tcvm", family)
     boot = np.empty(B)
     redraws = 0
     for start in range(0, B, _BLOCK_ROWS):
         rows = np.arange(start, min(start + _BLOCK_ROWS, B))
-        u = uniforms[rows]
+        u = rng.random((rows.size, n))
         for draw in range(1, 11):
             samples = _quantile_sample(u, fitted.params)
             mu, sigma, xi, ok, _ = _fit_rows(samples, family)
@@ -136,9 +135,11 @@ def tcvm_test(
                 raise FitError(
                     f"bootstrap replicate {rows[0]} failed to refit {family} after 10 draws"
                 )
-            # the next n uniforms of each unsettled row's own stream
             redraws += rows.size
-            u = stream_uniforms([seeds[b] for b in rows], (draw + 1) * n)[:, draw * n :]
+            # Python ints: a label's seed hashes its repr, and np.int64(7)'s is not '7'
+            u = np.stack(
+                [derive_rng(seed, "tcvm", family, b, draw).random(n) for b in rows.tolist()]
+            )
     p = (1.0 + float((boot >= observed).sum())) / (B + 1.0)
     return TestResult(
         statistic=observed,

@@ -395,6 +395,10 @@ def read_series_csv(stream: TextIO) -> list[AnnualMaximaSeries]:
             year, value = int(year_text), float(value_text)
         except ValueError:
             raise ParseError(lineno, f"invalid year/value {year_text!r},{value_text!r}")
+        if not dt.MINYEAR <= year <= dt.MAXYEAR:  # the years a daily file can give
+            raise ParseError(
+                lineno, f"year must lie in [{dt.MINYEAR}, {dt.MAXYEAR}], got {year_text!r}"
+            )
         if not math.isfinite(value):
             raise ParseError(lineno, f"invalid max_mm value {value_text!r}")
         if value <= 0:

@@ -142,26 +142,26 @@ def test_commands_leave_numpy_ma_unloaded(tmp_path):
 # changes its family.
 DEMO_FAMILIES = """\
 station,family,p_gumbel,p_second
-Punta del Este,gumbel,0.697,
-Aeropuerto Carrasco,gumbel,0.266,
-Mercedes,gumbel,0.209,
-Colonia,gumbel,0.435,
-Aeropuerto Melilla,gumbel,0.114,
-Rocha,gumbel,0.215,
-Prado,gumbel,0.135,
-Paso de los Toros,gumbel,0.589,
-Palmitas,gumbel,0.11,
-Melo,gumbel,0.788,
-Durazno,gumbel,0.072,
-Trinidad,gumbel,0.55,
-Paysandú,gumbel,0.514,
-Salto,gumbel,0.517,
-Rivera,gumbel,0.05,
-Young,gumbel,0.522,
-Treinta y Tres,gumbel,0.098,
-Bella Unión,gumbel,0.937,
-Tacuarembó,weibull,0.02,0.35
-Artigas,gumbel,0.051,
+Punta del Este,gumbel,0.669,
+Aeropuerto Carrasco,gumbel,0.241,
+Mercedes,gumbel,0.224,
+Colonia,gumbel,0.41,
+Aeropuerto Melilla,gumbel,0.107,
+Rocha,gumbel,0.208,
+Prado,gumbel,0.143,
+Paso de los Toros,gumbel,0.583,
+Palmitas,gumbel,0.099,
+Melo,gumbel,0.804,
+Durazno,gumbel,0.08,
+Trinidad,gumbel,0.534,
+Paysandú,gumbel,0.544,
+Salto,gumbel,0.488,
+Rivera,gumbel,0.058,
+Young,gumbel,0.5,
+Treinta y Tres,gumbel,0.099,
+Bella Unión,gumbel,0.952,
+Tacuarembó,weibull,0.022,0.341
+Artigas,gumbel,0.054,
 """
 
 

@@ -200,7 +200,9 @@ class TestFitMle:
             assert fit.loglik == pytest.approx(log_likelihood(fit.params, x), abs=1e-10)
 
     def test_weibull_fit_stays_where_the_likelihood_is_bounded(self):
-        # demo station Trinidad, stage-1 Weibull bootstrap replicate 413: the
+        # demo station Trinidad, a draw from its stage-1 Weibull fit on the
+        # stream (seed, "tcvm", "weibull", 413), which was bootstrap
+        # replicate 413 when each replicate had a stream of its own: the
         # simplex on xi = -exp(eta) used to stop at xi = -1.022, where the
         # likelihood is unbounded above. The supremum over xi > -1 lies on
         # the support edge xi = -1, which the kernel takes in closed form.
@@ -354,7 +356,9 @@ class TestKernelAgainstOracle:
         assert nelder_mead_fit(x, "free").params.xi < -1.0
 
     def test_edge_fit_is_the_closed_form_supremum(self):
-        # demo station Prado, stage-1 Weibull bootstrap replicate 169: the
+        # demo station Prado, a draw from its stage-1 Weibull fit on the
+        # stream (seed, "tcvm", "weibull", 169), which was bootstrap
+        # replicate 169 when each replicate had a stream of its own: the
         # simplex stopped at xi = -0.836 with loglik -155.778, below the
         # supremum -155.7217 that the support edge xi = -1 reaches
         x = next(s.values for s in demo_dataset(seed=29) if s.station_id == "Prado")

@@ -186,16 +186,26 @@ class TestTcvmTest:
         assert res.p_value > 0.05
 
 
+def _first_uniforms(seed, family, B, n):
+    """Every replicate's first draw: row b of the test's one stream."""
+    return np.random.default_rng([derive_seed(seed, "tcvm", family)]).random((B, n))
+
+
+def _redraw_uniforms(seed, family, b, t, n):
+    """Replicate b's t-th redraw, from a stream of its own."""
+    return np.random.default_rng([derive_seed(seed, "tcvm", family, b, t)]).random(n)
+
+
 def _scalar_tcvm_p_value(x, family, delta, B, seed):
     """The bootstrap as a per-replicate loop of Nelder-Mead refits: the
     reference the batched tcvm_test must reproduce."""
     fitted = nelder_mead_fit(x, family)
     observed = tcvm_statistic(x, fitted.params, delta)
+    first = _first_uniforms(seed, family, B, x.size)
     exceed = 0
     for b in range(B):
-        rng = np.random.default_rng([derive_seed(seed, "tcvm", family, b)])
-        for _ in range(10):
-            u = rng.random(x.size)
+        for t in range(10):
+            u = first[b].copy() if t == 0 else _redraw_uniforms(seed, family, b, t, x.size)
             u[u == 0.0] = np.nextafter(0.0, 1.0)
             sample = np.asarray(gev_quantile(u, fitted.params))
             try:
@@ -212,9 +222,8 @@ def _scalar_tcvm_p_value(x, family, delta, B, seed):
 def _gumbel_bootstrap_statistics(x, seed, B=99):
     """Bootstrap statistics of the Gumbel test, one scalar refit per replicate."""
     fitted = fit_family(x, "gumbel")
-    for b in range(B):
-        rng = np.random.default_rng([derive_seed(seed, "tcvm", "gumbel", b)])
-        sample = _quantile_sample(rng.random(x.size), fitted.params)
+    for u in _first_uniforms(seed, "gumbel", B, x.size):
+        sample = _quantile_sample(u, fitted.params)
         yield tcvm_statistic(sample, fit_family(sample, "gumbel").params)
 
 
@@ -266,6 +275,80 @@ class TestBatchedBootstrap:
             one.redraws,
         )
 
+    @pytest.mark.parametrize("family", ["gumbel", "frechet", "weibull"])
+    def test_first_replicates_do_not_depend_on_B(self, monkeypatch, family):
+        x = gev_sample(GUMBEL, 33, seed=24)
+        kernel = gof._tcvm_rows
+        statistics = []
+
+        def record(*args):
+            statistics.append(kernel(*args))
+            return statistics[-1]
+
+        monkeypatch.setattr(gof, "_tcvm_rows", record)
+        assert tcvm_test(x, family, B=199, seed=9).redraws == 0
+        assert tcvm_test(x, family, B=999, seed=9).redraws == 0
+        _, small, _, large = statistics  # observed, bootstrap, for each B
+        assert (small.size, large.size) == (199, 999)
+        np.testing.assert_array_equal(large[:199], small)
+
+    def test_forced_redraw_changes_that_replicate_only(self, monkeypatch):
+        x = gev_sample(GUMBEL, 33, seed=25)
+        fit_kernel, stat_kernel = gof._fit_rows, gof._tcvm_rows
+        statistics = []
+
+        def record(*args):
+            statistics.append(stat_kernel(*args))
+            return statistics[-1]
+
+        monkeypatch.setattr(gof, "_tcvm_rows", record)
+        tcvm_test(x, "gumbel", B=199, seed=2)
+        base = statistics[1]
+        statistics.clear()
+
+        def fail_first_call(samples, family):
+            mu, sigma, xi, converged, iterations = fit_kernel(samples, family)
+            if samples.shape[0] == 199:
+                converged[57] = False
+            return mu, sigma, xi, converged, iterations
+
+        monkeypatch.setattr(gof, "_fit_rows", fail_first_call)
+        assert tcvm_test(x, "gumbel", B=199, seed=2).redraws == 1
+        _, block, redrawn = statistics
+        np.testing.assert_array_equal(block, np.delete(base, 57))
+        params = fit_family(x, "gumbel").params
+        sample = _quantile_sample(_redraw_uniforms(2, "gumbel", 57, 1, 33), params)
+        assert redrawn.tolist() == [tcvm_statistic(sample, fit_family(sample, "gumbel").params)]
+        assert redrawn[0] != base[57]
+
+    def test_two_redraws_independent_of_block_size(self, monkeypatch):
+        # replicate 700 fails its first draw and its first redraw, wherever
+        # it lies: the sixth of eight blocks of 128, or the one block
+        x = gev_sample(GUMBEL, 33, seed=26)
+        params = fit_family(x, "gumbel").params
+        failing = [
+            _quantile_sample(_first_uniforms(6, "gumbel", 999, 33)[700], params),
+            _quantile_sample(_redraw_uniforms(6, "gumbel", 700, 1, 33), params),
+        ]
+        fit_kernel = gof._fit_rows
+        calls = []
+
+        def failing_fit(samples, family):
+            mu, sigma, xi, converged, iterations = fit_kernel(samples, family)
+            calls.append(samples.shape[0])
+            for sample in failing:
+                converged[(samples == sample).all(axis=1)] = False
+            return mu, sigma, xi, converged, iterations
+
+        monkeypatch.setattr(gof, "_fit_rows", failing_fit)
+        one = tcvm_test(x, "gumbel", B=999, seed=6)
+        assert calls == [999, 1, 1]
+        calls.clear()
+        monkeypatch.setattr(gof, "_BLOCK_ROWS", 128)
+        eight = tcvm_test(x, "gumbel", B=999, seed=6)
+        assert calls == [128] * 5 + [128, 1, 1] + [128, 103]
+        assert (eight.p_value, eight.redraws) == (one.p_value, 2)
+
     def test_gumbel_bootstrap_far_from_zero_draws_once(self):
         # demo stations mapped to v/25 + 1e4, thousands of scales from 0: a
         # replicate whose Gumbel refit stalls draws again and moves the
@@ -300,9 +383,13 @@ class TestBatchedBootstrap:
         assert res.redraws == 3
         assert [s.shape[0] for s in samples] == [99, 2, 1]
 
+        first = _first_uniforms(4, "gumbel", 99, 33)
+
         def draws(replicate, count):
-            rng = np.random.default_rng([derive_seed(4, "tcvm", "gumbel", replicate)])
-            return [_quantile_sample(rng.random(33), params) for _ in range(count)]
+            u = [first[replicate]] + [
+                _redraw_uniforms(4, "gumbel", replicate, t, 33) for t in range(1, count)
+            ]
+            return [_quantile_sample(row, params) for row in u]
 
         def statistic(sample):
             return tcvm_statistic(sample, fit_family(sample, "gumbel").params)
@@ -339,9 +426,11 @@ class TestBatchedBootstrap:
         monkeypatch.setattr(gof, "_fit_rows", lambda s, f: fail_replicate(s, f, 2))
         res = tcvm_test(x, "gumbel", B=B, seed=4)
         assert res.redraws == 2
-        # each redraw is the replicate's next draw from its own stream
-        rng = np.random.default_rng([derive_seed(4, "tcvm", "gumbel", replicate)])
-        draws = [_quantile_sample(rng.random(33), fit_family(x, "gumbel").params) for _ in range(3)]
+        # the first draw is the replicate's row of the test's stream, each
+        # redraw t the replicate's own stream (replicate, t)
+        u = [_first_uniforms(4, "gumbel", B, 33)[replicate]]
+        u += [_redraw_uniforms(4, "gumbel", replicate, t, 33) for t in (1, 2)]
+        draws = [_quantile_sample(row, fit_family(x, "gumbel").params) for row in u]
         assert len(calls) == block + 3
         np.testing.assert_array_equal(calls[block][row], draws[0])
         np.testing.assert_array_equal(calls[block + 1][0], draws[1])

@@ -401,6 +401,21 @@ class TestSerialization:
         assert err.value.line == 3
         assert str(err.value) == f"line 3: max_mm must be positive, got {value!r} for station 'A'"
 
+    @pytest.mark.parametrize("year", ["0", "-5", "10000", str(2**63), str(2**64)])
+    def test_series_year_outside_calendar_names_line(self, year):
+        # 2**63 used to wrap to -2**63 in the int64 cast (a RuntimeWarning)
+        # and 2**64 to raise OverflowError with no line
+        text = f"station,year,max_mm\nA,1990,10.5\nA,{year},12.0\n"
+        with pytest.raises(ParseError) as err:
+            read_series_csv(io.StringIO(text))
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: year must lie in [1, 9999], got {year!r}"
+
+    def test_series_calendar_end_years_kept(self):
+        text = "station,year,max_mm\nA,9999,12.0\nA,1,10.5\n"
+        (series,) = read_series_csv(io.StringIO(text))
+        assert series.years.tolist() == [1, 9999]
+
     @pytest.mark.parametrize("station", ["", "  "])
     def test_series_empty_station_id_names_line(self, station):
         text = f"station,year,max_mm\nA,1990,10.5\n{station},1991,12.0\n"
