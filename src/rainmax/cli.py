@@ -503,6 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=["params", "fmadogram"], default=None)
         p.add_argument("--demo", action="store_true", default=None, help="use the bundled dataset")
         p.add_argument("--target", type=str, default=None)
+        p.add_argument("--ci-level", dest="ci_level", type=float, default=None)
     return parser
 
 
@@ -537,7 +538,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     overrides = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(RunConfig)
-        if hasattr(args, f.name) and getattr(args, f.name) is not None
+        if getattr(args, f.name) is not None
     }
     cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()

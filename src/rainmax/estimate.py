@@ -17,15 +17,15 @@ solves. ``fit_mle_rows`` fits many samples, one ``_fit_rows`` call per
 group of equal length, with standard errors from the same closed-form
 observed information; ``fit_mle`` is its one-row case for every
 constraint. With the shape fixed the loop solves over (mu, log sigma)
-alone: ``_profile_rows`` solves the trial shapes of many profile-interval
-searches at once, which ``profile_ci_xi_rows`` advances in lockstep;
-``profile_ci_xi`` is its one-row case.
+alone: ``_profile_rows`` solves the trial shapes of all the endpoint
+searches of ``_endpoint_rows`` at once, on both sides of the samples of
+``profile_ci_xi_rows``; ``profile_ci_xi`` is its one-row case.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -130,61 +130,6 @@ def fit_pwm(data: object) -> FitResult:
         converged=True,
         iterations=0,
     )
-
-
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
-_ROOT_MAX_ITER = 100
-
-
-def _brent_search(
-    a: tuple[float, float], b: tuple[float, float], xtol: float
-) -> Generator[float, float, tuple[float, int]]:
-    """Brent's method on a bracket, as a generator: it yields each point at
-    which it needs the function and receives the function's value there.
-
-    ``a`` and ``b`` are the bracket's ends, each a point with its function
-    value (the caller has them), the values of opposite signs. Inverse
-    quadratic interpolation or a secant step while it shrinks the bracket
-    fast enough, bisection otherwise, until the bracket is narrower than
-    xtol + 4 eps |x|. These are the steps and the stopping rule of scipy's
-    ``brentq``, so the same function values give the same root. Returns the
-    root and the iterations taken; raises FitError after ``_ROOT_MAX_ITER``.
-    """
-    (xpre, fpre), (xcur, fcur) = a, b
-    if fpre == 0:
-        return xpre, 0
-    if fcur == 0:
-        return xcur, 0
-    xblk = fblk = spre = scur = 0.0
-    for iteration in range(1, _ROOT_MAX_ITER + 1):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, iteration
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
-        # take the interpolation step when it is short enough, else bisect
-        spre, scur = (scur, stry) if short else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = yield xcur
-    raise FitError(f"root not bracketed within {xtol} after {_ROOT_MAX_ITER} iterations")
 
 
 def _chi2_1_quantile(level: float) -> float:
@@ -643,38 +588,68 @@ def _profile_rows(
     return solves
 
 
-def _endpoint_search(xi_hat: float, direction: float) -> Generator[float, float, float]:
-    """One profile-interval endpoint as a generator: it yields each trial
-    shape and receives that shape's deviance less the chi-square threshold.
+_XI_TOL = 1e-6  # an endpoint's last bracket is narrower than this
 
-    It marches from the MLE ``xi_hat`` in steps of 0.1 in ``direction``
-    until the deviance exceeds the threshold, then refines the last step's
-    bracket by ``_brent_search``. The march's values close the bracket, so
-    no shape is yielded twice. Returns the endpoint; raises FitError when
-    the deviance stays below the threshold up to the search bound.
+
+def _endpoint_rows(
+    X: np.ndarray, side: np.ndarray, fits: Sequence[FitResult], threshold: float
+) -> list[float | FitError]:
+    """Profile-interval endpoints, one per row of ``X``: the upper one of
+    its sample where ``side`` is +1, the lower one where it is -1, at which
+    the deviance 2*(fits[r].loglik - profile loglik(xi)) is ``threshold``.
+
+    A row marches from its MLE shape in steps of 0.1 until the deviance
+    passes the threshold, then refines the last step's bracket by
+    Anderson-Bjorck regula falsi until it is narrower than ``_XI_TOL``; a
+    trial within ``_XI_TOL/2`` of the bracket's newest end moves to that
+    distance towards the other end, so that the bracket closes. The
+    deviance is 0 at the MLE and the march's deviances close the bracket,
+    so no shape is solved twice. Each round solves all pending rows with
+    one ``_profile_rows`` call, each from its own last solve. Returns per
+    row the endpoint, or the FitError of a failed solve or of a deviance
+    still below the threshold at the search bound.
     """
-    bound = _XI_SEARCH_RANGE[1] if direction > 0 else _XI_SEARCH_RANGE[0]
-    step = 0.1 * direction
-    inner, f_inner = xi_hat, None  # the MLE's deviance is solved only if needed
-    while True:
-        outer = inner + step
-        if (direction > 0 and outer >= bound) or (direction < 0 and outer <= bound):
-            outer = bound
-        f_outer = yield outer
-        if f_outer > 0:
-            break
-        if outer == bound:
-            side = "upper" if direction > 0 else "lower"
-            raise FitError(
-                f"profile deviance stays below the threshold at xi={bound}; "
-                f"{side} endpoint unbounded in {_XI_SEARCH_RANGE}"
-            )
-        inner, f_inner = outer, f_outer
-    if f_inner is None:
-        f_inner = yield inner
-    a, b = sorted([(inner, f_inner), (outer, f_outer)])
-    root, _ = yield from _brent_search(a, b, xtol=1e-6)
-    return float(root)
+    lmax = np.array([fit.loglik for fit in fits])
+    starts = [(fit.params.mu, fit.params.sigma) for fit in fits]
+    # the bracket's newest end b and its other end a, each with its deviance
+    # less the threshold; while a row marches, b is the last shape passed
+    b = np.clip([fit.params.xi for fit in fits], *_XI_SEARCH_RANGE)
+    fb = np.full(side.size, -threshold)
+    a, fa = b.copy(), fb.copy()
+    bracketed = np.zeros(side.size, dtype=bool)
+    ends: list = [None] * side.size
+    pending = np.arange(side.size)
+    while pending.size:
+        trial = np.clip(b[pending] + 0.1 * side[pending], *_XI_SEARCH_RANGE)
+        refine = bracketed[pending]
+        q = pending[refine]
+        falsi = b[q] - fb[q] * (b[q] - a[q]) / (fb[q] - fa[q])
+        nudge = b[q] + np.copysign(_XI_TOL / 2, a[q] - b[q])
+        trial[refine] = np.where(np.abs(falsi - b[q]) < _XI_TOL / 2, nudge, falsi)
+        solves = _profile_rows(X[pending], trial, [starts[r] for r in pending])
+        for r, c, solve in zip(pending, trial, solves):
+            if isinstance(solve, FitError):
+                ends[r] = solve
+                continue
+            ll, starts[r] = solve
+            fc = 2.0 * (lmax[r] - ll) - threshold
+            if not bracketed[r] and fc <= 0:  # march on, unless at the bound
+                upper = int(side[r] > 0)
+                if c == _XI_SEARCH_RANGE[upper]:
+                    ends[r] = FitError(
+                        f"profile deviance stays below the threshold at xi={float(c)}; "
+                        f"{('lower', 'upper')[upper]} endpoint unbounded in {_XI_SEARCH_RANGE}"
+                    )
+            elif bracketed[r] and (fc > 0) == (fb[r] > 0):
+                m = 1.0 - fc / fb[r]  # the same end moves again: scale the other's value
+                fa[r] *= m if m > 0 else 0.5
+            else:
+                a[r], fa[r], bracketed[r] = b[r], fb[r], True
+            b[r], fb[r] = c, fc
+            if bracketed[r] and (fc == 0 or abs(b[r] - a[r]) < _XI_TOL):
+                ends[r] = float(c)
+        pending = np.array([r for r in pending if ends[r] is None], dtype=int)
+    return ends
 
 
 def profile_ci_xi(
@@ -701,62 +676,34 @@ def profile_ci_xi_rows(
     stopped it.
 
     Endpoints solve 2*(max loglik - profile loglik(xi)) = chi2(1) quantile
-    and may be asymmetric. Each endpoint is an ``_endpoint_search``: a
-    march outward from the MLE, refined by Brent's method. The upper
-    searches of all samples advance in lockstep, then the lower ones; each
-    round solves every pending trial shape with one ``_profile_rows`` call
-    per group of equal-length samples, each row warm-started from its own
-    sample's nearest shape already solved. Upper before lower gives each
-    sample the same warm starts, and so the same bits, as a search of its
-    own. A FitError stops its own sample only. ``frees`` holds each
-    sample's free ``fit_mle`` result when the caller already has them;
-    without it the samples are fitted here, and a failed fit is the
-    sample's entry. Raises ValueError for a level outside (0, 1) or a
-    sample the fit rejects.
+    and may be asymmetric. One ``_endpoint_rows`` call per group of
+    equal-length samples searches both sides of each; a row's search
+    depends only on its own solves, so each interval is bit for bit that
+    of the sample alone. A FitError, the upper endpoint's first, stops its
+    own sample only. ``frees`` holds each sample's free ``fit_mle`` result
+    (or FitError) when the caller already has them; without it the samples
+    are fitted here. Raises ValueError for a level outside (0, 1), a
+    sample the fit rejects, or ``frees`` not one free fit per sample.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
+    if frees is not None and len(frees) != len(samples):
+        raise ValueError(f"got {len(frees)} free fits for {len(samples)} samples")
+    for fit in frees or ():
+        if isinstance(fit, FitResult) and fit.constraint != "free":
+            raise ValueError(f"need the free fit, got a {fit.constraint!r} fit")
     xs = [_validate_sample(data, min_distinct=5) for data in samples]
     fits = fit_mle_rows(xs) if frees is None else frees
     threshold = _chi2_1_quantile(level)
-    results: list[ProfileInterval | FitError | None] = [
-        fit if isinstance(fit, FitError) else None for fit in fits
-    ]
-    # per sample, each shape solved with its (mu, sigma), the MLE's first
-    warm: dict[int, list[tuple[float, tuple[float, float]]]] = {}
-    for i, fit in enumerate(fits):
-        if results[i] is None:
-            xi_hat = float(np.clip(fit.params.xi, *_XI_SEARCH_RANGE))
-            warm[i] = [(xi_hat, (fit.params.mu, fit.params.sigma))]
-    ends: dict[int, list[float]] = {i: [] for i in warm}
-    for direction in (1.0, -1.0):
-        searches = {
-            i: _endpoint_search(warm[i][0][0], direction) for i in warm if results[i] is None
-        }
-        trials = {i: next(search) for i, search in searches.items()}
-        while trials:
-            for group in _length_groups({i: xs[i] for i in trials}):
-                shapes = [trials[i] for i in group]
-                starts = [
-                    min(warm[i], key=lambda item, xi=xi: abs(item[0] - xi))[1]
-                    for i, xi in zip(group, shapes)
-                ]
-                solves = _profile_rows(np.stack([xs[i] for i in group]), np.array(shapes), starts)
-                for i, xi, solve in zip(group, shapes, solves):
-                    try:
-                        if isinstance(solve, FitError):
-                            raise solve
-                        ll, opt = solve
-                        warm[i].append((xi, opt))
-                        trials[i] = searches[i].send(2.0 * (fits[i].loglik - ll) - threshold)
-                    except StopIteration as stop:
-                        ends[i].append(stop.value)
-                        del trials[i]
-                    except FitError as exc:
-                        results[i] = exc
-                        del trials[i]
-    for i in warm:
-        if results[i] is None:
-            upper, lower = ends[i]
-            results[i] = ProfileInterval(lower=lower, upper=upper, level=level)
+    results: list = [fit if isinstance(fit, FitError) else None for fit in fits]
+    for group in _length_groups({i: xs[i] for i, fit in enumerate(results) if fit is None}):
+        ends = _endpoint_rows(
+            np.stack([xs[i] for i in group] * 2),
+            np.repeat([1.0, -1.0], len(group)),
+            [fits[i] for i in group] * 2,
+            threshold,
+        )
+        for i, upper, lower in zip(group, ends, ends[len(group) :]):
+            errors = [end for end in (upper, lower) if isinstance(end, FitError)]
+            results[i] = errors[0] if errors else ProfileInterval(lower, upper, level)
     return results

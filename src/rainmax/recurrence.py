@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import AnnualMaximaSeries, _quantiles, year_matrix
-from .seeding import derive_seed
+from .seeding import derive_rng, derive_seed
 
 RADIUS_QUANTILES = np.round(np.arange(0.1, 0.91, 0.1), 10)  # the deciles 0.1 ... 0.9
 DEFAULT_PERMUTATIONS = 999
@@ -165,7 +165,7 @@ def independence_test(
     key_buf = np.empty((rows, inner.size), dtype=np.int32)
     offsets_buf = ix[inner] * gbins + (np.arange(rows, dtype=np.int32) * table)[:, None]
 
-    rng = np.random.default_rng([derive_seed(seed, "recurrence-perm")])
+    rng = derive_rng(seed, "recurrence-perm")
     perms = np.tile(np.arange(n, dtype=np.int32), (permutations, 1))
     rng.permuted(perms, axis=1, out=perms)
     exceed = 0

@@ -9,12 +9,12 @@ fit went through the closed-form Newton kernel. It searches on
 free fit from the Gumbel solution when it lands below it. The Gumbel
 solution is ``scipy.stats.gumbel_r.fit``, a bracketed root of the same
 profiled scale equation that the kernel solves by Newton. It also keeps
-the loop forms that profile intervals had before their searches became
-generators: Brent's method calling its function, a driver that feeds a
-function to the generator ``_brent_search``, and one sample's
-march-plus-Brent search over ``profile_loglik``, the one-row case of the
-fixed-shape solve. The module name starts with an underscore so that
-pytest does not collect it.
+the profile-interval search that the package ran before its endpoints were
+refined by regula falsi: one sample's march outward from the MLE, refined
+by Brent's method (scipy's ``brentq`` steps, one loop calling its
+function), over ``profile_loglik``, the one-row case of the fixed-shape
+solve. The module name starts with an underscore so that pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from rainmax.estimate import (
     FitError,
     FitResult,
     ProfileInterval,
-    _brent_search,
     _chi2_1_quantile,
     _profile_rows,
     _validate_sample,
@@ -288,19 +287,6 @@ def brent_root_loop(f, a, b, xtol):
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
     raise FitError(f"root not bracketed within {xtol} after 100 iterations")
-
-
-def brent_root(f, a, b, xtol):
-    """Root of ``f`` bracketed by ``a`` and ``b``: ``_brent_search`` driven by
-    evaluating ``f`` at each point it yields. Returns the root and the
-    iterations taken."""
-    search = _brent_search(a, b, xtol)
-    try:
-        x = next(search)
-        while True:
-            x = search.send(f(x))
-    except StopIteration as stop:
-        return stop.value
 
 
 def profile_loglik(x, xi, start):

@@ -383,6 +383,19 @@ class TestConfigPrecedence:
         resolved = cli._resolve_config(args)
         assert {k: getattr(resolved, k) for k in values} == values
 
+    @pytest.mark.parametrize(
+        "command", ["ingest", "fit", "gof", "diagnose", "cluster", "indep", "report"]
+    )
+    def test_every_field_has_a_flag(self, command):
+        dests = set(vars(cli._build_parser().parse_args([command]))) - {"command", "config"}
+        assert dests == {f.name for f in dataclasses.fields(cli.RunConfig)}
+
+    def test_ci_level_flag_sets_the_interval_level(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["fit", "--demo", "--ci-level", "0.9", "--out", str(out)]) == 0
+        fits = json.loads((out / "fits.json").read_text())
+        assert {row["ci_level"] for row in fits.values()} == {0.9}
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(["seed", 1]))

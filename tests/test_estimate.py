@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 from scipy.special import gamma as scipy_gamma
 from scipy.stats import chi2
 
@@ -41,8 +40,6 @@ from rainmax.gev import (
 from rainmax.seeding import derive_seed
 
 from _reference_fits import (
-    brent_root,
-    brent_root_loop,
     finite_difference_se,
     nelder_mead_fit,
     nelder_mead_profile_loglik,
@@ -109,34 +106,6 @@ class TestChi2Quantile:
     def test_levels_near_one_keep_full_precision(self, level):
         # erf(z) rounds towards 1 here; the erfc tail does not
         assert _chi2_1_quantile(level) == pytest.approx(chi2.ppf(level, df=1), rel=1e-14, abs=0)
-
-
-_ROOT_FUNCTIONS = (
-    lambda v, c: v**3 - c,
-    lambda v, c: math.exp(v) - 1.0 - c,
-    lambda v, c: math.tanh(v - c) + 0.1,
-    lambda v, c: math.atan(c * v) - 0.2,
-)
-
-
-class TestBrentRoot:
-    """The bracketed root finder ``_brent_search``, driven by evaluating a
-    function at each point it yields, against scipy's brentq."""
-
-    @pytest.mark.parametrize("xtol", [1e-12, 1e-6, 1e-3])
-    def test_lands_within_xtol_of_brentq(self, xtol):
-        rng = np.random.default_rng(7)
-        for trial in range(200):
-            c = float(rng.uniform(0.1, 3.0))
-            f = lambda v, g=_ROOT_FUNCTIONS[trial % len(_ROOT_FUNCTIONS)], c=c: g(v, c)  # noqa: E731
-            a, b = -float(rng.uniform(0.5, 5.0)), float(rng.uniform(3.0, 10.0))
-            root, steps = brent_root(f, (a, f(a)), (b, f(b)), xtol)
-            assert abs(root - brentq(f, a, b, xtol=xtol)) <= xtol
-            # the generator keeps the loop's root and count
-            assert (root, steps) == brent_root_loop(f, (a, f(a)), (b, f(b)), xtol)
-
-    def test_root_at_a_bracket_end(self):
-        assert brent_root(math.sin, (0.0, 0.0), (1.0, math.sin(1.0)), 1e-12) == (0.0, 0)
 
 
 class TestFitMle:
@@ -589,7 +558,8 @@ class TestProfileKernel:
             assert ci.upper == pytest.approx(ref.upper, abs=1e-9)
 
     def test_no_shape_is_solved_twice(self, monkeypatch):
-        # the march's deviances close the root finder's bracket
+        # the MLE's deviance is 0 and the march's deviances close the
+        # bracket, on both sides of each station
         solved = []
         solve = estimate._profile_rows
 
@@ -600,8 +570,10 @@ class TestProfileKernel:
         monkeypatch.setattr(estimate, "_profile_rows", counting)
         for s in demo_dataset(seed=29):
             solved.clear()
-            profile_ci_xi(s.values)
+            free = fit_mle(s.values, "free")
+            ci = profile_ci_xi(s.values, free=free)
             assert len(solved) == len(set(solved)), s.station_id
+            assert min(solved) <= ci.lower < free.params.xi < ci.upper <= max(solved)
 
     def test_given_free_fit_is_not_refitted(self, monkeypatch):
         x = gev_sample(GevParams(80, 25, 0.1), 50, seed=6)
@@ -683,18 +655,38 @@ class TestRowEntryPoints:
         )
         rows = profile_ci_xi_rows(samples, 0.95, fits)
         for x, free, ci in zip(samples, fits, rows):
-            for one_row in (profile_ci_xi, profile_ci_loop):
-                try:
-                    one = one_row(np.asarray(x), 0.95, free)
-                except FitError as exc:
-                    one = exc
-                assert _bits(ci) == _bits(one)
+            try:
+                one = profile_ci_xi(x, 0.95, free)
+            except FitError as exc:
+                one = exc
+            assert _bits(ci) == _bits(one)
+            # the march-plus-Brent search: each endpoint within _XI_TOL of the root
+            try:
+                loop = profile_ci_loop(np.asarray(x), 0.95, free)
+            except FitError as exc:
+                assert _bits(ci) == _bits(exc)
+                continue
+            assert abs(ci.lower - loop.lower) <= 2 * estimate._XI_TOL
+            assert abs(ci.upper - loop.upper) <= 2 * estimate._XI_TOL
         assert _bits(rows[10]) == (
             FitError,
             "profile deviance stays below the threshold at xi=-1.0; "
             "lower endpoint unbounded in (-1.0, 2.0)",
         )
         assert sum(isinstance(ci, ProfileInterval) for ci in rows) == len(rows) - 1
+
+    def test_fits_not_free_rejected(self):
+        x = gev_sample(GevParams(80, 25, 0.2), 60, seed=4)
+        for constraint in ("gumbel", "frechet", "weibull"):
+            with pytest.raises(ValueError, match=f"need the free fit, got a '{constraint}' fit"):
+                profile_ci_xi(x, free=fit_mle(x, constraint))
+
+    def test_one_free_fit_per_sample(self):
+        samples = _profile_samples()[:2]
+        frees = fit_mle_rows(samples)
+        for given in (frees[:1], frees + frees[:1]):
+            with pytest.raises(ValueError, match=f"got {len(given)} free fits for 2 samples"):
+                profile_ci_xi_rows(samples, 0.95, given)
 
     def test_intervals_without_free_fits(self):
         x = _profile_samples()[0]
