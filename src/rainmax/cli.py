@@ -12,12 +12,20 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import shutil
 import sys
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+# rainmax's BLAS calls are small (the largest is fmadogram_dm's stations x
+# years x stations product), so the worker that OpenBLAS starts per extra
+# CPU when numpy loads has little to do and mostly spins before it sleeps.
+# Load numpy, through the package imports below, with one BLAS thread
+# unless the user set a count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import cluster as cl
 from . import diagnose, gof, ingest, recurrence

@@ -7,9 +7,11 @@ import dataclasses
 import datetime as dt
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,17 +52,82 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
+def _fresh(code, **env):
+    """Standard output of ``code`` run in a fresh interpreter, with
+    OPENBLAS_NUM_THREADS unset unless given in ``env``."""
+    child = _child_env()
+    child.pop("OPENBLAS_NUM_THREADS", None)  # this process imported rainmax.cli
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**child, **env}, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # numpy is the only runtime dependency; scipy costs most of a CLI launch
     probe = (
         "import sys, rainmax.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=120
+    assert _fresh(probe) == "[]"
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    probe = (
+        "import sys, rainmax; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'rainmax')))"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert _fresh(probe) == "['rainmax']"
+
+
+def test_top_level_names_are_their_submodules_objects():
+    probe = """
+import sys, rainmax
+for name in rainmax.__all__:
+    value = getattr(rainmax, name)
+    assert value.__module__.startswith("rainmax."), name
+    assert value is getattr(sys.modules[value.__module__], name), name
+    assert name in dir(rainmax), name
+namespace = {}
+exec("from rainmax import *", namespace)
+print(sorted(set(namespace) - {"__builtins__"}) == rainmax.__all__, len(rainmax.__all__), rainmax.__version__)
+"""
+    assert _fresh(probe) == "True 43 0.1.0"
+
+
+def test_unknown_top_level_name_raises_attribute_error():
+    probe = """
+import rainmax
+try:
+    rainmax.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _fresh(probe) == "module 'rainmax' has no attribute 'no_such_name'"
+
+
+def test_cli_import_sets_one_blas_thread_only_when_unset():
+    probe = "import os, rainmax.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(probe) == "1"
+    assert _fresh(probe, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cli_import_starts_no_blas_worker_thread():
+    probe = (
+        "import rainmax.cli; "
+        "print([line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')])"
+    )
+    assert _fresh(probe) == "['1']"
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert example is not None, "README.md has no Library example block"
+    printed = _fresh(example.group(1))
+    assert printed.startswith("GevParams("), printed
 
 
 # runs the CLI with an import hook that refuses every scipy module
