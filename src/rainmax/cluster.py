@@ -295,21 +295,16 @@ def pam_cluster(dm: DistanceMatrix, k: int) -> Partition:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     d = dm.values
 
-    # BUILD: first medoid minimizes total distance, then greedy best additions
+    columns = np.ascontiguousarray(d.T)
+    # BUILD: first medoid minimizes total distance, then greedy best additions;
+    # argmax takes the first largest gain, so ties go to the lowest index
     medoids = [int(np.lexsort((np.arange(n), d.sum(axis=1)))[0])]
     while len(medoids) < k:
-        nearest = d[:, medoids].min(axis=1)
-        best_gain, best_c = -np.inf, -1
-        for c in range(n):
-            if c in medoids:
-                continue
-            gain = float(np.maximum(nearest - d[:, c], 0.0).sum())
-            if gain > best_gain:
-                best_gain, best_c = gain, c
-        medoids.append(best_c)
+        gains = np.maximum(d[:, medoids].min(axis=1) - columns, 0.0).sum(axis=1)
+        gains[medoids] = -np.inf
+        medoids.append(int(np.argmax(gains)))
 
     current = float(d[:, medoids].min(axis=1).sum())
-    columns = np.ascontiguousarray(d.T)
     while True:
         # single-medoid steepest descent, with a double-exchange escape step:
         # single swaps alone strand in local optima whose improvement needs

@@ -17,9 +17,10 @@ solves. ``fit_mle_rows`` fits many samples, one ``_fit_rows`` call per
 group of equal length, with standard errors from the same closed-form
 observed information; ``fit_mle`` is its one-row case for every
 constraint. With the shape fixed the loop solves over (mu, log sigma)
-alone: ``_profile_rows`` solves the trial shapes of all the endpoint
-searches of ``_endpoint_rows`` at once, on both sides of the samples of
-``profile_ci_xi_rows``; ``profile_ci_xi`` is its one-row case.
+alone: ``_profile_rows`` solves, on plain arrays with a status code per
+row, the trial shapes of all the endpoint searches of ``_endpoint_rows``
+at once, on both sides of the samples of ``profile_ci_xi_rows``;
+``profile_ci_xi`` is its one-row case.
 """
 from __future__ import annotations
 
@@ -546,57 +547,61 @@ def _fit_rows(X: np.ndarray, constraint: str) -> tuple[np.ndarray, ...]:
 
 
 def _profile_rows(
-    X: np.ndarray, xi: np.ndarray, starts: Sequence[tuple[float, float]]
-) -> list[tuple[float, tuple[float, float]] | FitError]:
-    """Maximize each row's likelihood over (mu, sigma) at its own fixed
-    shape xi[r]: one fixed-shape ``_newton_rows`` call, row r from
-    ``starts[r]``. The rows near xi = 0 take their Gumbel fits, one
+    X: np.ndarray, xi: np.ndarray, mu: np.ndarray, eta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize each row's likelihood over (mu, eta = log sigma) at its own
+    fixed shape xi[r], from (mu[r], eta[r]): one fixed-shape
+    ``_newton_rows`` call. The rows near xi = 0 take their Gumbel fits, one
     ``_gumbel_rows`` call; at xi = -1 the supremum lies on the support edge
-    and has the closed form of ``_edge_rows``. Returns per row its
-    log-likelihood and (mu, sigma), or the FitError of a row with no
-    feasible start or whose iteration does not settle.
+    and has the closed form of ``_edge_rows``. Returns per row the
+    log-likelihood, mu, eta and a status: 0 solved, 1 no feasible start,
+    2 not settled.
     """
-    solves: list = [None] * xi.size
+    ll, mu, eta = np.empty(xi.size), mu.copy(), eta.copy()
+    status = np.zeros(xi.size, dtype=int)
     gumbel, edge = np.abs(xi) < XI_EPS, xi == -1.0
-    g = np.flatnonzero(gumbel)
-    mu_g, sigma_g, ok_g, _ = _gumbel_rows(X[g])
-    ll_g = _gumbel_rows_loglik(X[g], mu_g, sigma_g)
-    for r, mu, sigma, ll, ok in zip(g, mu_g, sigma_g, ll_g, ok_g):
-        if ok:
-            solves[r] = float(ll), (float(mu), float(sigma))
-        else:
-            solves[r] = FitError(f"profile likelihood did not settle at xi={float(xi[r])}")
-    e = np.flatnonzero(edge)
-    for r, mu, sigma, ll in zip(e, *_edge_rows(X[e])):
-        solves[r] = float(ll), (float(mu), float(sigma))
-    rows = np.flatnonzero(~gumbel & ~edge)
-    if rows.size:
-        x, k = X[rows], xi[rows]
-        mu = np.array([starts[r][0] for r in rows])
-        eta = np.array([math.log(starts[r][1]) for r in rows])
-        ll = _widen_into_support(x, mu, eta, k)
-        feasible = np.isfinite(ll)
-        converged = _newton_rows(x, mu, eta, k, ll, feasible.copy())[0]
-        for j, r in enumerate(rows):
-            at = f"at xi={float(xi[r])}"
-            if not feasible[j]:
-                solves[r] = FitError(f"no feasible (mu, sigma) start for the profile {at}")
-            elif not converged[j]:
-                solves[r] = FitError(f"profile likelihood did not settle {at}")
-            else:
-                solves[r] = float(ll[j]), (float(mu[j]), math.exp(eta[j]))
-    return solves
+    rows = ~gumbel & ~edge
+    x, k, m, e = X[rows], xi[rows], mu[rows], eta[rows]
+    ll_rows = _widen_into_support(x, m, e, k)
+    feasible = np.isfinite(ll_rows)
+    converged = _newton_rows(x, m, e, k, ll_rows, feasible.copy())[0]
+    ll[rows], mu[rows], eta[rows] = ll_rows, m, e
+    status[rows] = np.where(feasible, 2 * ~converged, 1)
+    mu_g, sigma_g, ok_g, _ = _gumbel_rows(X[gumbel])
+    ll[gumbel] = _gumbel_rows_loglik(X[gumbel], mu_g, sigma_g)
+    mu[gumbel], eta[gumbel], status[gumbel] = mu_g, np.log(sigma_g), 2 * ~ok_g
+    mu_e, sigma_e, ll[edge] = _edge_rows(X[edge])
+    mu[edge], eta[edge] = mu_e, np.log(sigma_e)
+    return ll, mu, eta, status
 
 
 _XI_TOL = 1e-6  # an endpoint's last bracket is narrower than this
+_UNBOUNDED = 3  # the status of an endpoint search that passes the search bound
+
+
+def _search_error(status: int, xi: float) -> FitError:
+    """The FitError of a profile search that stops at shape ``xi``, a float:
+    its solve there found no feasible start (status 1) or did not settle
+    (2), or the deviance stays below the threshold at the search bound (3)."""
+    if status == 1:
+        return FitError(f"no feasible (mu, sigma) start for the profile at xi={xi}")
+    if status == 2:
+        return FitError(f"profile likelihood did not settle at xi={xi}")
+    side = "upper" if xi == _XI_SEARCH_RANGE[1] else "lower"
+    return FitError(
+        f"profile deviance stays below the threshold at xi={xi}; "
+        f"{side} endpoint unbounded in {_XI_SEARCH_RANGE}"
+    )
 
 
 def _endpoint_rows(
-    X: np.ndarray, side: np.ndarray, fits: Sequence[FitResult], threshold: float
-) -> list[float | FitError]:
+    X: np.ndarray, side: np.ndarray, lmax: np.ndarray, mle: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Profile-interval endpoints, one per row of ``X``: the upper one of
     its sample where ``side`` is +1, the lower one where it is -1, at which
-    the deviance 2*(fits[r].loglik - profile loglik(xi)) is ``threshold``.
+    the deviance 2*(lmax[r] - profile loglik(xi)) is ``threshold``. The
+    columns of the (3, rows) array ``mle`` hold each row's MLE
+    (mu, eta = log sigma, xi), and ``lmax`` its log-likelihood.
 
     A row marches from its MLE shape in steps of 0.1 until the deviance
     passes the threshold, then refines the last step's bracket by
@@ -606,50 +611,42 @@ def _endpoint_rows(
     deviance is 0 at the MLE and the march's deviances close the bracket,
     so no shape is solved twice. Each round solves all pending rows with
     one ``_profile_rows`` call, each from its own last solve. Returns per
-    row the endpoint, or the FitError of a failed solve or of a deviance
-    still below the threshold at the search bound.
+    row the endpoint, or the shape at which its search stopped, and a
+    status: 0 found, the ``_profile_rows`` status of a failed solve, or
+    ``_UNBOUNDED`` for a deviance still below the threshold at the search
+    bound (``_search_error`` gives each its text).
     """
-    lmax = np.array([fit.loglik for fit in fits])
-    starts = [(fit.params.mu, fit.params.sigma) for fit in fits]
+    mu, eta = np.array(mle[:2], dtype=float)
     # the bracket's newest end b and its other end a, each with its deviance
     # less the threshold; while a row marches, b is the last shape passed
-    b = np.clip([fit.params.xi for fit in fits], *_XI_SEARCH_RANGE)
+    b = np.clip(mle[2], *_XI_SEARCH_RANGE)
     fb = np.full(side.size, -threshold)
     a, fa = b.copy(), fb.copy()
+    bound = np.where(side > 0, _XI_SEARCH_RANGE[1], _XI_SEARCH_RANGE[0])
     bracketed = np.zeros(side.size, dtype=bool)
-    ends: list = [None] * side.size
-    pending = np.arange(side.size)
-    while pending.size:
-        trial = np.clip(b[pending] + 0.1 * side[pending], *_XI_SEARCH_RANGE)
-        refine = bracketed[pending]
-        q = pending[refine]
+    status = np.zeros(side.size, dtype=int)
+    p = np.arange(side.size)
+    while p.size:
+        trial = np.clip(b[p] + 0.1 * side[p], *_XI_SEARCH_RANGE)
+        refine = bracketed[p]
+        q = p[refine]
         falsi = b[q] - fb[q] * (b[q] - a[q]) / (fb[q] - fa[q])
         nudge = b[q] + np.copysign(_XI_TOL / 2, a[q] - b[q])
         trial[refine] = np.where(np.abs(falsi - b[q]) < _XI_TOL / 2, nudge, falsi)
-        solves = _profile_rows(X[pending], trial, [starts[r] for r in pending])
-        for r, c, solve in zip(pending, trial, solves):
-            if isinstance(solve, FitError):
-                ends[r] = solve
-                continue
-            ll, starts[r] = solve
-            fc = 2.0 * (lmax[r] - ll) - threshold
-            if not bracketed[r] and fc <= 0:  # march on, unless at the bound
-                upper = int(side[r] > 0)
-                if c == _XI_SEARCH_RANGE[upper]:
-                    ends[r] = FitError(
-                        f"profile deviance stays below the threshold at xi={float(c)}; "
-                        f"{('lower', 'upper')[upper]} endpoint unbounded in {_XI_SEARCH_RANGE}"
-                    )
-            elif bracketed[r] and (fc > 0) == (fb[r] > 0):
-                m = 1.0 - fc / fb[r]  # the same end moves again: scale the other's value
-                fa[r] *= m if m > 0 else 0.5
-            else:
-                a[r], fa[r], bracketed[r] = b[r], fb[r], True
-            b[r], fb[r] = c, fc
-            if bracketed[r] and (fc == 0 or abs(b[r] - a[r]) < _XI_TOL):
-                ends[r] = float(c)
-        pending = np.array([r for r in pending if ends[r] is None], dtype=int)
-    return ends
+        ll, mu[p], eta[p], status[p] = _profile_rows(X[p], trial, mu[p], eta[p])
+        fc = 2.0 * (lmax[p] - ll) - threshold
+        solved = status[p] == 0
+        same = solved & refine & ((fc > 0) == (fb[p] > 0))  # the same end moves again
+        scale = 1.0 - fc[same] / fb[p[same]]
+        fa[p[same]] *= np.where(scale > 0, scale, 0.5)
+        new = p[solved & (refine | (fc > 0)) & ~same]  # the newest end becomes the other
+        a[new], fa[new], bracketed[new] = b[new], fb[new], True
+        b[p], fb[p] = trial, fc
+        # a row that marches on at the search bound stops there
+        status[p[solved & ~bracketed[p] & (trial == bound[p])]] = _UNBOUNDED
+        done = bracketed[p] & ((fc == 0) | (np.abs(b[p] - a[p]) < _XI_TOL))
+        p = p[(status[p] == 0) & ~done]
+    return b, status
 
 
 def profile_ci_xi(
@@ -697,13 +694,18 @@ def profile_ci_xi_rows(
     threshold = _chi2_1_quantile(level)
     results: list = [fit if isinstance(fit, FitError) else None for fit in fits]
     for group in _length_groups({i: xs[i] for i, fit in enumerate(results) if fit is None}):
-        ends = _endpoint_rows(
+        params = [fits[i].params for i in group] * 2
+        ends, status = _endpoint_rows(
             np.stack([xs[i] for i in group] * 2),
             np.repeat([1.0, -1.0], len(group)),
-            [fits[i] for i in group] * 2,
+            np.array([fits[i].loglik for i in group] * 2),
+            np.array([(p.mu, math.log(p.sigma), p.xi) for p in params]).T,
             threshold,
         )
-        for i, upper, lower in zip(group, ends, ends[len(group) :]):
-            errors = [end for end in (upper, lower) if isinstance(end, FitError)]
-            results[i] = errors[0] if errors else ProfileInterval(lower, upper, level)
+        for i, end, stop in zip(group, ends.reshape(2, -1).T, status.reshape(2, -1).T):
+            j = 0 if stop[0] else 1  # the upper endpoint's error first
+            if stop[j]:
+                results[i] = _search_error(int(stop[j]), float(end[j]))
+            else:
+                results[i] = ProfileInterval(float(end[1]), float(end[0]), level)
     return results

@@ -33,6 +33,7 @@ from rainmax.estimate import (
     ProfileInterval,
     _chi2_1_quantile,
     _profile_rows,
+    _search_error,
     _validate_sample,
     fit_pwm,
 )
@@ -291,12 +292,13 @@ def brent_root_loop(f, a, b, xtol):
 
 def profile_loglik(x, xi, start):
     """The profile log-likelihood of one sample at shape ``xi`` and its
-    (mu, sigma), from ``start``: the one-row case of ``_profile_rows``.
-    Raises its FitError."""
-    (solve,) = _profile_rows(x[None, :], np.array([xi]), [start])
-    if isinstance(solve, FitError):
-        raise solve
-    return solve
+    (mu, sigma), from ``start`` = (mu, sigma): the one-row case of
+    ``_profile_rows``. Raises the FitError of a failed solve."""
+    mu, eta = np.array([start[0]]), np.array([math.log(start[1])])
+    (ll,), (mu,), (eta,), (status,) = _profile_rows(x[None, :], np.array([xi]), mu, eta)
+    if status:
+        raise _search_error(int(status), float(xi))
+    return float(ll), (float(mu), math.exp(eta))
 
 
 def profile_ci_loop(x, level, free):

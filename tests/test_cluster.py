@@ -525,9 +525,9 @@ def _reference_swap(d, medoids, current, exchanges):
 
 
 def _reference_pam(dm, k):
-    """The scalar PAM swap loop, one cost per candidate: the oracle for
-    pam_cluster's cost arrays. Returns the partition and the number of
-    accepted double exchanges."""
+    """The scalar PAM loop, one BUILD gain or swap cost per candidate: the
+    oracle for pam_cluster's gain and cost arrays. Returns the partition
+    and the number of accepted double exchanges."""
     n = dm.n
     d = dm.values
     medoids = [int(np.lexsort((np.arange(n), d.sum(axis=1)))[0])]

@@ -2,7 +2,9 @@
 truth, nesting and local-optimality properties, profile-interval geometry
 and the fixed-shape profile kernel against a Nelder-Mead reference."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,9 +519,11 @@ class TestProfileKernel:
         X = np.stack([x for x, _ in rows])
         xi = np.array([k for _, k in rows])
         assert 0 < (np.abs(xi) < XI_EPS).sum() < xi.size and (xi == -1.0).any()
-        solves = estimate._profile_rows(X, xi, starts)
-        for (x, k), start, solve in zip(rows, starts, solves):
-            assert solve == profile_loglik(x, k, start)
+        mu, eta = np.array([(m, math.log(s)) for m, s in starts]).T
+        ll, mu, eta, status = estimate._profile_rows(X, xi, mu, eta)
+        assert not status.any()
+        for r, ((x, k), start) in enumerate(zip(rows, starts)):
+            assert (ll[r], (mu[r], math.exp(eta[r]))) == profile_loglik(x, k, start)
 
     def test_closed_form_at_lower_search_bound(self):
         # the supremum lies on the support edge mu + sigma = max x
@@ -548,8 +552,13 @@ class TestProfileKernel:
         samples = _profile_samples()[:4]
         newton = [profile_ci_xi(x) for x in samples]
 
-        def reference_rows(X, xi, starts):
-            return [nelder_mead_profile_loglik(x, float(k), s) for x, k, s in zip(X, xi, starts)]
+        def reference_rows(X, xi, mu, eta):
+            solves = [
+                nelder_mead_profile_loglik(x, float(k), (m, math.exp(e)))
+                for x, k, m, e in zip(X, xi, mu, eta)
+            ]
+            ll, mu, sigma = np.array([(ll, m, s) for ll, (m, s) in solves]).T
+            return ll, mu, np.log(sigma), np.zeros(xi.size, dtype=int)
 
         monkeypatch.setattr(estimate, "_profile_rows", reference_rows)
         for x, ci in zip(samples, newton):
@@ -563,9 +572,9 @@ class TestProfileKernel:
         solved = []
         solve = estimate._profile_rows
 
-        def counting(X, xi, starts):
+        def counting(X, xi, mu, eta):
             solved.extend(xi.tolist())
-            return solve(X, xi, starts)
+            return solve(X, xi, mu, eta)
 
         monkeypatch.setattr(estimate, "_profile_rows", counting)
         for s in demo_dataset(seed=29):
@@ -675,6 +684,42 @@ class TestRowEntryPoints:
         )
         assert sum(isinstance(ci, ProfileInterval) for ci in rows) == len(rows) - 1
 
+    @pytest.mark.parametrize(
+        "status, text",
+        [(1, "no feasible (mu, sigma) start for the profile"), (2, "profile likelihood did not settle")],
+    )
+    def test_failed_solve_stops_only_its_own_row(self, monkeypatch, status, text):
+        # every solve of one demo station fails inside its stacked group; the
+        # other stations, the 8-year one in a group of its own included, keep
+        # their one-row outcomes bit for bit
+        frees = fit_mle_rows(_mixed_length_stations())
+        samples, fits = zip(
+            *((x, f) for x, f in zip(_mixed_length_stations(), frees) if isinstance(f, FitResult))
+        )
+        alone = []
+        for x, free in zip(samples, fits):
+            try:
+                alone.append(profile_ci_xi(x, 0.95, free))
+            except FitError as exc:
+                alone.append(exc)
+        failing = np.asarray(samples[3])
+        solve = estimate._profile_rows
+
+        def fail_one(X, xi, mu, eta):
+            ll, mu, eta, stop = solve(X, xi, mu, eta)
+            if X.shape[1] == failing.size:
+                stop[np.all(X == failing, axis=1)] = status
+            return ll, mu, eta, stop
+
+        monkeypatch.setattr(estimate, "_profile_rows", fail_one)
+        rows = profile_ci_xi_rows(samples, 0.95, fits)
+        # the upper endpoint's first trial, one march step above the MLE
+        assert _bits(rows[3]) == (FitError, f"{text} at xi={fits[3].params.xi + 0.1}")
+        for i, (ci, one) in enumerate(zip(rows, alone)):
+            if i != 3:
+                assert _bits(ci) == _bits(one)
+        assert isinstance(rows[10], FitError) and "unbounded" in str(rows[10])
+
     def test_fits_not_free_rejected(self):
         x = gev_sample(GevParams(80, 25, 0.2), 60, seed=4)
         for constraint in ("gumbel", "frechet", "weibull"):
@@ -696,6 +741,27 @@ class TestRowEntryPoints:
         assert isinstance(rows[2], FitError)
         with pytest.raises(ValueError, match="distinct"):
             profile_ci_xi_rows([x, FEW_DISTINCT[0]])
+
+
+class TestGoldenIntervals:
+    def test_demo_shape_intervals(self):
+        # the reference holds the (ci_lo, ci_hi) that profile_ci_xi_rows gave
+        # on the demo network, at 17 significant digits. An endpoint is the
+        # last trial of a bracket narrower than _XI_TOL, so last-bit
+        # differences between CPUs move it by less than that. A change that
+        # moves the intervals rewrites the file and states the drift
+        series = demo_dataset(seed=29)
+        path = Path(__file__).parent / "golden" / "demo_profile_ci.json"
+        golden = json.loads(path.read_text(encoding="utf-8"))
+        assert list(golden) == [s.station_id for s in series]
+        rows = profile_ci_xi_rows([s.values for s in series])
+        moves = [
+            abs(end - ref)
+            for s, ci in zip(series, rows)
+            for end, ref in zip((ci.lower, ci.upper), golden[s.station_id])
+        ]
+        print(f"largest endpoint move {max(moves):.3g}; all 40 bit-equal: {not any(moves)}")
+        assert len(moves) == 40 and max(moves) <= 2 * estimate._XI_TOL
 
 
 class TestProfileCi:
