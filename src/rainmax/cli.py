@@ -32,7 +32,7 @@ from . import diagnose, gof, ingest, recurrence
 from .demo import demo_dataset
 from .estimate import FitError, FitResult, fit_mle_rows, profile_ci_xi_rows
 from .ingest import AnnualMaximaSeries
-from .seeding import SEED_LIMIT, derive_seed
+from .seeding import SEED_LIMIT, _map_on_cpus, derive_seed
 
 
 @dataclass
@@ -102,15 +102,23 @@ def _check_slugs(series: Sequence[AnnualMaximaSeries]) -> None:
             )
 
 
+def _json_text(payload: object) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _dump_json(payload: object, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(_json_text(payload), encoding="utf-8")
+
+
+# The number format of every CSV and TSV this module writes. For a float v,
+# NUMBER % v is format(v, ".10g"), nan, infinities and -0.0 included.
+_NUMBER = "%.10g"
 
 
 def _format_optional(value: float | None) -> str:
-    """The number format of every CSV and TSV this module writes; ``None``
-    is an empty field."""
-    return "" if value is None else format(value, ".10g")
+    """A number in the ``_NUMBER`` format; ``None`` is an empty field."""
+    return "" if value is None else _NUMBER % value
 
 
 def _write_csv(
@@ -240,20 +248,27 @@ def _gof_stage(
     series: Sequence[AnnualMaximaSeries], fits: dict[str, FitResult], cfg: RunConfig, out: Path
 ) -> dict[str, FitResult]:
     """Family choice and LRT per station from its free fit, in ``gof.json``
-    and ``families.csv``; returns each station's fit of its chosen family."""
-    results: dict[str, dict] = {}
-    family_fits: dict[str, FitResult] = {}
-    for s in series:
-        free = fits[s.station_id]
-        decision = gof.select_family(
+    and ``families.csv``; returns each station's fit of its chosen family.
+
+    The stations' family tests run on the ``_map_on_cpus`` thread pool.
+    Each station's bootstrap seed derives from its id, so the outputs do
+    not depend on the number of threads, and the first station in series
+    order whose test raises is the error reported."""
+
+    def select_family(s: AnnualMaximaSeries) -> gof.FamilyDecision:
+        return gof.select_family(
             s.values,
-            free,
+            fits[s.station_id],
             alpha=cfg.alpha,
             delta=cfg.delta,
             B=cfg.bootstrap,
             seed=derive_seed(cfg.seed, "gof", s.station_id),
         )
-        lrt = gof.lrt_gumbel_vs_gev(free, decision.gumbel_fit)
+
+    results: dict[str, dict] = {}
+    family_fits: dict[str, FitResult] = {}
+    for s, decision in zip(series, _map_on_cpus(select_family, series)):
+        lrt = gof.lrt_gumbel_vs_gev(fits[s.station_id], decision.gumbel_fit)
         family_fits[s.station_id] = decision.fit
         results[s.station_id] = {
             "family": decision.chosen,
@@ -288,22 +303,28 @@ def _write_diagnostics(
     """Per-station plot data under ``diagnostics/``, which is cleared first
     so that no station directory is left from an earlier run. Each plot is
     an ``x,y`` CSV with a JSON sidecar naming its kind, station and
-    parameters."""
+    parameters. A CSV's rows are one ``%`` format of all its numbers:
+    they need no quoting, so they are the bytes ``_write_csv`` gives.
+    The stations stay on one thread: the formatting holds the
+    interpreter lock."""
     root = out / "diagnostics"
     shutil.rmtree(root, ignore_errors=True)
+    row = f"{_NUMBER},{_NUMBER}\n"
     for s in series:
         params = fits[s.station_id].params
         station_dir = root / slugify(s.station_id)
+        station_dir.mkdir(parents=True)
         for plot in diagnose.station_diagnostics(s.values, params):
-            rows = (map(_format_optional, xy) for xy in zip(plot.x.tolist(), plot.y.tolist()))
-            _write_csv(station_dir / f"{plot.kind}.csv", ["x", "y"], rows)
+            xy = tuple(itertools.chain.from_iterable(zip(plot.x.tolist(), plot.y.tolist())))
+            table = "x,y\n" + (row * len(plot.x)) % xy
+            (station_dir / f"{plot.kind}.csv").write_text(table, encoding="utf-8", newline="")
             sidecar = {
                 "kind": plot.kind,
                 "station": s.station_id,
                 "params": dataclasses.asdict(params),
                 "n_points": len(plot.x),
             }
-            _dump_json(sidecar, station_dir / f"{plot.kind}.json")
+            (station_dir / f"{plot.kind}.json").write_text(_json_text(sidecar), encoding="utf-8")
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:

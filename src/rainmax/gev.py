@@ -40,10 +40,15 @@ def _as_output(x: object, out: np.ndarray) -> float | np.ndarray:
 
 def _gev_rows_cdf(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Distribution function of every row of X at its own parameters; 0/1
-    beyond the finite support endpoint."""
+    beyond the finite support endpoint. A block of Gumbel rows alone (every
+    Gumbel bootstrap block) takes the Gumbel branch only, with the bits
+    the general path selects for those rows."""
     z = (X - mu[:, None]) / sigma[:, None]
     k = xi[:, None]
     gumbel = np.abs(k) < XI_EPS
+    if gumbel.all():
+        with np.errstate(over="ignore"):
+            return np.exp(-np.exp(-z))
     inside = gumbel | (1.0 + k * z > 0)
     k_safe = np.where(gumbel, 1.0, k)
     logt = np.log1p(k_safe * np.where(inside & ~gumbel, z, 0.0))

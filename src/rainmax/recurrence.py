@@ -9,14 +9,13 @@ permuting one series' time index.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .ingest import AnnualMaximaSeries, _quantiles, year_matrix
-from .seeding import derive_rng, derive_seed
+from .seeding import _map_on_cpus, derive_rng, derive_seed
 
 RADIUS_QUANTILES = np.round(np.arange(0.1, 0.91, 0.1), 10)  # the deciles 0.1 ... 0.9
 DEFAULT_PERMUTATIONS = 999
@@ -198,13 +197,6 @@ def independence_test(
     )
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def pairwise_independence_report(
     series: Sequence[AnnualMaximaSeries],
     target: str,
@@ -223,8 +215,6 @@ def pairwise_independence_report(
     CPU the process may use; each pair's seed derives from the station
     ids, so the rows do not depend on the number of threads.
     """
-    from concurrent.futures import ThreadPoolExecutor  # imports logging: only when used
-
     _check_run(permutations, seed)  # in a pair, a ValueError becomes that pair's error row
     stations = [s.station_id for s in series]
     if target not in stations:
@@ -244,6 +234,4 @@ def pairwise_independence_report(
         except ValueError as exc:
             return PairReportRow(target, station, xv.size, None, error=str(exc))
 
-    others = [j for j in range(len(stations)) if j != t]
-    with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(others)))) as pool:
-        return list(pool.map(test_pair, others))
+    return _map_on_cpus(test_pair, [j for j in range(len(stations)) if j != t])

@@ -6,22 +6,27 @@ import csv
 import dataclasses
 import datetime as dt
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from rainmax import cli, cluster, estimate, gof, recurrence
+from rainmax import cli, cluster, estimate, gof, recurrence, seeding
 from rainmax.cli import main, slugify
 from rainmax.demo import URUGUAY_STATION_PARAMS, demo_dataset
 from rainmax.estimate import fit_mle_rows, profile_ci_xi_rows
 from rainmax.gev import GevParams, gev_sample
 from rainmax.ingest import synth_dataset, write_series_csv
+from rainmax.seeding import derive_seed
 
 FAST = ["--bootstrap", "99", "--permutations", "99"]
 
@@ -232,9 +237,123 @@ Artigas,gumbel,0.054,
 """
 
 
-def test_demo_report_families(tmp_path):
-    assert main(["report", "--demo", "--seed", "29", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "families.csv").read_text(encoding="utf-8") == DEMO_FAMILIES
+@pytest.fixture(scope="module")
+def demo_report(tmp_path_factory):
+    """The ``--out`` tree of ``report --demo --seed 29`` at the defaults."""
+    out = tmp_path_factory.mktemp("demo_report")
+    assert main(["report", "--demo", "--seed", "29", "--out", str(out)]) == 0
+    return out
+
+
+def test_demo_report_families(demo_report):
+    assert (demo_report / "families.csv").read_text(encoding="utf-8") == DEMO_FAMILIES
+
+
+GOLDEN_DIAGNOSTICS = Path(__file__).parent / "golden" / "diagnostics"
+
+
+def _same_to_tenth_digit(got: float, ref: float) -> bool:
+    """``got`` is within one unit of the 10th significant digit of ``ref``;
+    zeros and non-finite values must match exactly."""
+    if ref == 0.0 or not math.isfinite(ref):
+        return got == ref or (math.isnan(got) and math.isnan(ref))
+    return abs(got - ref) <= 10.0 ** (math.floor(math.log10(abs(ref))) - 9)
+
+
+@pytest.mark.parametrize("slug", ["salto", "tacuarembo"])
+def test_demo_diagnostics_match_the_golden_files(demo_report, slug):
+    # the 14 diagnostics/ files of a Gumbel station (Salto) and of the demo's
+    # one non-Gumbel choice (Tacuarembo, Weibull), as report --demo --seed 29
+    # wrote them. Names, headers, row counts and the sidecars' other fields
+    # match exactly; numbers, the sidecars' parameters too, within one unit
+    # of their 10th significant digit, as numpy's SIMD exp and log may
+    # differ in the last ulp between CPUs and flip a printed digit
+    golden, written = GOLDEN_DIAGNOSTICS / slug, demo_report / "diagnostics" / slug
+    names = sorted(p.name for p in golden.iterdir())
+    assert len(names) == 14 and sorted(p.name for p in written.iterdir()) == names
+    identical = True
+    for name in names:
+        ref_text = (golden / name).read_text(encoding="utf-8")
+        got_text = (written / name).read_text(encoding="utf-8")
+        identical = identical and got_text == ref_text
+        if name.endswith(".json"):
+            ref, got = json.loads(ref_text), json.loads(got_text)
+            ref_params, got_params = ref.pop("params"), got.pop("params")
+            assert got == ref, name
+            assert got_params.keys() == ref_params.keys(), name
+            for key, value in ref_params.items():
+                assert _same_to_tenth_digit(got_params[key], value), (name, key)
+            continue
+        ref_lines, got_lines = ref_text.splitlines(), got_text.splitlines()
+        assert got_lines[0] == ref_lines[0] == "x,y", name
+        assert len(got_lines) == len(ref_lines), name
+        for got_line, ref_line in zip(got_lines[1:], ref_lines[1:]):
+            pairs = zip(got_line.split(","), ref_line.split(","), strict=True)
+            assert all(_same_to_tenth_digit(float(g), float(r)) for g, r in pairs), (name, ref_line)
+    print(f"{slug}: the 14 files are byte-identical to the golden ones: {identical}")
+
+
+@given(
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.floats().map(np.float64),
+        st.integers(-(2**70), 2**70),
+    )
+)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(2**53 + 1)
+@example(12345678901)
+def test_number_format_is_format_g(value):
+    # the diagnostics tables are written with one % format of all their
+    # numbers, every other table through _format_optional: one format
+    assert cli._NUMBER % value == format(value, ".10g")
+    assert cli._format_optional(value) == format(value, ".10g")
+
+
+class TestFamilyTestsOnThreads:
+    """The gof stage runs each station's family tests on the usable-CPU
+    thread pool."""
+
+    @staticmethod
+    def _gof(out, monkeypatch, workers):
+        monkeypatch.setattr(seeding, "_usable_cpus", lambda: workers)
+        return main(["gof", "--demo", "--seed", "29", "--bootstrap", "99", "--out", str(out)])
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):
+        tables = []
+        for workers in (1, 2, 4):
+            out = tmp_path / f"cpus{workers}"
+            assert self._gof(out, monkeypatch, workers) == 0
+            tables.append([(out / name).read_bytes() for name in ("gof.json", "families.csv")])
+        assert tables[0] == tables[1] == tables[2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_first_failing_station_in_series_order_is_reported(self, tmp_path, monkeypatch, workers):
+        # the 3rd and the 7th stations' tests raise, the 3rd's only after the
+        # 7th's has, on any pool of two or more threads
+        stations = [s.station_id for s in demo_dataset(seed=29)]
+        failing = {derive_seed(29, "gof", stations[i]): i for i in (2, 6)}
+        select_family = gof.select_family
+
+        def select_family_failing(data, free, **kwargs):
+            i = failing.get(kwargs["seed"])
+            if i is None:
+                return select_family(data, free, **kwargs)
+            if i == 2:
+                time.sleep(0.3)
+            raise estimate.FitError(f"family test failed for {stations[i]}")
+
+        monkeypatch.setattr(gof, "select_family", select_family_failing)
+        out = tmp_path / "out"
+        assert self._gof(out, monkeypatch, workers) == 1
+        envelope = json.loads((out / "error.json").read_text(encoding="utf-8"))
+        assert envelope["message"] == f"family test failed for {stations[2]}"
+        assert not (out / "gof.json").exists()
 
 
 class TestSlugify:

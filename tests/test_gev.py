@@ -2,6 +2,7 @@
 finite-difference checks, branch continuity through shape -> 0."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,25 @@ class TestOneRowCases:
             assert np.asarray(gev_cdf(x, params)).tobytes() == row.tobytes()
             assert [gev_cdf(v, params) for v in x] == row.tolist()
         assert rows[1, 0] == 0.0 and rows[2, -2] == 1.0
+
+    def test_gumbel_block_keeps_the_general_paths_bits(self):
+        # a block of Gumbel rows (|xi| < XI_EPS) alone takes the Gumbel
+        # branch only; one xi != 0 row added sends the same rows through
+        # the general path. The -2e4 column puts exp(-z) past overflow,
+        # which neither path may warn about
+        rng = np.random.default_rng(5)
+        X = np.concatenate([rng.gumbel(80.0, 25.0, (4, 60)), np.full((4, 1), -2e4)], axis=1)
+        mu = np.array([80.0, 70.0, 95.0, 60.0])
+        sigma = np.array([25.0, 18.0, 30.0, 22.0])
+        xi = np.array([0.0, 5e-9, -5e-9, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            alone = _gev_rows_cdf(X, mu, sigma, xi)
+            mixed = _gev_rows_cdf(
+                np.vstack([X, X[:1]]), np.append(mu, 80.0), np.append(sigma, 25.0), np.append(xi, 0.1)
+            )
+        assert alone.tobytes() == mixed[:4].tobytes()
+        assert alone[:, -1].tolist() == [0.0] * 4
 
     @pytest.mark.parametrize("params", ROW_PARAMS, ids=["gumbel", "frechet", "weibull"])
     def test_loglik_is_the_row_formula(self, params):

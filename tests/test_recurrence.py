@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rainmax.recurrence as recurrence_module
+import rainmax.seeding as seeding_module
 from rainmax import ingest
 from rainmax.gev import GevParams
 from rainmax.seeding import derive_seed
@@ -461,7 +462,7 @@ class TestPairwiseReport:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_pool_matches_serial_pair_loop(self, monkeypatch, workers):
-        monkeypatch.setattr(recurrence_module, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(seeding_module, "_usable_cpus", lambda: workers)
         series = self._network_failing_in_the_middle()
         rows = pairwise_independence_report(series, "st00", permutations=199, seed=11)
         others = series[1:]
@@ -488,7 +489,7 @@ class TestPairwiseReport:
     def test_other_errors_in_a_pair_propagate(self, monkeypatch, workers):
         # only ValueError becomes an error row; anything else raised in a
         # pair, on whichever thread, ends the report
-        monkeypatch.setattr(recurrence_module, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(seeding_module, "_usable_cpus", lambda: workers)
         failing_seed = derive_seed(5, "indep", "st00", "st03")
 
         def independence_test_failing_once(x, y, permutations, seed):
@@ -512,7 +513,7 @@ class TestPairwiseReport:
             seen.append((permutations, seed))
             return independence_test(x, y, permutations, seed)
 
-        monkeypatch.setattr(recurrence_module, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(seeding_module, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(recurrence_module, "independence_test", independence_test_recording)
         return seen
 
