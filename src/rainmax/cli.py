@@ -34,6 +34,8 @@ from .estimate import FitError, FitResult, fit_mle_rows, profile_ci_xi_rows
 from .ingest import AnnualMaximaSeries
 from .seeding import SEED_LIMIT, _map_on_cpus, derive_seed
 
+_METHODS = ("params", "fmadogram")
+
 
 @dataclass
 class RunConfig:
@@ -75,7 +77,7 @@ class RunConfig:
             raise ValueError("min_overlap must be at least 2")
         if self.kmax < 2:
             raise ValueError("kmax must be at least 2")
-        if self.method not in ("params", "fmadogram"):
+        if self.method not in _METHODS:
             raise ValueError("method must be 'params' or 'fmadogram'")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must lie in (0, 1)")
@@ -158,14 +160,7 @@ def _load_series(cfg: RunConfig) -> list[AnnualMaximaSeries]:
         return ingest.read_series_csv(fh)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_ingest(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def cmd_ingest(cfg: RunConfig, out: Path) -> None:
     skips: list[ingest.SkipEntry] = []
     if cfg.demo:
         series = _load_series(cfg)
@@ -177,7 +172,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
         ingest.write_series_csv(series, fh)
     skip_log = "".join(json.dumps(dataclasses.asdict(e), sort_keys=True) + "\n" for e in skips)
     (out / "skip_log.jsonl").write_text(skip_log, encoding="utf-8")
-    return 0
 
 
 def _free_fits(
@@ -215,15 +209,8 @@ def _fit_stage(
     cis = profile_ci_xi_rows([s.values for s in series], ci_level, frees)
     results: dict[str, dict] = {}
     for s, free, ci in zip(series, frees, cis):
-        payload = {
-            **dataclasses.asdict(free.params),
-            "method": free.method,
-            "constraint": free.constraint,
-            "loglik": free.loglik,
-            "std_errors": list(free.std_errors) if free.std_errors is not None else None,
-            "converged": free.converged,
-            "iterations": free.iterations,
-        }
+        payload = dataclasses.asdict(free)
+        payload.update(payload.pop("params"))
         if isinstance(ci, FitError):
             payload.update(ci_lo=None, ci_hi=None, ci_level=ci_level, ci_error=str(ci))
         else:
@@ -237,11 +224,9 @@ def _fit_stage(
     _write_csv(out / "station_params.csv", ["station", *columns], rows)
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def cmd_fit(cfg: RunConfig, out: Path) -> None:
     series, fits = _free_fits(_load_series(cfg), out)
     _fit_stage(series, fits, cfg.ci_level, out)
-    return 0
 
 
 def _gof_stage(
@@ -288,11 +273,9 @@ def _gof_stage(
     return family_fits
 
 
-def cmd_gof(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def cmd_gof(cfg: RunConfig, out: Path) -> None:
     series, fits = _free_fits(_load_series(cfg), out)
     _gof_stage(series, fits, cfg, out)
-    return 0
 
 
 def _write_diagnostics(
@@ -327,13 +310,11 @@ def _write_diagnostics(
             (station_dir / f"{plot.kind}.json").write_text(_json_text(sidecar), encoding="utf-8")
 
 
-def cmd_diagnose(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def cmd_diagnose(cfg: RunConfig, out: Path) -> None:
     series = _load_series(cfg)
     _check_slugs(series)
     series, fits = _free_fits(series, out)
     _write_diagnostics(series, fits, out)
-    return 0
 
 
 def _partition_payload(partition: cl.Partition) -> dict:
@@ -407,15 +388,13 @@ def _cluster_fmadogram(
     _write_csv(cluster_dir / "fmadogram_extremal.csv", header, rows)
 
 
-def cmd_cluster(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def cmd_cluster(cfg: RunConfig, out: Path) -> None:
     series = _load_series(cfg)
     if cfg.method == "params":
         _, fits = _free_fits(series, out)
         _cluster_params(fits, cfg, out)
     else:
         _cluster_fmadogram(series, cfg, out)
-    return 0
 
 
 def _independence_report(
@@ -449,20 +428,17 @@ def _independence_report(
     _dump_json(detail, indep_dir / f"{slug}.json")
 
 
-def cmd_indep(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def cmd_indep(cfg: RunConfig, out: Path) -> None:
     series = _load_series(cfg)
     if cfg.target is None:
         raise ValueError("--target is required for the independence report")
     _independence_report(series, cfg.target, cfg, out)
-    return 0
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(cfg: RunConfig, out: Path) -> None:
     """Full pipeline: fits, family selection, diagnostics, both clusterings,
     and an independence report for each singleton in the 2-group parameter
     clustering."""
-    out = _out_dir(cfg)
     series = _load_series(cfg)
     _check_slugs(series)
     series, fits = _free_fits(series, out)
@@ -482,7 +458,6 @@ def cmd_report(cfg: RunConfig) -> int:
         _independence_report(series, station, cfg, out)
 
     _dump_json(dataclasses.asdict(cfg), out / "run_config.json")
-    return 0
 
 
 _COMMANDS = {
@@ -496,7 +471,31 @@ _COMMANDS = {
 }
 
 
+# per RunConfig annotation: the JSON values a --config file may give the
+# field, and the type its flag parses (the bool fields' flags are in
+# _FLAG_OPTIONS)
+_CONFIG_TYPES = {
+    "bool": ("true or false", lambda v: isinstance(v, bool), None),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str), str),
+}
+
+# the flags that are not a plain typed value
+_FLAG_OPTIONS = {
+    "standardize": {
+        "action": argparse.BooleanOptionalAction,
+        "help": "z-score parameter features before clustering",
+    },
+    "method": {"choices": _METHODS},
+    "demo": {"action": "store_true", "help": "use the bundled dataset"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes ``--config`` and then one flag per
+    ``RunConfig`` field, in field order; a flag left out is ``None``."""
     parser = argparse.ArgumentParser(
         prog="rainmax",
         description="Annual-maximum rainfall analysis pipeline",
@@ -513,37 +512,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--input", type=str, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--bootstrap", type=int, default=None)
-        p.add_argument("--permutations", type=int, default=None)
-        p.add_argument("--min-coverage", dest="min_coverage", type=float, default=None)
-        p.add_argument("--min-overlap", dest="min_overlap", type=int, default=None)
-        p.add_argument(
-            "--standardize",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="z-score parameter features before clustering",
-        )
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--method", choices=["params", "fmadogram"], default=None)
-        p.add_argument("--demo", action="store_true", default=None, help="use the bundled dataset")
-        p.add_argument("--target", type=str, default=None)
-        p.add_argument("--ci-level", dest="ci_level", type=float, default=None)
+        for f in dataclasses.fields(RunConfig):
+            options = _FLAG_OPTIONS.get(f.name) or {"type": _CONFIG_TYPES[f.type][2]}
+            p.add_argument("--" + f.name.replace("_", "-"), default=None, **options)
     return parser
-
-
-# the JSON values a --config file may give each RunConfig field, by its annotation
-_CONFIG_TYPES = {
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
-}
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -560,7 +532,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for name, value in loaded.items():
-            kind, ok = _CONFIG_TYPES[fields[name].type]
+            kind, ok, _ = _CONFIG_TYPES[fields[name].type]
             if not ok(value):
                 raise ValueError(f"config key {name!r} must be {kind}, got {json.dumps(value)}")
         cfg = dataclasses.replace(cfg, **loaded)
@@ -580,11 +552,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     out = args.out  # the resolved configuration's, once it is known
     try:
         cfg = _resolve_config(args)
-        out = cfg.out
+        out = Path(cfg.out)
         # an envelope left by an earlier failed run would mark this run's
         # output as partial
-        (Path(out) / "error.json").unlink(missing_ok=True)
-        return _COMMANDS[args.command](cfg)
+        (out / "error.json").unlink(missing_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
+        _COMMANDS[args.command](cfg, out)
+        return 0
     except Exception as exc:  # noqa: BLE001 - CLI boundary emits an error envelope
         envelope = {"error": type(exc).__name__, "message": str(exc), "command": args.command}
         sys.stderr.write(json.dumps(envelope, sort_keys=True) + "\n")

@@ -191,22 +191,16 @@ def select_family(
     if free.constraint != "free":
         raise ValueError(f"need the free fit, got a {free.constraint!r} fit")
     first = tcvm_test(data, "gumbel", delta=delta, B=B, seed=derive_seed(seed, "stage1"))
-    if first.p_value >= alpha:
-        return FamilyDecision(
-            chosen="gumbel",
-            gumbel_p=first.p_value,
-            second_p=None,
-            alpha=alpha,
-            gumbel_fit=first.fit,
-            fit=first.fit,
-        )
-    second_family = "frechet" if free.params.xi >= 0 else "weibull"
-    second = tcvm_test(data, second_family, delta=delta, B=B, seed=derive_seed(seed, "stage2"))
+    second = None
+    if first.p_value < alpha:
+        family = "frechet" if free.params.xi >= 0 else "weibull"
+        second = tcvm_test(data, family, delta=delta, B=B, seed=derive_seed(seed, "stage2"))
+    chosen = first if second is None else second
     return FamilyDecision(
-        chosen=second_family,
+        chosen=chosen.family,
         gumbel_p=first.p_value,
-        second_p=second.p_value,
+        second_p=None if second is None else second.p_value,
         alpha=alpha,
         gumbel_fit=first.fit,
-        fit=second.fit,
+        fit=chosen.fit,
     )

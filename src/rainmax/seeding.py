@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -20,27 +20,20 @@ import numpy as np
 SEED_LIMIT = 1 << 128  # a master seed is hashed as 16 bytes
 
 
-def _label_entropy(label: object) -> bytes:
-    return hashlib.blake2s(repr(label).encode("utf-8"), digest_size=8).digest()
-
-
-def _prefix_hash(master: int, labels: Iterable[object]) -> hashlib.blake2s:
-    if not 0 <= master < SEED_LIMIT:
-        raise ValueError(f"master seed must lie in [0, 2**128), got {master}")
-    h = hashlib.blake2s(digest_size=8)
-    h.update(int(master).to_bytes(16, "big"))
-    for label in labels:
-        h.update(_label_entropy(label))
-    return h
-
-
 def derive_seed(master: int, *labels: object) -> int:
     """Derive a child seed from a master seed and a path of labels.
 
     Stable across runs and platforms; distinct label paths give
-    independent streams.
+    independent streams. The seed is the 8-byte blake2s digest of the
+    master's 16 big-endian bytes followed by each label's own 8-byte
+    blake2s digest of its ``repr``, read big-endian and shifted right by one.
     """
-    return int.from_bytes(_prefix_hash(master, labels).digest(), "big") >> 1
+    if not 0 <= master < SEED_LIMIT:
+        raise ValueError(f"master seed must lie in [0, 2**128), got {master}")
+    h = hashlib.blake2s(int(master).to_bytes(16, "big"), digest_size=8)
+    for label in labels:
+        h.update(hashlib.blake2s(repr(label).encode("utf-8"), digest_size=8).digest())
+    return int.from_bytes(h.digest(), "big") >> 1
 
 
 def derive_rng(master: int, *labels: object) -> np.random.Generator:

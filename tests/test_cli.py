@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -293,6 +294,150 @@ def test_demo_diagnostics_match_the_golden_files(demo_report, slug):
     print(f"{slug}: the 14 files are byte-identical to the golden ones: {identical}")
 
 
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "report_demo"
+# The relative tolerance of every float of the golden report that is not
+# compared exactly, fixed before any drift was measured. The free fit's
+# Newton stop resolves the likelihood's flat directions only to about
+# 1.5e-8 (a daily-fit station's shape moved that much when only its
+# start's last bits changed), and every fitted and derived number inherits
+# such a move; 5e-7 lies well above it and below the 1e-6 relative move of
+# one shape that the comparison must catch.
+REPORT_RTOL = 5e-7
+# compared exactly: the Monte Carlo p-values, which lie on the
+# (1 + k)/(B + 1) grid, and the integer columns of the CSV tables; every
+# string, integer and bool of the JSON files is compared exactly as well
+EXACT_KEYS = {"p_gumbel", "p_second", "p_value", "K", "year", "n_common_years"}
+
+
+def _drift(got: object, ref: object, where: str, exact: bool = False) -> float:
+    """The largest relative drift of the floats in ``got`` from ``ref``,
+    asserting that each lies within REPORT_RTOL and all else is equal."""
+    if isinstance(ref, dict):
+        assert isinstance(got, dict) and got.keys() == ref.keys(), where
+        return max(
+            (_drift(got[k], ref[k], f"{where}: {k}", k in EXACT_KEYS) for k in ref), default=0.0
+        )
+    if isinstance(ref, list):
+        assert isinstance(got, list) and len(got) == len(ref), where
+        return max((_drift(g, r, where, exact) for g, r in zip(got, ref)), default=0.0)
+    if isinstance(ref, float) and not exact:
+        assert isinstance(got, float), (where, got, ref)
+        if got == ref or (math.isnan(got) and math.isnan(ref)):
+            return 0.0
+        drift = abs(got - ref) / abs(ref) if ref else math.inf
+        assert drift <= REPORT_RTOL, (where, got, ref)
+        return drift
+    assert type(got) is type(ref) and got == ref, (where, got, ref)
+    return 0.0
+
+
+def _parse_output(path: Path) -> object:
+    """A JSON file's value, or a CSV or TSV table as its header and one
+    dict per row, with every cell that reads as a number as a float."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        return json.loads(text)
+
+    def cell(value: str) -> float | str:
+        try:
+            return float(value)
+        except ValueError:
+            return value
+
+    delimiter = "\t" if path.suffix == ".tsv" else ","
+    header, *rows = csv.reader(text.splitlines(), delimiter=delimiter)
+    rows = [dict(zip(header, map(cell, row), strict=True)) for row in rows]
+    return {"header": header, "rows": rows}
+
+
+def _report_files(root: Path) -> list[str]:
+    files = (p.relative_to(root) for p in root.rglob("*") if p.is_file())
+    return sorted(p.as_posix() for p in files if p.parts[0] != "diagnostics")
+
+
+def _compare_with_golden_report(out: Path) -> list[str]:
+    """Compares the --out tree of report --demo --seed 29, diagnostics/
+    aside, with the golden one; returns a line per file with its largest
+    relative drift and whether its bytes are the golden ones."""
+    names = _report_files(GOLDEN_REPORT)
+    got_names = _report_files(out)
+    assert got_names == names, sorted(set(names) ^ set(got_names))
+    lines = []
+    for name in names:
+        ref_bytes = (GOLDEN_REPORT / name).read_bytes()
+        if name == "run_config.json":  # the golden copy has no out key
+            got = json.loads((out / name).read_text(encoding="utf-8"))
+            del got["out"]
+            got_bytes = cli._json_text(got).encode("utf-8")
+        else:
+            got, got_bytes = _parse_output(out / name), (out / name).read_bytes()
+        drift = _drift(got, _parse_output(GOLDEN_REPORT / name), name)
+        same = got_bytes == ref_bytes
+        lines.append(f"{name}: largest relative drift {drift:.3g}, bytes identical: {same}")
+    return lines
+
+
+def test_demo_report_matches_the_golden_tree(demo_report):
+    lines = _compare_with_golden_report(demo_report)
+    print("\n".join(lines))
+    same = all(line.endswith("True") for line in lines)
+    print(f"report_demo, {len(lines)} files: {'bytes identical' if same else 'bytes differ'}")
+
+
+def _move_one_p_value(out: Path) -> None:
+    path = out / "gof.json"
+    gof_json = json.loads(path.read_text(encoding="utf-8"))
+    gof_json["Salto"]["p_gumbel"] += 1 / 1000  # one step of the B = 999 grid
+    path.write_text(cli._json_text(gof_json), encoding="utf-8")
+
+
+def _nudge_one_p_value(out: Path) -> None:
+    # within REPORT_RTOL: only the exact comparison of p-values catches it
+    path = out / "independence" / "artigas.json"
+    detail = json.loads(path.read_text(encoding="utf-8"))
+    detail[0]["p_value"] *= 1.0 + 1e-9
+    path.write_text(cli._json_text(detail), encoding="utf-8")
+
+
+def _swap_two_partition_labels(out: Path) -> None:
+    path = out / "cluster" / "params_pam.json"
+    pam = json.loads(path.read_text(encoding="utf-8"))
+    labels = pam["3"]["assignments"]
+    a = next(iter(labels))
+    b = next(s for s in labels if labels[s] != labels[a])
+    labels[a], labels[b] = labels[b], labels[a]
+    path.write_text(cli._json_text(pam), encoding="utf-8")
+
+
+def _drop_one_file(out: Path) -> None:
+    (out / "cluster" / "fmadogram_silhouette.csv").unlink()
+
+
+def _move_one_shape(out: Path) -> None:
+    path = out / "fits.json"
+    fits = json.loads(path.read_text(encoding="utf-8"))
+    fits["Tacuarembó"]["xi"] *= 1.0 + 1e-6
+    path.write_text(cli._json_text(fits), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "alter, where",
+    [
+        (_move_one_p_value, "gof.json: Salto: p_gumbel"),
+        (_nudge_one_p_value, "independence/artigas.json: p_value"),
+        (_swap_two_partition_labels, "cluster/params_pam.json: 3: assignments"),
+        (_drop_one_file, "cluster/fmadogram_silhouette.csv"),
+        (_move_one_shape, "fits.json: Tacuarembó: xi"),
+    ],
+)
+def test_golden_report_comparison_catches(demo_report, tmp_path, alter, where):
+    out = tmp_path / "report"
+    shutil.copytree(demo_report, out, ignore=shutil.ignore_patterns("diagnostics"))
+    alter(out)
+    with pytest.raises(AssertionError, match=re.escape(where)):
+        _compare_with_golden_report(out)
+
+
 @given(
     st.one_of(
         st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -509,6 +654,28 @@ class TestErrors:
         assert "target" in json.loads(capsys.readouterr().err)["message"]
 
 
+def _check_generated_parser(capsys) -> None:
+    """Every subcommand's --help lists --config, then one flag per RunConfig
+    field in field order; --standardize has its --no- form, --demo has none,
+    and --method takes only its choices."""
+    flags = [f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(cli.RunConfig)]
+    for command in cli._COMMANDS:
+        with pytest.raises(SystemExit) as stop:
+            cli._build_parser().parse_args([command, "--help"])
+        assert stop.value.code == 0
+        options = capsys.readouterr().out.split("options:\n")[1]
+        listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", options, re.M)
+        assert listed == ["--help", "--config", *flags]
+        assert "  --standardize, --no-standardize\n" in options
+        assert re.search(r"^  --demo +use the bundled dataset$", options, re.M)
+        assert "--no-demo" not in options
+        assert "  --method {params,fmadogram}\n" in options
+        with pytest.raises(SystemExit) as stop:
+            cli._build_parser().parse_args([command, "--method", "x"])
+        assert stop.value.code == 2
+        assert "argument --method: invalid choice: 'x' (choose from" in capsys.readouterr().err
+
+
 class TestConfigPrecedence:
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -575,6 +742,16 @@ class TestConfigPrecedence:
     def test_every_field_has_a_flag(self, command):
         dests = set(vars(cli._build_parser().parse_args([command]))) - {"command", "config"}
         assert dests == {f.name for f in dataclasses.fields(cli.RunConfig)}
+
+    def test_parser_is_generated_from_the_fields(self, capsys):
+        _check_generated_parser(capsys)
+
+    @pytest.mark.parametrize("field", ["standardize", "method", "demo"])
+    def test_check_fails_without_a_flag_option(self, capsys, monkeypatch, field):
+        options = {k: v for k, v in cli._FLAG_OPTIONS.items() if k != field}
+        monkeypatch.setattr(cli, "_FLAG_OPTIONS", options)
+        with pytest.raises(AssertionError):
+            _check_generated_parser(capsys)
 
     def test_ci_level_flag_sets_the_interval_level(self, tmp_path):
         out = tmp_path / "o"

@@ -450,6 +450,45 @@ class TestBatchedBootstrap:
             tcvm_test(x, "gumbel", B=B, seed=4)
 
 
+class TestRowsIndependentOfTheirBlock:
+    """A bootstrap row's refit and statistic have the same bits whether it
+    is fitted in a block of 256 rows or alone, so splitting one test's
+    block across threads would leave its p-value unchanged."""
+
+    PICKED = range(0, 256, 8)  # the 32 rows fitted alone, the rejected one included
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        rng = np.random.default_rng(47)
+        shapes = rng.permutation(np.linspace(-0.4, 0.4, 256))
+        uniforms = rng.random((256, 33))
+        X = np.stack(
+            [_quantile_sample(u, GevParams(80.0, 25.0, xi)) for u, xi in zip(uniforms, shapes)]
+        )
+        X[16] = np.resize([60.0, 75.0, 90.0, 120.0], 33)  # 4 distinct values: the kernel rejects it
+        return X
+
+    @pytest.mark.parametrize("constraint", ["gumbel", "frechet", "weibull", "free"])
+    def test_fit_rows(self, block, constraint):
+        together = _fit_rows(block, constraint)
+        assert not together[3][16]
+        for r in self.PICKED:
+            alone = _fit_rows(block[r : r + 1], constraint)
+            names = ("mu", "sigma", "xi", "converged", "iterations")
+            for name, got, want in zip(names, alone, together):
+                assert got.tobytes() == want[r : r + 1].tobytes(), (r, name)
+
+    @pytest.mark.parametrize("constraint", ["gumbel", "frechet", "weibull", "free"])
+    def test_tcvm_rows(self, block, constraint):
+        mu, sigma, xi, ok, _ = _fit_rows(block, constraint)
+        X, mu, sigma, xi = block[ok], mu[ok], sigma[ok], xi[ok]
+        together = gof._tcvm_rows(X, mu, sigma, xi, gof.DEFAULT_DELTA)
+        for r in range(0, X.shape[0], 8):
+            one = slice(r, r + 1)
+            alone = gof._tcvm_rows(X[one], mu[one], sigma[one], xi[one], gof.DEFAULT_DELTA)
+            assert alone.tobytes() == together[one].tobytes(), r
+
+
 class TestLrt:
     @pytest.mark.parametrize("seed", range(6))
     def test_deviance_nonnegative(self, seed):
