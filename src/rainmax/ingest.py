@@ -7,14 +7,13 @@ reported, never imputed.
 
 from __future__ import annotations
 
-import calendar
 import csv
 import datetime as dt
 import io
 import math
 import re
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -24,9 +23,10 @@ from .seeding import derive_rng
 FIRST_SYNTH_YEAR = 1981
 DEFAULT_MIN_COVERAGE = 0.8
 
-_HEADER = ["station", "date", "precip_mm"]
+_DAILY_HEADER = ["station", "date", "precip_mm"]
+_SERIES_HEADER = ["station", "year", "max_mm"]
 _ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
-_PLAIN_HEADER = ",".join(_HEADER).encode()
+_PLAIN_HEADER = ",".join(_DAILY_HEADER).encode()
 _BLOCK_BYTES = 1 << 18  # bytes per block of the plain pass, cut on a line end; bounds its temporaries
 _MAX_FIELD_BYTES = 256  # widest field of the plain pass; each block is padded by as much
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
@@ -80,8 +80,8 @@ class AnnualMaximaSeries:
             raise ValueError("years and values must have equal length")
         if len(self.years) and np.any(np.diff(self.years) <= 0):
             raise ValueError(f"years must be strictly increasing for {self.station_id}")
-        if np.any(self.values <= 0):
-            raise ValueError(f"annual maxima must be positive for {self.station_id}")
+        if not np.all((self.values > 0) & (self.values < np.inf)):  # NaN fails both
+            raise ValueError(f"annual maxima must be finite and positive for {self.station_id}")
 
     def __len__(self) -> int:
         return len(self.years)
@@ -193,28 +193,38 @@ def _gather(block: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.nda
     return fields.view(f"S{width}").ravel()
 
 
-def _validate_rows(data: bytes) -> DailyTable:
-    """Parse and check a daily CSV row by row; raises the error of its first bad line."""
-    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(1, "empty input, expected header 'station,date,precip_mm'")
-    if [h.strip() for h in header] != _HEADER:
-        raise ParseError(1, f"expected header {','.join(_HEADER)!r}, got {','.join(header)!r}")
-
-    index: dict[str, int] = {}
-    rows: dict[tuple[int, int], float] = {}  # (station index, day ordinal) -> precip, in file order
-    dates: dict[str, tuple[dt.date, int]] = {}  # each valid date text, parsed once, with its ordinal
+def _station_rows(
+    reader: Iterator[list[str]], header: list[str]
+) -> Iterator[tuple[int, str, str, str]]:
+    """The rows of a three-column CSV under ``header``, each as its line
+    number and its stripped fields; blank rows are skipped. Raises the
+    ParseError of a missing or other header, a row of other than 3 fields
+    or an empty station id."""
+    expected = ",".join(header)
+    first = next(reader, None)
+    if first is None:
+        raise ParseError(1, f"empty input, expected header {expected!r}")
+    if [h.strip() for h in first] != header:
+        raise ParseError(1, f"expected header {expected!r}, got {','.join(first)!r}")
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 3:
             raise ParseError(lineno, f"expected 3 fields, got {len(row)}")
-        station, date_text, precip_text = row[0].strip(), row[1].strip(), row[2].strip()
+        station = row[0].strip()
         if not station:
             raise ParseError(lineno, "empty station id")
+        yield lineno, station, row[1].strip(), row[2].strip()
+
+
+def _validate_rows(data: bytes) -> DailyTable:
+    """Parse and check a daily CSV row by row; raises the error of its first bad line."""
+    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    index: dict[str, int] = {}
+    rows: dict[tuple[int, int], float] = {}  # (station index, day ordinal) -> precip, in file order
+    dates: dict[str, tuple[dt.date, int]] = {}  # each valid date text, parsed once, with its ordinal
+    for lineno, station, date_text, precip_text in _station_rows(reader, _DAILY_HEADER):
         if date_text not in dates:
             try:  # date.fromisoformat also takes 19900101 and 1990-W01-1 from Python 3.11 on
                 date = dt.date.fromisoformat(date_text if _ISO_DATE.fullmatch(date_text) else "")
@@ -258,46 +268,36 @@ def block_maxima(
     if len(table) == 0:
         return [], []
 
-    # One group per (station rank, year offset): rank-major, so a station's
-    # years are one contiguous row of ``span`` groups.
+    # One group per cell of a stations x years grid, stations ranked by id,
+    # so the grid's row-major order is the skip log's.
     order = sorted(range(len(table.stations)), key=table.stations.__getitem__)
     rank = np.empty(len(order), np.int64)
     rank[order] = np.arange(len(order))
     days = (table.ordinal.astype(np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
     row_year = days.astype("datetime64[Y]").astype(np.int64) + 1970
-    first = int(row_year.min())
-    span = int(row_year.max()) - first + 1
-    group = rank[table.station] * span + (row_year - first)
-    n_groups = len(order) * span
+    year_axis = np.arange(row_year.min(), row_year.max() + 1)
+    group = rank[table.station] * year_axis.size + (row_year - year_axis[0])
+    shape = (len(order), year_axis.size)
 
     present = ~np.isnan(table.precip)
-    seen = np.bincount(group, minlength=n_groups).reshape(-1, span)
-    count = np.bincount(group[present], minlength=n_groups).reshape(-1, span).tolist()
-    by_group = np.argsort(group, kind="stable")
-    sorted_group = group[by_group]
-    starts = np.flatnonzero(np.diff(sorted_group, prepend=-1))
-    peak = np.full(n_groups, -np.inf)
-    peak[sorted_group[starts]] = np.maximum.reduceat(
-        np.where(present, table.precip, -np.inf)[by_group], starts
-    )
-    peak = peak.reshape(-1, span).tolist()
+    peak = np.full(shape, -np.inf)
+    np.maximum.at(peak.ravel(), group[present], table.precip[present])  # ravel is a view of peak
+    seen = np.bincount(group, minlength=peak.size).reshape(shape) > 0
+    count = np.bincount(group[present], minlength=peak.size).reshape(shape)
+    leap = (year_axis % 4 == 0) & ((year_axis % 100 != 0) | (year_axis % 400 == 0))
+    coverage = count / (365 + leap)
+    kept = (coverage >= min_coverage) & (peak > 0)
+    skip = seen & ~kept
 
-    series: list[AnnualMaximaSeries] = []
-    skipped: list[SkipEntry] = []
-    for r, i in enumerate(order):
-        station = table.stations[i]
-        years: list[int] = []
-        maxima: list[float] = []
-        for offset in np.flatnonzero(seen[r]).tolist():
-            year = first + offset
-            coverage = count[r][offset] / (366 if calendar.isleap(year) else 365)
-            if coverage < min_coverage or peak[r][offset] <= 0.0:
-                skipped.append(SkipEntry(station, year, coverage))
-                continue
-            years.append(year)
-            maxima.append(peak[r][offset])
-        if years:
-            series.append(AnnualMaximaSeries(station, np.array(years), np.array(maxima)))
+    names = [table.stations[i] for i in order]
+    series = [
+        AnnualMaximaSeries(name, year_axis[k], p[k]) for name, k, p in zip(names, kept, peak) if k.any()
+    ]
+    at_station, at_year = np.nonzero(skip)
+    skipped = [
+        SkipEntry(names[r], y, c)
+        for r, y, c in zip(at_station.tolist(), year_axis[at_year].tolist(), coverage[skip].tolist())
+    ]
     if not series:
         raise ValidationError("no station has a year meeting the coverage threshold")
     return series, skipped
@@ -322,8 +322,6 @@ def synth_dataset(
     year_axis = np.arange(FIRST_SYNTH_YEAR, FIRST_SYNTH_YEAR + years)
     out = []
     for station, params in spec:
-        if not isinstance(params, GevParams):
-            params = GevParams(*params)
         values = _quantile_sample(derive_rng(seed, "synth", station).random(years), params)
         out.append(AnnualMaximaSeries(station, year_axis.copy(), values))
     return out
@@ -370,7 +368,7 @@ def year_matrix(series: Sequence[AnnualMaximaSeries]) -> tuple[np.ndarray, np.nd
 
 def write_series_csv(series: Iterable[AnnualMaximaSeries], stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["station", "year", "max_mm"])
+    writer.writerow(_SERIES_HEADER)
     for s in series:
         for year, value in zip(s.years.tolist(), s.values.tolist()):
             writer.writerow([s.station_id, year, format(value, ".10g")])
@@ -378,19 +376,8 @@ def write_series_csv(series: Iterable[AnnualMaximaSeries], stream: TextIO) -> No
 
 def read_series_csv(stream: TextIO) -> list[AnnualMaximaSeries]:
     """Load series written by :func:`write_series_csv`."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["station", "year", "max_mm"]:
-        raise ParseError(1, "expected header 'station,year,max_mm'")
     grouped: dict[str, dict[int, float]] = {}  # stations in first-seen order
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(lineno, f"expected 3 fields, got {len(row)}")
-        station, year_text, value_text = (f.strip() for f in row)
-        if not station:
-            raise ParseError(lineno, "empty station id")
+    for lineno, station, year_text, value_text in _station_rows(csv.reader(stream), _SERIES_HEADER):
         try:
             year, value = int(year_text), float(value_text)
         except ValueError:

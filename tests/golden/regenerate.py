@@ -7,7 +7,10 @@ current code:
 - ``diagnostics/salto/`` and ``diagnostics/tacuarembo/``: those stations'
   ``diagnostics/`` files from ``rainmax report --demo --seed 29``;
 - ``report_demo/``: every other file of that run, ``run_config.json``
-  without its ``out`` key.
+  without its ``out`` key;
+- ``report_mixed/``: the same files of ``rainmax report --seed 29 --input
+  mixed.csv``, run in the directory of the file :func:`write_mixed_series`
+  writes.
 
 Run from the repository root::
 
@@ -20,7 +23,10 @@ CHANGES.md. Regenerating to hide a defect is not allowed.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -28,9 +34,16 @@ from pathlib import Path
 from rainmax.cli import _json_text, main
 from rainmax.demo import demo_dataset
 from rainmax.estimate import profile_ci_xi_rows
+from rainmax.ingest import write_series_csv
 
 GOLDEN = Path(__file__).resolve().parent
 DIAGNOSTIC_STATIONS = ("salto", "tacuarembo")  # a Gumbel station and the one Weibull choice
+# an 8-year station sharing 8 years with every demo station; its profile
+# deviance never reaches the threshold below the MLE
+SHORT = [61.2, 88.0, 73.5, 95.1, 70.3, 102.4, 66.0, 80.8]
+# a 9-year station whose free fit does not converge
+FAILING = [189.3, 72.7, 145.4, 210.8, 85.8, 423.1, 72.2, 87.2, 121.8]
+MIXED_INPUT = "mixed.csv"  # relative, so run_config.json names the same input on every run
 
 
 def profile_intervals() -> str:
@@ -43,9 +56,35 @@ def profile_intervals() -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+def write_mixed_series(directory: Path) -> None:
+    """``MIXED_INPUT`` in ``directory``: the series.csv of ``rainmax ingest
+    --demo --seed 29``, then Short, Bad (``FAILING``) and "Carrasco far from
+    zero", Aeropuerto Carrasco's written maxima v mapped to v/25 + 1e4."""
+    buf = io.StringIO()
+    write_series_csv(demo_dataset(seed=29), buf)
+    rows = [f"Short,{2000 + i},{v}\n" for i, v in enumerate(SHORT)]
+    rows += [f"Bad,{2000 + i},{v}\n" for i, v in enumerate(FAILING)]
+    rows += [
+        f"Carrasco far from zero,{year},{float(value) / 25 + 1e4:.17g}\n"
+        for station, year, value in csv.reader(buf.getvalue().splitlines())
+        if station == "Aeropuerto Carrasco"
+    ]
+    (directory / MIXED_INPUT).write_text(buf.getvalue() + "".join(rows), encoding="utf-8")
+
+
 def replace_tree(source: Path, target: Path) -> None:
     shutil.rmtree(target, ignore_errors=True)
     shutil.copytree(source, target)
+
+
+def store_report(out: Path, name: str) -> None:
+    """The report's --out tree, diagnostics/ aside, as ``GOLDEN / name``,
+    its run_config.json without the ``out`` key."""
+    shutil.rmtree(out / "diagnostics")
+    config = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+    del config["out"]
+    (out / "run_config.json").write_text(_json_text(config), encoding="utf-8")
+    replace_tree(out, GOLDEN / name)
 
 
 def regenerate() -> None:
@@ -56,11 +95,17 @@ def regenerate() -> None:
             raise SystemExit("report --demo --seed 29 failed")
         for slug in DIAGNOSTIC_STATIONS:
             replace_tree(out / "diagnostics" / slug, GOLDEN / "diagnostics" / slug)
-        shutil.rmtree(out / "diagnostics")
-        config = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
-        del config["out"]
-        (out / "run_config.json").write_text(_json_text(config), encoding="utf-8")
-        replace_tree(out, GOLDEN / "report_demo")
+        store_report(out, "report_demo")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_mixed_series(Path(tmp))
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            if main(["report", "--seed", "29", "--input", MIXED_INPUT, "--out", "report"]) != 0:
+                raise SystemExit(f"report --seed 29 --input {MIXED_INPUT} failed")
+        finally:
+            os.chdir(cwd)
+        store_report(Path(tmp) / "report", "report_mixed")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,8 @@ from rainmax.gev import GevParams, gev_sample
 from rainmax.ingest import synth_dataset, write_series_csv
 from rainmax.seeding import derive_seed
 
+from golden.regenerate import FAILING, MIXED_INPUT, SHORT, write_mixed_series
+
 FAST = ["--bootstrap", "99", "--permutations", "99"]
 
 
@@ -355,33 +357,97 @@ def _report_files(root: Path) -> list[str]:
     return sorted(p.as_posix() for p in files if p.parts[0] != "diagnostics")
 
 
-def _compare_with_golden_report(out: Path) -> list[str]:
-    """Compares the --out tree of report --demo --seed 29, diagnostics/
-    aside, with the golden one; returns a line per file with its largest
-    relative drift and whether its bytes are the golden ones."""
-    names = _report_files(GOLDEN_REPORT)
-    got_names = _report_files(out)
-    assert got_names == names, sorted(set(names) ^ set(got_names))
+def _compare_with_golden_report(
+    out: Path, golden: Path = GOLDEN_REPORT, names: list[str] | None = None
+) -> list[str]:
+    """Compares the --out tree of a golden run, diagnostics/ aside, with its
+    golden copy, or only the files ``names`` when given; returns a line per
+    file with its largest relative drift and whether its bytes are the
+    golden ones."""
+    if names is None:
+        names = _report_files(golden)
+        got_names = _report_files(out)
+        assert got_names == names, sorted(set(names) ^ set(got_names))
     lines = []
     for name in names:
-        ref_bytes = (GOLDEN_REPORT / name).read_bytes()
+        ref_bytes = (golden / name).read_bytes()
         if name == "run_config.json":  # the golden copy has no out key
             got = json.loads((out / name).read_text(encoding="utf-8"))
             del got["out"]
             got_bytes = cli._json_text(got).encode("utf-8")
         else:
             got, got_bytes = _parse_output(out / name), (out / name).read_bytes()
-        drift = _drift(got, _parse_output(GOLDEN_REPORT / name), name)
+        drift = _drift(got, _parse_output(golden / name), name)
         same = got_bytes == ref_bytes
         lines.append(f"{name}: largest relative drift {drift:.3g}, bytes identical: {same}")
     return lines
 
 
-def test_demo_report_matches_the_golden_tree(demo_report):
-    lines = _compare_with_golden_report(demo_report)
+def _print_comparison(title: str, lines: list[str]) -> None:
     print("\n".join(lines))
     same = all(line.endswith("True") for line in lines)
-    print(f"report_demo, {len(lines)} files: {'bytes identical' if same else 'bytes differ'}")
+    print(f"{title}, {len(lines)} files: {'bytes identical' if same else 'bytes differ'}")
+
+
+def test_demo_report_matches_the_golden_tree(demo_report):
+    _print_comparison("report_demo", _compare_with_golden_report(demo_report))
+
+
+GOLDEN_MIXED = Path(__file__).parent / "golden" / "report_mixed"
+
+
+@pytest.fixture(scope="module")
+def mixed_runs(tmp_path_factory):
+    """``report/`` and ``fit/``: the --out trees of report --seed 29 and of
+    fit on the mixed series file, run in its directory as regenerate.py
+    runs the report."""
+    root = tmp_path_factory.mktemp("mixed")
+    write_mixed_series(root)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        for command in ("report", "fit"):
+            assert main([command, "--seed", "29", "--input", MIXED_INPUT, "--out", command]) == 0
+    return root
+
+
+def test_mixed_report_matches_the_golden_tree(mixed_runs):
+    # the demo series plus an 8-year station (its profile interval fails,
+    # the F-madogram stage leaves it out), a station whose free fit fails
+    # and one thousands of scales from zero: fits of two series lengths
+    names = _report_files(GOLDEN_MIXED)
+    assert {"fit_errors.json", "cluster/fmadogram_excluded.json"} <= set(names)
+    assert "ci_error" in json.loads((GOLDEN_MIXED / "fits.json").read_text(encoding="utf-8"))["Short"]
+    lines = _compare_with_golden_report(mixed_runs / "report", GOLDEN_MIXED)
+    _print_comparison("report_mixed", lines)
+
+
+def test_mixed_fit_matches_the_golden_report(mixed_runs):
+    names = ["fit_errors.json", "fits.json", "station_params.csv"]
+    lines = _compare_with_golden_report(mixed_runs / "fit", GOLDEN_MIXED, names)
+    _print_comparison("fit on report_mixed's input", lines)
+
+
+def _edit_short_ci_error(out: Path) -> None:
+    path = out / "fits.json"
+    fits = json.loads(path.read_text(encoding="utf-8"))
+    fits["Short"]["ci_error"] += "."
+    path.write_text(cli._json_text(fits), encoding="utf-8")
+
+
+def _drop_fit_errors(out: Path) -> None:
+    (out / "fit_errors.json").unlink()
+
+
+@pytest.mark.parametrize(
+    "alter, where",
+    [(_edit_short_ci_error, "fits.json: Short: ci_error"), (_drop_fit_errors, "fit_errors.json")],
+)
+def test_golden_mixed_comparison_catches(mixed_runs, tmp_path, alter, where):
+    out = tmp_path / "report"
+    shutil.copytree(mixed_runs / "report", out, ignore=shutil.ignore_patterns("diagnostics"))
+    alter(out)
+    with pytest.raises(AssertionError, match=re.escape(where)):
+        _compare_with_golden_report(out, GOLDEN_MIXED)
 
 
 def _move_one_p_value(out: Path) -> None:
@@ -646,6 +712,39 @@ class TestErrors:
         assert main([*args, flag, "60"]) == 1
         assert "--target" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["--delta", "0.5"], None, "delta must lie in [0, 0.5)"),
+            (["--min-coverage", "0"], None, "min_coverage must lie in (0, 1]"),
+            (["--min-overlap", "1"], None, "min_overlap must be at least 2"),
+            (["--kmax", "1"], None, "kmax must be at least 2"),
+            # the --method flag takes only its choices, a config file any string
+            ([], {"method": "kmeans"}, "method must be 'params' or 'fmadogram'"),
+        ],
+        ids=["delta", "min_coverage", "min_overlap", "kmax", "method"],
+    )
+    def test_config_checks_before_any_output(self, tmp_path, capsys, args, config, message):
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            args = [*args, "--config", str(tmp_path / "config.json")]
+        out = tmp_path / "o"
+        assert main(["fit", "--demo", *args, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ValueError", message)
+        assert not out.exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        out = tmp_path / "o"
+        assert main(["fit", "--demo", "--config", str(missing), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == (
+            "FileNotFoundError",
+            f"config file not found: {missing}",
+        )
+        assert not out.exists()
+
     def test_indep_requires_target(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"
         _write_series(series_csv)
@@ -819,9 +918,8 @@ class TestSubcommands:
         # threshold below the MLE, appended to the bundled demo series
         assert main(["ingest", "--demo", "--seed", "29", "--out", str(tmp_path / "demo")]) == 0
         series_csv = tmp_path / "demo" / "series.csv"
-        short = [61.2, 88.0, 73.5, 95.1, 70.3, 102.4, 66.0, 80.8]
         with series_csv.open("a", encoding="utf-8") as fh:
-            fh.writelines(f"Short,{2000 + i},{v}\n" for i, v in enumerate(short))
+            fh.writelines(f"Short,{2000 + i},{v}\n" for i, v in enumerate(SHORT))
         out = tmp_path / "out"
         assert main(["fit", "--input", str(series_csv), "--out", str(out)]) == 0
         assert not (out / "error.json").exists()
@@ -938,6 +1036,32 @@ class TestSubcommands:
         assert len(table) == 5
         detail = json.loads((out / "independence" / "mercedes.json").read_text())
         assert len(detail) == 4 and all(d["target"] == "Mercedes" for d in detail)
+
+    def test_indep_reports_a_failed_pair(self, tmp_path):
+        # Short shares 8 years with the target, fewer than the test takes:
+        # its row has no statistics and its entry the reason, no radii
+        assert main(["ingest", "--demo", "--seed", "29", "--out", str(tmp_path / "demo")]) == 0
+        demo = tmp_path / "demo" / "series.csv"
+        with_short = tmp_path / "with_short.csv"
+        rows = "".join(f"Short,{2000 + i},{v}\n" for i, v in enumerate(SHORT))
+        with_short.write_text(demo.read_text(encoding="utf-8") + rows, encoding="utf-8")
+        runs = {}
+        for name, source in (("demo", demo), ("with_short", with_short)):
+            out = tmp_path / f"indep_{name}"
+            args = ["indep", "--target", "Punta del Este", "--input", str(source)]
+            assert main([*args, "--out", str(out), *FAST]) == 0
+            written = out / "independence" / "punta_del_este"
+            table = written.with_suffix(".csv").read_text(encoding="utf-8").splitlines()
+            runs[name] = table, json.loads(written.with_suffix(".json").read_text(encoding="utf-8"))
+        (table, detail), (ref_table, ref_detail) = runs["with_short"], runs["demo"]
+        assert table[-1] == "Punta del Este,Short,,,8"
+        assert detail[-1] == {
+            "target": "Punta del Este",
+            "other": "Short",
+            "n_common_years": 8,
+            "error": "series must have at least 10 points",
+        }
+        assert (table[:-1], detail[:-1]) == (ref_table, ref_detail)
 
     def test_cluster_rerun_idempotent(self, tmp_path):
         series_csv = tmp_path / "series.csv"
@@ -1163,10 +1287,7 @@ class TestReport:
 
 
 # a 9-year station whose free fit raises FitError
-FAILING = [189.3, 72.7, 145.4, 210.8, 85.8, 423.1, 72.2, 87.2, 121.8]
 FAILING_REASON = "MLE did not converge under constraint 'free'"
-# an 8-year station sharing 8 years with every demo station
-SHORT = [61.2, 88.0, 73.5, 95.1, 70.3, 102.4, 66.0, 80.8]
 # stations with fewer than 5 distinct maxima, which the free fit rejects
 FEW = {"Four": [61.2, 88.0, 73.5, 95.1], "Flat": [70.0] * 33}
 FEW_REASON = "data must contain at least 5 distinct values"

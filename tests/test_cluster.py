@@ -122,6 +122,25 @@ class TestEuclidean:
             assert np.array_equal(euclidean_dm(feats).values, squareform(pdist(x)))
 
 
+_INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([[0, 1], [1, 0]], "distance matrix must be square and match labels"),
+        ([[0, _INF, 2], [_INF, 0, 1], [2, 1, 0]], "distances must be finite"),
+        ([[0, -1, 2], [-1, 0, 1], [2, 1, 0]], "distances must be nonnegative"),
+        ([[0, 1, 2], [1, 1e-300, 1], [2, 1, 0]], "diagonal must be zero"),
+        ([[0, 1, 2], [1, 0, 1], [2, 1.5, 0]], "distance matrix must be symmetric"),
+    ],
+    ids=["shape", "finite", "nonnegative", "diagonal", "symmetric"],
+)
+def test_distance_matrix_checks(values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DistanceMatrix(("a", "b", "c"), np.array(values, dtype=float))
+
+
 def _series(station, values, years=None):
     values = np.asarray(values, dtype=float)
     years = np.arange(1981, 1981 + len(values)) if years is None else np.asarray(years)

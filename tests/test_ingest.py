@@ -340,8 +340,11 @@ class TestSeriesInvariants:
             AnnualMaximaSeries("A", [1990, 1990], [1.0, 2.0])
 
     def test_positive_maxima(self):
-        with pytest.raises(ValueError):
-            AnnualMaximaSeries("A", [1990], [0.0])
+        # NaN passes a test of ``<= 0``, and year_matrix would read it as a
+        # missing year
+        for value in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^annual maxima must be finite and positive for A$"):
+                AnnualMaximaSeries("A", [1990, 1991], [5.0, value])
 
     def test_equal_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -415,6 +418,26 @@ class TestSerialization:
         text = "station,year,max_mm\nA,9999,12.0\nA,1,10.5\n"
         (series,) = read_series_csv(io.StringIO(text))
         assert series.years.tolist() == [1, 9999]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: empty input, expected header 'station,year,max_mm'"),
+            (
+                "station,yr,max_mm\nA,1990,10.5\n",
+                "line 1: expected header 'station,year,max_mm', got 'station,yr,max_mm'",
+            ),
+            ("station,year,max_mm\nA,1990,10.5\nA,1991\n", "line 3: expected 3 fields, got 2"),
+            ("station,year,max_mm\nA,1990,10.5,1\n", "line 2: expected 3 fields, got 4"),
+            ("station,year,max_mm\nA,1991.5,12\n", "line 2: invalid year/value '1991.5','12'"),
+            ("station,year,max_mm\nA,1991,12 mm\n", "line 2: invalid year/value '1991','12 mm'"),
+        ],
+        ids=["empty", "other_header", "two_fields", "four_fields", "bad_year", "bad_value"],
+    )
+    def test_series_row_errors_name_their_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            read_series_csv(io.StringIO(text))
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("station", ["", "  "])
     def test_series_empty_station_id_names_line(self, station):
